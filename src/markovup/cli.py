@@ -8,7 +8,7 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
     verify     full pipeline: report.json + paths.csv + verdicts.csv
     report     rebuild report.json/verdicts.csv from a trajectory dump
 
-Exit codes: 0 all verdicts pass, 1 usage or config error, 2 verdict failure.
+Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict failure.
 
 report.json must be byte-identical for a fixed seed regardless of
 --threads, so wall-clock time goes to stderr and the report's "timing"
@@ -28,8 +28,7 @@ from typing import Any, Optional, Sequence
 
 from . import bound_calc, mc_engine, path_analysis
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
-from .process_core import StopReason, Trajectory, simulate_path
-from .streams import path_stream
+from .process_core import StopReason, Trajectory
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
@@ -131,6 +130,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     _require(isinstance(x_grid_raw, list) and x_grid_raw, "x_grid", "must be a non-empty list")
     x_grid = tuple(_as_int(x, "x_grid") for x in x_grid_raw)
     _require(all(x >= 0 for x in x_grid), "x_grid", "entries must be non-negative")
+    _require(len(set(x_grid)) == len(x_grid), "x_grid", "entries must be distinct")
 
     m_list_raw = data.get("m_list", list(defaults.m_list))
     _require(isinstance(m_list_raw, list) and m_list_raw, "m_list", "must be a non-empty list")
@@ -224,8 +224,6 @@ def build_report(
     config: ExperimentConfig, report: mc_engine.VerificationReport
 ) -> dict[str, Any]:
     """Assemble the stable report document (deterministic for a fixed seed)."""
-    spec = config.model_spec()
-    cert = certify(spec, m_max=max(config.m_list))
     warnings = list(report.warnings)
     if config.n_traj < LOW_SAMPLE_THRESHOLD:
         warnings.append(f"low-sample warning: n_traj={config.n_traj} < {LOW_SAMPLE_THRESHOLD}")
@@ -234,7 +232,7 @@ def build_report(
     capped = sum(1 for recs in report.records_by_x.values() for r in recs if r.capped)
     return {
         "config": config.to_dict(),
-        "certificate": cert.to_dict(),
+        "certificate": report.certificate.to_dict(),
         "bound_sets": {str(m): bs.to_dict() for m, bs in sorted(report.bound_sets.items())},
         "estimates": [v.estimate.to_dict() for v in report.verdicts],
         "verdicts": _verdict_rows(report),
@@ -342,20 +340,15 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     records_by_x: dict[int, tuple[mc_engine.PathRecord, ...]] = {}
     trajectories: list[tuple[int, int, Trajectory]] = []
     for task_index, x0 in enumerate(config.x_grid):
+        trajs = mc_engine.simulate_trajectories(
+            kernel, x0, config.n_traj, config.seed, config.max_steps,
+            task_index=task_index, threads=config.threads,
+        )
+        records_by_x[x0] = tuple(
+            mc_engine.record_from_trajectory(pid, traj) for pid, traj in enumerate(trajs)
+        )
         if config.trajectories_csv is not None:
-            recs = []
-            for pid in range(config.n_traj):
-                traj = simulate_path(
-                    kernel, x0, config.max_steps, path_stream(config.seed, pid, task_index)
-                )
-                trajectories.append((x0, pid, traj))
-                recs.append(mc_engine.record_from_trajectory(pid, traj))
-            records_by_x[x0] = tuple(recs)
-        else:
-            records_by_x[x0] = tuple(mc_engine.simulate_records(
-                kernel, x0, config.n_traj, config.seed, config.max_steps,
-                task_index=task_index, threads=config.threads,
-            ))
+            trajectories.extend((x0, pid, traj) for pid, traj in enumerate(trajs))
     write_paths_csv(config.paths_csv, records_by_x)
     if config.trajectories_csv is not None:
         write_trajectories_csv(config.trajectories_csv, trajectories)
@@ -386,45 +379,40 @@ def cmd_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
 
 
+def _records_from_dump(
+    config: ExperimentConfig, dumped: list[tuple[int, int, Trajectory]]
+) -> dict[int, tuple[mc_engine.PathRecord, ...]]:
+    """Reduce a trajectory dump to records in x_grid and path order, as verify builds them.
+
+    Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's floor_n.
+    """
+    by_x: dict[int, dict[int, mc_engine.PathRecord]] = {x0: {} for x0 in config.x_grid}
+    for x0, pid, traj in dumped:
+        row = f"trajectory dump row (x0={x0}, path_id={pid})"
+        if traj.floor_n != config.floor_n:
+            raise ConfigError(f"{row} has floor_n={traj.floor_n}, config floor_n={config.floor_n}")
+        if x0 not in by_x:
+            raise ConfigError(f"{row} starts outside config x_grid {list(config.x_grid)}")
+        if not 0 <= pid < config.n_traj or pid in by_x[x0]:
+            raise ConfigError(f"{row} is duplicated or outside path ids 0..{config.n_traj - 1}")
+        tau = path_analysis.tau_of(traj.states, traj.floor_n)
+        if tau != traj.tau:
+            raise ConfigError(f"{row} does not round-trip: recorded tau={traj.tau}, recomputed tau={tau}")
+        by_x[x0][pid] = mc_engine.record_from_trajectory(pid, traj)
+    for x0, recs in by_x.items():
+        if len(recs) != config.n_traj:
+            missing = min(set(range(config.n_traj)) - recs.keys())
+            raise ConfigError(f"trajectory dump has no row (x0={x0}, path_id={missing})")
+    return {x0: tuple(recs[pid] for pid in range(config.n_traj)) for x0, recs in by_x.items()}
+
+
 def cmd_report(config: ExperimentConfig) -> int:
     """Recompute estimates and verdicts from a previous trajectory dump."""
     if config.trajectories_csv is None:
         raise ConfigError("config field 'output.trajectories_csv': required by the report command")
-    dumped = read_trajectories_csv(config.trajectories_csv)
-    if not dumped:
-        raise ConfigError(f"no trajectories found in {config.trajectories_csv}")
-    spec = config.model_spec()
-    cert = certify(spec, m_max=max(config.m_list))
-    if not cert.theorem_ready:
-        raise ConfigError("model certificate does not satisfy the required assumptions")
-    bound_sets = {
-        m: bound_calc.make_bound_set(m, spec.kappa, spec.up_jump_s, config.epsilon)
-        for m in config.m_list
-    }
-    by_x: dict[int, list[mc_engine.PathRecord]] = {}
-    for x0, pid, traj in dumped:
-        recomputed_tau = path_analysis.tau_of(traj.states, traj.floor_n)
-        if recomputed_tau != traj.tau:
-            raise ConfigError(
-                f"trajectory dump row (x0={x0}, path_id={pid}) does not round-trip: "
-                f"recorded tau={traj.tau}, recomputed tau={recomputed_tau}"
-            )
-        by_x.setdefault(x0, []).append(mc_engine.record_from_trajectory(pid, traj))
-    verdicts: list[mc_engine.VerificationVerdict] = []
-    warnings: list[str] = []
-    records_by_x: dict[int, tuple[mc_engine.PathRecord, ...]] = {}
-    for x0, recs in by_x.items():
-        recs.sort(key=lambda r: r.path_id)
-        records_by_x[x0] = tuple(recs)
-        vs, ws = mc_engine.verdicts_for_records(x0, recs, config.m_list, bound_sets)
-        verdicts.extend(vs)
-        warnings.extend(ws)
-    report = mc_engine.VerificationReport(
-        verdicts=tuple(verdicts),
-        bound_sets=bound_sets,
-        records_by_x=records_by_x,
-        warnings=tuple(warnings),
-    )
+    cert, bound_sets = mc_engine.certify_bounds(config.model_spec(), config.m_list, config.epsilon)
+    records_by_x = _records_from_dump(config, read_trajectories_csv(config.trajectories_csv))
+    report = mc_engine.report_from_records(cert, bound_sets, records_by_x, config.m_list)
     _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
@@ -435,7 +423,7 @@ def run(config_path: Optional[str], seed: Optional[int] = None, threads: Optiona
     try:
         config = _override(load_config(config_path), seed, threads)
         return cmd_verify(config)
-    except ConfigError as exc:
+    except (ConfigError, mc_engine.AssumptionsFailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -497,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "report":
             return cmd_report(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, mc_engine.AssumptionsFailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

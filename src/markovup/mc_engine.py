@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from scipy.stats import beta as beta_dist
 
 from . import bound_calc, path_analysis
 from .bound_calc import BoundSet
-from .model_zoo import BenchmarkModelSpec, certify
-from .process_core import KernelContract, StopReason, simulate_path
+from .model_zoo import AssumptionCertificate, BenchmarkModelSpec, certify
+from .process_core import KernelContract, StopReason, Trajectory, simulate_path
 from .streams import path_stream
 
 __all__ = [
@@ -41,9 +41,12 @@ __all__ = [
     "PathRecord",
     "VerificationVerdict",
     "Welford",
+    "certify_bounds",
     "estimate_segment_moments",
     "estimate_tau_moments",
+    "report_from_records",
     "simulate_records",
+    "simulate_trajectories",
     "verify",
 ]
 
@@ -206,10 +209,47 @@ def record_from_trajectory(path_id: int, traj) -> PathRecord:
     )
 
 
-def _record_path(kernel: KernelContract, x0: int, max_steps: int,
-                 seed: int, task_index: int, path_id: int) -> PathRecord:
-    traj = simulate_path(kernel, x0, max_steps, path_stream(seed, path_id, task_index))
-    return record_from_trajectory(path_id, traj)
+def _run_paths(
+    reduce: Callable[[int, Trajectory], Any], kernel: KernelContract, x0: int,
+    n_traj: int, seed: int, max_steps: int, task_index: int, threads: int,
+) -> list:
+    """Simulate paths 0..n_traj-1 from x0; reduce(pid, path) of each, in path order.
+
+    Worker count affects speed only: each path's stream is keyed by its
+    index, and results are reassembled in order before any statistics.
+    """
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
+    def run_chunk(bounds: tuple[int, int]) -> list:
+        lo, hi = bounds
+        return [
+            reduce(pid, simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)))
+            for pid in range(lo, hi)
+        ]
+
+    if threads == 1:
+        return run_chunk((0, n_traj))
+    chunk = max(1, math.ceil(n_traj / (threads * 4)))
+    spans = [(lo, min(lo + chunk, n_traj)) for lo in range(0, n_traj, chunk)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run_chunk, spans))
+    return [res for part in parts for res in part]
+
+
+def simulate_trajectories(
+    kernel: KernelContract,
+    x0: int,
+    n_traj: int,
+    seed: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    task_index: int = 0,
+    threads: int = 1,
+) -> list[Trajectory]:
+    """Simulate n_traj raw paths, returned in path-index order."""
+    return _run_paths(lambda pid, traj: traj, kernel, x0, n_traj, seed, max_steps, task_index, threads)
 
 
 def simulate_records(
@@ -221,30 +261,8 @@ def simulate_records(
     task_index: int = 0,
     threads: int = 1,
 ) -> list[PathRecord]:
-    """Simulate and decompose n_traj paths, returned in path-index order.
-
-    Worker count affects speed only: each path's stream is keyed by its
-    index, and records are reassembled in order before any statistics.
-    """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    def run_chunk(bounds: tuple[int, int]) -> list[PathRecord]:
-        lo, hi = bounds
-        return [
-            _record_path(kernel, x0, max_steps, seed, task_index, pid)
-            for pid in range(lo, hi)
-        ]
-
-    if threads == 1:
-        return run_chunk((0, n_traj))
-    chunk = max(1, math.ceil(n_traj / (threads * 4)))
-    spans = [(lo, min(lo + chunk, n_traj)) for lo in range(0, n_traj, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, spans))
-    return [rec for part in parts for rec in part]
+    """Simulate and decompose n_traj paths, each as soon as it ends, in path-index order."""
+    return _run_paths(record_from_trajectory, kernel, x0, n_traj, seed, max_steps, task_index, threads)
 
 
 def _moment_estimate(
@@ -319,6 +337,16 @@ def estimates_from_records(
     return out
 
 
+def _estimate_table(
+    kernel: KernelContract, x0: int, m_list: Sequence[int],
+    n_traj: int, seed: int, max_steps: int, threads: int,
+) -> dict[tuple[str, int], MomentEstimate]:
+    records = simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads)
+    if all(r.capped for r in records):
+        raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
+    return estimates_from_records(records, x0, m_list)
+
+
 def estimate_tau_moments(
     kernel: KernelContract,
     x0: int,
@@ -329,10 +357,7 @@ def estimate_tau_moments(
     threads: int = 1,
 ) -> list[MomentEstimate]:
     """Estimate E_x tau**m for each m, excluding capped paths."""
-    records = simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads)
-    if all(r.capped for r in records):
-        raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
-    table = estimates_from_records(records, x0, m_list)
+    table = _estimate_table(kernel, x0, m_list, n_traj, seed, max_steps, threads)
     return [table[("tau_m", m)] for m in m_list]
 
 
@@ -352,15 +377,8 @@ def estimate_segment_moments(
     with one sample per attempt, zeroed on the successful one (the fall
     that reaches the floor does not count toward its ceiling).
     """
-    records = simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads)
-    if all(r.capped for r in records):
-        raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
-    table = estimates_from_records(records, x0, [m])
-    return {
-        "rise_length_m": table[("rise_length_m", m)],
-        "fall_length_m": table[("fall_length_m", m)],
-        "overshoot_m": table[("overshoot_m", m)],
-    }
+    table = _estimate_table(kernel, x0, [m], n_traj, seed, max_steps, threads)
+    return {q: table[(q, m)] for q in ("rise_length_m", "fall_length_m", "overshoot_m")}
 
 
 def segment_breakdown(records: Sequence[PathRecord], max_index: int = 5) -> dict:
@@ -476,6 +494,7 @@ class VerificationReport:
     """Everything verify() concluded, plus the inputs it rested on."""
 
     verdicts: tuple[VerificationVerdict, ...]
+    certificate: AssumptionCertificate
     bound_sets: dict[int, BoundSet]
     records_by_x: dict[int, tuple[PathRecord, ...]]
     warnings: tuple[str, ...] = field(default=())
@@ -483,6 +502,31 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
+
+
+def certify_bounds(
+    spec: BenchmarkModelSpec, m_list: Sequence[int], eps: float = bound_calc.DEFAULT_EPS
+) -> tuple[AssumptionCertificate, dict[int, BoundSet]]:
+    """Certify the model, or raise AssumptionsFailError, and build each order's bound set."""
+    cert = certify(spec, m_max=max(m_list))
+    if not cert.theorem_ready:
+        raise AssumptionsFailError("model certificate does not satisfy the required assumptions")
+    bound_sets = {m: bound_calc.make_bound_set(m, spec.kappa, spec.up_jump_s, eps) for m in m_list}
+    return cert, bound_sets
+
+
+def report_from_records(
+    certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
+    records_by_x: dict[int, tuple[PathRecord, ...]], m_list: Sequence[int],
+) -> VerificationReport:
+    """Fold each start state's records, in order, into verdicts and warnings."""
+    verdicts: list[VerificationVerdict] = []
+    warnings: list[str] = []
+    for x0, records in records_by_x.items():
+        vs, ws = verdicts_for_records(x0, records, m_list, bound_sets)
+        verdicts.extend(vs)
+        warnings.extend(ws)
+    return VerificationReport(tuple(verdicts), certificate, bound_sets, records_by_x, tuple(warnings))
 
 
 def verify(
@@ -505,26 +549,15 @@ def verify(
     """
     if not x_grid or not m_list:
         raise ValueError("x_grid and m_list must be non-empty")
+    if len(set(x_grid)) != len(x_grid):
+        raise ValueError("x_grid entries must be distinct")
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    cert = certify(spec, m_max=max(m_list))
-    if not cert.theorem_ready:
-        raise AssumptionsFailError("model certificate does not satisfy the required assumptions")
-    bound_sets = {m: bound_calc.make_bound_set(m, spec.kappa, spec.up_jump_s, eps) for m in m_list}
-    verdicts: list[VerificationVerdict] = []
-    warnings: list[str] = []
-    records_by_x: dict[int, tuple[PathRecord, ...]] = {}
-    for task_index, x0 in enumerate(x_grid):
-        records = simulate_records(
+    cert, bound_sets = certify_bounds(spec, m_list, eps)
+    records_by_x = {
+        x0: tuple(simulate_records(
             kernel, x0, n_traj, seed, max_steps, task_index=task_index, threads=threads
-        )
-        records_by_x[x0] = tuple(records)
-        vs, ws = verdicts_for_records(x0, records, m_list, bound_sets)
-        verdicts.extend(vs)
-        warnings.extend(ws)
-    return VerificationReport(
-        verdicts=tuple(verdicts),
-        bound_sets=bound_sets,
-        records_by_x=records_by_x,
-        warnings=tuple(warnings),
-    )
+        ))
+        for task_index, x0 in enumerate(x_grid)
+    }
+    return report_from_records(cert, bound_sets, records_by_x, m_list)

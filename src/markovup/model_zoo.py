@@ -99,7 +99,6 @@ class BenchmarkKernel(KernelContract):
 
     def __init__(self, spec: BenchmarkModelSpec) -> None:
         self._spec = spec
-        self._kappas: list[float] = [spec.kappa.at(0)]
         self._cache: dict[tuple[int, int], StepDistribution] = {}
 
     @property
@@ -109,12 +108,6 @@ class BenchmarkKernel(KernelContract):
     @property
     def floor_n(self) -> int:
         return self._spec.floor_n
-
-    def _kappa(self, ell: int) -> float:
-        kappas = self._kappas
-        while len(kappas) <= ell:
-            kappas.append(self._spec.kappa.at(len(kappas)))
-        return kappas[ell]
 
     def next(self, window: FallWindow) -> StepDistribution:
         x = window.current
@@ -126,7 +119,7 @@ class BenchmarkKernel(KernelContract):
             if x == 0:
                 dist = StepDistribution((), (), tail_start=0, tail_mass=1.0, tail_ratio=1.0 - s)
             else:
-                kappa = self._kappa(ell)
+                kappa = self._spec.kappa.at(ell)
                 dist = StepDistribution(
                     (x - 1,), (kappa,), tail_start=x, tail_mass=1.0 - kappa, tail_ratio=1.0 - s
                 )

@@ -94,7 +94,7 @@ def window_update(window: FallWindow, x_next: int, n_next: int) -> FallWindow:
 
 @dataclass(frozen=True, slots=True)
 class StepDistribution:
-    """One-step law over non-negative integers.
+    """One-step law over non-negative integers, checked once at construction.
 
     The finite head is given explicitly; an optional geometric tail
     carries the remaining mass exactly, so countable supports need no
@@ -117,12 +117,6 @@ class StepDistribution:
                 raise ValueError("tail must start above the finite head")
             if not 0.0 < self.tail_ratio < 1.0:
                 raise ValueError("tail_ratio must be in (0, 1)")
-
-    def total_mass(self) -> float:
-        return sum(self.probs) + self.tail_mass
-
-    def validate(self) -> None:
-        """Raise unless the support is admissible and mass sums to 1."""
         if (self.states and self.states[0] < 0) or (
             self.tail_start is not None and self.tail_start < 0
         ):
@@ -131,9 +125,11 @@ class StepDistribution:
         if abs(mass - 1.0) > MASS_TOL:
             raise DistributionInvalidError(f"total mass {mass!r} is not 1 within {MASS_TOL}")
 
+    def total_mass(self) -> float:
+        return sum(self.probs) + self.tail_mass
+
     def quantile(self, u: float) -> int:
         """Inverse CDF with states enumerated in increasing order."""
-        self.validate()
         acc = 0.0
         for state, p in zip(self.states, self.probs):
             acc += p

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from markovup import cli, tau_of
+from markovup import cli, mc_engine, model_zoo, tau_of
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -49,6 +49,11 @@ class TestConfigValidation:
     def test_out_of_range_parameter_names_field(self, tmp_path):
         path = write_config(tmp_path, r=1.0)
         with pytest.raises(cli.ConfigError, match="model.r"):
+            cli.load_config(str(path))
+
+    def test_duplicate_start_rejected(self, tmp_path):
+        path = write_config(tmp_path, x_grid=[6, 10, 6])
+        with pytest.raises(cli.ConfigError, match="x_grid"):
             cli.load_config(str(path))
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -156,8 +161,21 @@ class TestTrajectoryRoundTrip:
         # report rebuilds verdicts from the dump alone
         code = cli.main(["report", str(path)])
         assert code == cli.EXIT_OK
-        report = json.loads((tmp_path / "report.json").read_text())
+        replayed = (tmp_path / "report.json").read_bytes()
+        report = json.loads(replayed)
         assert all(v["passed"] for v in report["verdicts"])
+        # and rebuilds exactly what verify reports for the same config
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        assert (tmp_path / "report.json").read_bytes() == replayed
+
+    def test_dump_independent_of_threads(self, tmp_path):
+        traj_csv = tmp_path / "trajectories.csv"
+        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv))
+        outputs = []
+        for threads in ("1", "4"):
+            assert cli.main(["--threads", threads, "simulate", str(path)]) == 0
+            outputs.append(((tmp_path / "paths.csv").read_bytes(), traj_csv.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_report_rejects_corrupted_dump(self, tmp_path):
         traj_csv = tmp_path / "trajectories.csv"
@@ -170,9 +188,88 @@ class TestTrajectoryRoundTrip:
         traj_csv.write_text("\n".join([header, ",".join(cells)] + rows[2:]))
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
 
+    @staticmethod
+    def simulate_dump(tmp_path):
+        """Config with a trajectory dump, the dump's path, and its rows."""
+        traj_csv = tmp_path / "trajectories.csv"
+        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv))
+        assert cli.main(["simulate", str(path)]) == 0
+        with open(traj_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return path, traj_csv, rows
+
+    @staticmethod
+    def rewrite_dump(traj_csv, rows):
+        with open(traj_csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    def test_report_rejects_floor_mismatch(self, tmp_path, capsys):
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        row = next(r for r in rows if r["x0"] == "10" and r["path_id"] == "3")
+        # a consistent row at another floor: tau still round-trips
+        row["floor_n"] = "6"
+        row["tau"] = str(tau_of(tuple(int(s) for s in row["states"].split()), 6))
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "(x0=10, path_id=3)" in err and "floor_n" in err
+
+    def test_report_rejects_start_outside_grid(self, tmp_path, capsys):
+        path, _traj_csv, _rows = self.simulate_dump(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["x_grid"] = [6]
+        path.write_text(json.dumps(doc))
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "(x0=10, path_id=0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing", "duplicated"])
+    def test_report_rejects_incomplete_path_ids(self, tmp_path, capsys, fault):
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        i = next(i for i, r in enumerate(rows) if r["x0"] == "10" and r["path_id"] == "7")
+        if fault == "missing":
+            del rows[i]
+        else:
+            rows.insert(i, dict(rows[i]))
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "(x0=10, path_id=7)" in capsys.readouterr().err
+
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+
+
+def test_certify_once_per_command(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_certify(spec, m_max):
+        calls.append(m_max)
+        return model_zoo.certify(spec, m_max)
+
+    monkeypatch.setattr(mc_engine, "certify", counting_certify)
+    monkeypatch.setattr(cli, "certify", counting_certify)
+    path = write_config(tmp_path, output_trajectories_csv=str(tmp_path / "trajectories.csv"))
+    counts = {}
+    for command in ("simulate", "verify", "report"):
+        calls.clear()
+        assert cli.main([command, str(path)]) == cli.EXIT_OK
+        counts[command] = len(calls)
+    assert counts == {"simulate": 0, "verify": 1, "report": 1}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_failed_assumptions_exit_usage(tmp_path, monkeypatch, capsys, command):
+    path = write_config(tmp_path, output_trajectories_csv=str(tmp_path / "trajectories.csv"))
+    assert cli.main(["simulate", str(path)]) == 0
+
+    class FakeCert:
+        theorem_ready = False
+
+    monkeypatch.setattr(mc_engine, "certify", lambda spec, m_max: FakeCert())
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_entry_point(tmp_path):

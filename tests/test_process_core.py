@@ -98,8 +98,8 @@ class TestStepDistribution:
         assert d.quantile(0.75) == 6
 
     def test_invalid_mass_detected(self):
-        d = StepDistribution((4, 6), (0.5, 0.4))
         with pytest.raises(DistributionInvalidError):
+            d = StepDistribution((4, 6), (0.5, 0.4))
             d.quantile(0.5)
 
     def test_geometric_tail_quantile_matches_cdf(self):
