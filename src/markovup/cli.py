@@ -136,6 +136,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     _require(isinstance(m_list_raw, list) and m_list_raw, "m_list", "must be a non-empty list")
     m_list = tuple(_as_int(m, "m_list") for m in m_list_raw)
     _require(all(m >= 1 for m in m_list), "m_list", "entries must be >= 1")
+    _require(len(set(m_list)) == len(m_list), "m_list", "entries must be distinct")
 
     n_traj = _as_int(data.get("n_traj", defaults.n_traj), "n_traj")
     _require(n_traj >= 2, "n_traj", "must be >= 2")
@@ -181,18 +182,25 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     )
 
 
-def load_config(path: Optional[str]) -> ExperimentConfig:
-    """Read and validate a JSON config file; None means built-in defaults."""
-    if path is None:
-        return ExperimentConfig()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+def load_config(
+    path: Optional[str], seed: Optional[int] = None, threads: Optional[int] = None
+) -> ExperimentConfig:
+    """Read and validate a JSON config file; None means built-in defaults.
+
+    A seed or thread count given here replaces the file's before validation.
+    """
+    data: Any = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if isinstance(data, dict):
+        data.update((k, v) for k, v in (("seed", seed), ("threads", threads)) if v is not None)
     return parse_config(data)
 
 
@@ -227,24 +235,19 @@ def build_report(
     warnings = list(report.warnings)
     if config.n_traj < LOW_SAMPLE_THRESHOLD:
         warnings.append(f"low-sample warning: n_traj={config.n_traj} < {LOW_SAMPLE_THRESHOLD}")
-    total_paths = sum(len(recs) for recs in report.records_by_x.values())
-    total_steps = sum(r.steps for recs in report.records_by_x.values() for r in recs)
-    capped = sum(1 for recs in report.records_by_x.values() for r in recs if r.capped)
+    folds = report.folds.values()
     return {
         "config": config.to_dict(),
         "certificate": report.certificate.to_dict(),
         "bound_sets": {str(m): bs.to_dict() for m, bs in sorted(report.bound_sets.items())},
         "estimates": [v.estimate.to_dict() for v in report.verdicts],
         "verdicts": _verdict_rows(report),
-        "diagnostics": {
-            str(x0): mc_engine.segment_breakdown(recs)
-            for x0, recs in report.records_by_x.items()
-        },
+        "diagnostics": {str(x0): fold.diagnostics for x0, fold in report.folds.items()},
         "warnings": warnings,
         "timing": {
-            "paths_simulated": total_paths,
-            "steps_simulated": total_steps,
-            "capped_paths": capped,
+            "paths_simulated": sum(f.n_live + f.capped for f in folds),
+            "steps_simulated": sum(f.steps for f in folds),
+            "capped_paths": sum(f.capped for f in folds),
         },
     }
 
@@ -295,20 +298,24 @@ def write_trajectories_csv(path: str, trajectories: list[tuple[int, int, Traject
 
 
 def read_trajectories_csv(path: str) -> list[tuple[int, int, Trajectory]]:
+    """Parse a trajectory dump; a row that is no valid trajectory raises ConfigError naming its line."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            states = tuple(int(tok) for tok in row["states"].split())
-            floor_n = int(row["floor_n"])
-            tau = None if row["tau"] == "" else int(row["tau"])
-            traj = Trajectory(
-                x0=int(row["x0"]),
-                states=states,
-                floor_n=floor_n,
-                stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
-                tau=tau,
-            )
-            out.append((int(row["x0"]), int(row["path_id"]), traj))
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            try:
+                states = tuple(int(tok) for tok in row["states"].split())
+                tau = None if row["tau"] == "" else int(row["tau"])
+                traj = Trajectory(
+                    x0=int(row["x0"]),
+                    states=states,
+                    floor_n=int(row["floor_n"]),
+                    stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
+                    tau=tau,
+                )
+                out.append((traj.x0, int(row["path_id"]), traj))
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
     return out
 
 
@@ -421,28 +428,10 @@ def cmd_report(config: ExperimentConfig) -> int:
 def run(config_path: Optional[str], seed: Optional[int] = None, threads: Optional[int] = None) -> int:
     """Run the whole pipeline for a config file; returns the exit code."""
     try:
-        config = _override(load_config(config_path), seed, threads)
-        return cmd_verify(config)
+        return cmd_verify(load_config(config_path, seed, threads))
     except (ConfigError, mc_engine.AssumptionsFailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _override(config: ExperimentConfig, seed: Optional[int], threads: Optional[int]) -> ExperimentConfig:
-    if seed is None and threads is None:
-        return config
-    from dataclasses import replace
-
-    kwargs: dict[str, Any] = {}
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("config field 'seed': must be in [0, 2**64)")
-        kwargs["seed"] = seed
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("config field 'threads': must be >= 1")
-        kwargs["threads"] = threads
-    return replace(config, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _override(load_config(args.config), args.seed, args.threads)
+        config = load_config(args.config, args.seed, args.threads)
         if args.command == "certify":
             return cmd_certify(config, args.out)
         if args.command == "bounds":

@@ -22,6 +22,7 @@ Two comparison rules are used, matching how sharp each inequality is:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -39,11 +40,13 @@ __all__ = [
     "AssumptionsFailError",
     "MomentEstimate",
     "PathRecord",
+    "RecordFold",
     "VerificationVerdict",
     "Welford",
     "certify_bounds",
     "estimate_segment_moments",
     "estimate_tau_moments",
+    "fold_records",
     "report_from_records",
     "simulate_records",
     "simulate_trajectories",
@@ -292,59 +295,98 @@ def _moment_estimate(
     )
 
 
-def estimates_from_records(
-    records: Sequence[PathRecord], x0: int, m_list: Sequence[int]
-) -> dict[tuple[str, int], MomentEstimate]:
-    """Fold per-path records into moment estimates, in path-index order.
+@dataclass(frozen=True, slots=True)
+class RecordFold:
+    """One start state's records folded into every number that is reported of them.
 
-    Keys are (quantity, m); attempt-survival entries use (quantity, i)
-    with i the minimum attempt count whose frequency is estimated.
+    ``estimates`` is keyed by (quantity, m); attempt-survival entries use
+    (quantity, i) with i the minimum attempt count whose frequency is
+    estimated.  ``hits[i-1]`` counts the live paths with at least i
+    attempts.  Capped paths count toward ``capped`` and ``steps`` only.
     """
-    capped = sum(1 for r in records if r.capped)
+
+    x0: int
+    estimates: dict[tuple[str, int], MomentEstimate]
+    hits: tuple[int, ...]
+    n_live: int
+    capped: int
+    steps: int
+    diagnostics: dict
+
+
+def _index_means(seqs: list[tuple[int, ...]]) -> dict:
+    """Count and mean of the j-th entry over the sequences that have one, j <= ATTEMPT_TAIL_MAX."""
+    out = {}
+    for j in range(1, ATTEMPT_TAIL_MAX + 1):
+        acc = Welford()
+        for v in [s[j - 1] for s in seqs if len(s) >= j]:
+            acc.push(float(v))
+        if acc.n:
+            out[str(j)] = {"n": acc.n, "mean": acc.mean}
+    return out
+
+
+def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) -> RecordFold:
+    """Fold one start state's records into estimates, attempt hits, counters and diagnostics.
+
+    This is the only place records become statistics.  Every accumulator
+    takes its samples in record order, then in order within a record.
+    The diagnostics break the pooled samples down by segment index (first
+    rise, second rise, ...), which makes index-dependent drift visible
+    without affecting any verdict.
+    """
     live = [r for r in records if not r.capped]
-    out: dict[tuple[str, int], MomentEstimate] = {}
-    for m in m_list:
-        out[("tau_m", m)] = _moment_estimate(
-            "tau_m", m, x0, (float(r.tau) ** m for r in live), capped
-        )
-        out[("rise_length_m", m)] = _moment_estimate(
-            "rise_length_m", m, x0,
-            (float(v) ** m for r in live for v in r.rise_lengths), capped,
-        )
-        out[("fall_length_m", m)] = _moment_estimate(
-            "fall_length_m", m, x0,
-            (float(v) ** m for r in live for v in r.fall_lengths), capped,
-        )
-        out[("overshoot_m", m)] = _moment_estimate(
-            "overshoot_m", m, x0,
-            (float(v) ** m for r in live for v in r.overshoots), capped,
-        )
-    n = len(live)
-    for i in range(1, ATTEMPT_TAIL_MAX + 1):
-        hits = sum(1 for r in live if r.attempts >= i)
-        mean = hits / n if n else 0.0
-        se = math.sqrt(mean * (1.0 - mean) / n) if n else 0.0
-        out[("attempt_survival", i)] = MomentEstimate(
+    n_live = len(live)
+    capped = len(records) - n_live
+    samples = {
+        "tau_m": [r.tau for r in live],
+        "rise_length_m": [v for r in live for v in r.rise_lengths],
+        "fall_length_m": [v for r in live for v in r.fall_lengths],
+        "overshoot_m": [v for r in live for v in r.overshoots],
+    }
+    estimates = {
+        (quantity, m): _moment_estimate(quantity, m, x0, (float(v) ** m for v in values), capped)
+        for m in m_list
+        for quantity, values in samples.items()
+    }
+    # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
+    attempt_hist = Counter(min(r.attempts, ATTEMPT_TAIL_MAX + 1) for r in live)
+    hits = tuple(
+        sum(n for a, n in attempt_hist.items() if a >= i) for i in range(1, ATTEMPT_TAIL_MAX + 1)
+    )
+    for i, hit in enumerate(hits, start=1):
+        mean = hit / n_live if n_live else 0.0
+        se = math.sqrt(mean * (1.0 - mean) / n_live) if n_live else 0.0
+        estimates[("attempt_survival", i)] = MomentEstimate(
             quantity="attempt_survival",
             m=i,
             x0=x0,
-            n_samples=n,
+            n_samples=n_live,
             mean=mean,
             std_error=se,
             capped_paths=capped,
-            flag=None if n >= 2 else "no-samples",
+            flag=None if n_live >= 2 else "no-samples",
         )
-    return out
+    diagnostics = {
+        "rise_length_by_index": _index_means([r.rise_lengths for r in live]),
+        "fall_length_by_index": _index_means([r.fall_lengths for r in live]),
+        "attempt_count_hist": {
+            str(a) if a <= ATTEMPT_TAIL_MAX else f"{a}+": n for a, n in sorted(attempt_hist.items())
+        },
+    }
+    return RecordFold(x0, estimates, hits, n_live, capped, sum(r.steps for r in records), diagnostics)
 
 
 def _estimate_table(
     kernel: KernelContract, x0: int, m_list: Sequence[int],
     n_traj: int, seed: int, max_steps: int, threads: int,
 ) -> dict[tuple[str, int], MomentEstimate]:
-    records = simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads)
-    if all(r.capped for r in records):
+    fold = fold_records(
+        simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads), x0, m_list
+    )
+    if not fold.n_live:
         raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
-    return estimates_from_records(records, x0, m_list)
+    return fold.estimates
 
 
 def estimate_tau_moments(
@@ -381,38 +423,6 @@ def estimate_segment_moments(
     return {q: table[(q, m)] for q in ("rise_length_m", "fall_length_m", "overshoot_m")}
 
 
-def segment_breakdown(records: Sequence[PathRecord], max_index: int = 5) -> dict:
-    """Diagnostic per-segment-index means (first rise, second rise, ...).
-
-    The bound verdicts pool across segment indices; this breakdown makes
-    index-dependent drift visible without affecting any verdict.
-    """
-    rise_by_j: dict[int, Welford] = {}
-    fall_by_j: dict[int, Welford] = {}
-    attempt_hist: dict[str, int] = {}
-    for rec in records:
-        if rec.capped:
-            continue
-        key = str(rec.attempts) if rec.attempts <= max_index else f"{max_index + 1}+"
-        attempt_hist[key] = attempt_hist.get(key, 0) + 1
-        for j, v in enumerate(rec.rise_lengths[:max_index], start=1):
-            rise_by_j.setdefault(j, Welford()).push(float(v))
-        for j, v in enumerate(rec.fall_lengths[:max_index], start=1):
-            fall_by_j.setdefault(j, Welford()).push(float(v))
-
-    def fold(table: dict[int, Welford]) -> dict:
-        return {
-            str(j): {"n": acc.n, "mean": acc.mean}
-            for j, acc in sorted(table.items())
-        }
-
-    return {
-        "rise_length_by_index": fold(rise_by_j),
-        "fall_length_by_index": fold(fall_by_j),
-        "attempt_count_hist": dict(sorted(attempt_hist.items())),
-    }
-
-
 def binomial_lower99(successes: int, n: int) -> float:
     """Exact one-sided 99% lower confidence bound for a binomial proportion.
 
@@ -427,21 +437,17 @@ def binomial_lower99(successes: int, n: int) -> float:
 
 
 def verdicts_for_records(
-    x0: int,
-    records: Sequence[PathRecord],
-    m_list: Sequence[int],
-    bound_sets: dict[int, BoundSet],
+    fold: RecordFold, m_list: Sequence[int], bound_sets: dict[int, BoundSet]
 ) -> tuple[list[VerificationVerdict], list[str]]:
-    """All bound comparisons for one start state's records."""
+    """All bound comparisons for one start state's folded records."""
     verdicts: list[VerificationVerdict] = []
     warnings: list[str] = []
-    capped = sum(1 for r in records if r.capped)
+    x0, capped, table = fold.x0, fold.capped, fold.estimates
     if capped:
         warnings.append(
             f"x0={x0}: {capped} capped paths; bound verdicts for this start state "
             "are reported as failures because they cannot be issued"
         )
-    table = estimates_from_records(records, x0, m_list)
     for m in m_list:
         bset = bound_sets[m]
         cells = [
@@ -470,18 +476,15 @@ def verdicts_for_records(
             verdicts.append(
                 VerificationVerdict(estimate=est, bound=bound, test_value=test_value, method=method)
             )
-    live = [r for r in records if not r.capped]
-    n_live = len(live)
     q_bar = bound_sets[m_list[0]].q_bar
-    for i in range(1, ATTEMPT_TAIL_MAX + 1):
+    for i, hit in enumerate(fold.hits, start=1):
         est = table[("attempt_survival", i)]
         bound = q_bar ** (i - 1)
-        if capped or n_live < 1:
+        if capped or fold.n_live < 1:
             test_value = math.inf
             method = "not-issued"
         else:
-            hits = sum(1 for r in live if r.attempts >= i)
-            test_value = binomial_lower99(hits, n_live)
+            test_value = binomial_lower99(hit, fold.n_live)
             method = "binomial-test-99"
         verdicts.append(
             VerificationVerdict(estimate=est, bound=bound, test_value=test_value, method=method)
@@ -497,6 +500,7 @@ class VerificationReport:
     certificate: AssumptionCertificate
     bound_sets: dict[int, BoundSet]
     records_by_x: dict[int, tuple[PathRecord, ...]]
+    folds: dict[int, RecordFold]
     warnings: tuple[str, ...] = field(default=())
 
     @property
@@ -519,14 +523,17 @@ def report_from_records(
     certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
     records_by_x: dict[int, tuple[PathRecord, ...]], m_list: Sequence[int],
 ) -> VerificationReport:
-    """Fold each start state's records, in order, into verdicts and warnings."""
+    """Fold each start state's records once, in order, into verdicts and warnings."""
+    folds = {x0: fold_records(records, x0, m_list) for x0, records in records_by_x.items()}
     verdicts: list[VerificationVerdict] = []
     warnings: list[str] = []
-    for x0, records in records_by_x.items():
-        vs, ws = verdicts_for_records(x0, records, m_list, bound_sets)
+    for fold in folds.values():
+        vs, ws = verdicts_for_records(fold, m_list, bound_sets)
         verdicts.extend(vs)
         warnings.extend(ws)
-    return VerificationReport(tuple(verdicts), certificate, bound_sets, records_by_x, tuple(warnings))
+    return VerificationReport(
+        tuple(verdicts), certificate, bound_sets, records_by_x, folds, tuple(warnings)
+    )
 
 
 def verify(
@@ -551,6 +558,8 @@ def verify(
         raise ValueError("x_grid and m_list must be non-empty")
     if len(set(x_grid)) != len(x_grid):
         raise ValueError("x_grid entries must be distinct")
+    if len(set(m_list)) != len(m_list):
+        raise ValueError("m_list entries must be distinct")
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
     cert, bound_sets = certify_bounds(spec, m_list, eps)

@@ -56,6 +56,17 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="x_grid"):
             cli.load_config(str(path))
 
+    def test_repeated_moment_order_rejected(self, tmp_path):
+        path = write_config(tmp_path, m_list=[1, 1])
+        with pytest.raises(cli.ConfigError, match="m_list"):
+            cli.load_config(str(path))
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--seed", "-1")])
+    def test_bad_override_names_field(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path)
+        assert cli.main([flag, value, "verify", str(path)]) == cli.EXIT_USAGE
+        assert f"'{flag[2:]}'" in capsys.readouterr().err
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"floor": 5}')
@@ -235,6 +246,22 @@ class TestTrajectoryRoundTrip:
         self.rewrite_dump(traj_csv, rows)
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["x0", "tau", "short"])
+    def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
+        path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        lines = traj_csv.read_text().splitlines()
+        cells = lines[5].split(",")
+        if fault == "x0":
+            cells[0] = str(int(cells[0]) + 1)  # no longer the first state
+        elif fault == "tau":
+            cells[2] = "x"
+        else:
+            cells = cells[:3]
+        lines[5] = ",".join(cells)
+        traj_csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "trajectories.csv:6:" in capsys.readouterr().err
 
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)

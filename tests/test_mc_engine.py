@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 
@@ -12,8 +13,10 @@ from markovup import (
 from markovup.mc_engine import (
     AllCappedError,
     AssumptionsFailError,
+    PathRecord,
     Welford,
     binomial_lower99,
+    fold_records,
     simulate_records,
 )
 
@@ -35,6 +38,56 @@ class TestWelford:
             acc.push(4.0)
         assert acc.variance == 0.0
         assert acc.std_error == 0.0
+
+
+class TestFoldRecords:
+    RECORDS = (
+        PathRecord(0, tau=3, capped=False, attempts=1, max_state=8, steps=3,
+                   rise_lengths=(), fall_lengths=(0,), overshoots=()),
+        # capped, with segment samples that must not reach any statistic
+        PathRecord(1, tau=None, capped=True, attempts=3, max_state=40, steps=100,
+                   rise_lengths=(50,), fall_lengths=(50, 50, 50), overshoots=(50,)),
+        PathRecord(2, tau=20, capped=False, attempts=7, max_state=15, steps=20,
+                   rise_lengths=(2, 1, 3, 1, 2, 4, 1), fall_lengths=(1, 2, 1, 3, 1, 2, 0),
+                   overshoots=(3, 1, 4, 1, 5, 9, 2)),
+        PathRecord(3, tau=9, capped=False, attempts=2, max_state=12, steps=9,
+                   rise_lengths=(2,), fall_lengths=(2, 0), overshoots=(5,)),
+    )
+
+    def test_capped_record_only_counted(self):
+        fold = fold_records(self.RECORDS, 10, [1])
+        assert (fold.capped, fold.n_live, fold.steps) == (1, 3, 132)
+        assert fold.estimates[("tau_m", 1)].n_samples == 3
+        assert fold.estimates[("fall_length_m", 1)].n_samples == 10
+        assert all(e.capped_paths == 1 for e in fold.estimates.values())
+        assert fold.hits[0] == 3
+        assert sum(fold.diagnostics["attempt_count_hist"].values()) == 3
+        assert fold.diagnostics["rise_length_by_index"]["1"] == {"n": 2, "mean": 2.0}
+
+    def test_long_attempt_run_in_top_bucket_and_every_hit(self):
+        fold = fold_records(self.RECORDS, 10, [1])
+        assert fold.hits == (3, 2, 1, 1, 1)
+        assert fold.diagnostics["attempt_count_hist"] == {"1": 1, "2": 1, "6+": 1}
+        assert fold.diagnostics["fall_length_by_index"]["5"] == {"n": 1, "mean": 1.0}
+        assert "6" not in fold.diagnostics["fall_length_by_index"]
+
+    def test_estimates_match_two_pass(self):
+        live = [r for r in self.RECORDS if not r.capped]
+        pooled = {
+            "tau_m": [r.tau for r in live],
+            "rise_length_m": [v for r in live for v in r.rise_lengths],
+            "fall_length_m": [v for r in live for v in r.fall_lengths],
+            "overshoot_m": [v for r in live for v in r.overshoots],
+        }
+        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        for m in (1, 2, 3):
+            for quantity, values in pooled.items():
+                powers = [float(v) ** m for v in values]
+                est = fold.estimates[(quantity, m)]
+                assert est.n_samples == len(powers)
+                assert est.mean == pytest.approx(statistics.mean(powers), rel=1e-12)
+                se = statistics.stdev(powers) / math.sqrt(len(powers))
+                assert est.std_error == pytest.approx(se, rel=1e-12)
 
 
 class TestDeterministicDynamics:
@@ -188,6 +241,10 @@ class TestVerify:
                 verify(None, benchmark_spec, [10], [1], 100, 0)
         finally:
             eng.certify = original
+
+    def test_repeated_moment_order_rejected(self, benchmark_kernel, benchmark_spec):
+        with pytest.raises(ValueError, match="m_list"):
+            verify(benchmark_kernel, benchmark_spec, x_grid=[6], m_list=[1, 1], n_traj=10, seed=0)
 
     def test_capped_paths_block_verdicts(self, benchmark_kernel, benchmark_spec):
         report = verify(
