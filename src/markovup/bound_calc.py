@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .model_zoo import KappaSpec
 
 __all__ = [
+    "BoundRangeError",
     "BoundSet",
     "DualBound",
     "InvalidQError",
@@ -38,6 +39,10 @@ class InvalidQError(ValueError):
     """Series ratio outside (0, 1)."""
 
 
+class BoundRangeError(ValueError):
+    """A certified constant too large to represent as a float (the moment order is too high)."""
+
+
 @dataclass(frozen=True, slots=True)
 class SeriesValue:
     """Partial sum with a certified upper bound on the discarded tail."""
@@ -47,8 +52,12 @@ class SeriesValue:
     tail_bound: float
 
     def __post_init__(self) -> None:
-        if self.tail_bound < 0.0 or not math.isfinite(self.value):
-            raise ValueError("series value must be finite with non-negative tail")
+        if not (math.isfinite(self.value) and math.isfinite(self.tail_bound)):
+            raise BoundRangeError(
+                f"series value {self.value} + tail {self.tail_bound} leaves float range"
+            )
+        if self.tail_bound < 0.0:
+            raise ValueError("series tail bound must be non-negative")
 
     @property
     def upper(self) -> float:
@@ -80,15 +89,18 @@ def power_series(m: int, q: float, eps: float = DEFAULT_EPS) -> SeriesValue:
         raise ValueError("eps must be positive")
     total = 0.0
     k = 0
-    while True:
-        k += 1
-        term = k**m * q**k
-        total += term
-        rho = q * ((k + 1) / k) ** m
-        if rho < 1.0:
-            tail = term * rho / (1.0 - rho)
-            if tail < eps:
-                return SeriesValue(total, k, tail)
+    try:
+        while True:
+            k += 1
+            term = k**m * q**k
+            total += term
+            rho = q * ((k + 1) / k) ** m
+            if rho < 1.0:
+                tail = term * rho / (1.0 - rho)
+                if tail < eps:
+                    return SeriesValue(total, k, tail)
+    except OverflowError as exc:
+        raise BoundRangeError(f"sum of k**{m} * {q}**k leaves float range") from exc
 
 
 def fall_length_bound(m: int, kappa: KappaSpec, eps: float = DEFAULT_EPS) -> SeriesValue:
@@ -235,7 +247,11 @@ class BoundSet:
 def make_bound_set(
     m: int, kappa: KappaSpec, up_jump_s: float, eps: float = DEFAULT_EPS
 ) -> BoundSet:
-    """Assemble every constant for moment order m from the model parameters."""
+    """Assemble every constant for moment order m from the model parameters.
+
+    Raises BoundRangeError when a constant, or the theorem bound it gives
+    even at x = 0, leaves float range.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     q = kappa.q
@@ -246,7 +262,7 @@ def make_bound_set(
     jm = jump_moment(up_jump_s, m, eps)
     over = overshoot_bound(m, q, jm, eps)
     attempt = power_series(m, qb, eps).scaled(1.0 / qb)
-    return BoundSet(
+    bounds = BoundSet(
         m=m,
         q=q,
         q_bar=qb,
@@ -257,6 +273,8 @@ def make_bound_set(
         jump_m=jm,
         attempt_series=attempt,
     )
+    theorem_bound(m, 0, bounds)
+    return bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,17 +308,26 @@ class TheoremBound:
 
 
 def theorem_bound(m: int, x: int, bounds: BoundSet) -> TheoremBound:
-    """Evaluate the polynomial moment bound E_x tau**m <= C1 * (C2 + x**m)."""
+    """Evaluate the polynomial moment bound E_x tau**m <= C1 * (C2 + x**m).
+
+    Raises BoundRangeError when the bound leaves float range.
+    """
     if m != bounds.m:
         raise ValueError(f"bound set was built for m={bounds.m}, got m={m}")
     if x < 0:
         raise ValueError("x must be non-negative")
+    try:
+        x_m = float(x**m)
+    except OverflowError:
+        x_m = math.inf
     c1 = bounds.c1
     s = bounds.attempt_series.upper
     core = bounds.rise_bound.upper + bounds.fall_bound.upper
-    display = c1 * (x**m + (core + bounds.overshoot.upper * bounds.q_bar) * s)
+    display = c1 * (x_m + (core + bounds.overshoot.upper * bounds.q_bar) * s)
     # Term-by-term assembly: the fall-bound sum re-indexes to the same S
     # and the overshoot sum carries q_bar**(i-1) directly, so no q_bar
     # factor on the overshoot constant.
-    termwise = c1 * (x**m + (core + bounds.overshoot.upper) * s)
+    termwise = c1 * (x_m + (core + bounds.overshoot.upper) * s)
+    if not math.isfinite(termwise):
+        raise BoundRangeError(f"theorem bound for m={m} at x={x} leaves float range")
     return TheoremBound(display=display, termwise=termwise, c1=c1, c2=bounds.c2)

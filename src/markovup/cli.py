@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import bound_calc, mc_engine, path_analysis
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
@@ -391,7 +391,8 @@ def _records_from_dump(
 ) -> dict[int, tuple[mc_engine.PathRecord, ...]]:
     """Reduce a trajectory dump to records in x_grid and path order, as verify builds them.
 
-    Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's floor_n.
+    Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's
+    floor_n, and a capped row must have run the config's max_steps.
     """
     by_x: dict[int, dict[int, mc_engine.PathRecord]] = {x0: {} for x0 in config.x_grid}
     for x0, pid, traj in dumped:
@@ -405,6 +406,9 @@ def _records_from_dump(
         tau = path_analysis.tau_of(traj.states, traj.floor_n)
         if tau != traj.tau:
             raise ConfigError(f"{row} does not round-trip: recorded tau={traj.tau}, recomputed tau={tau}")
+        steps = len(traj.states) - 1
+        if traj.tau is None and steps != config.max_steps:
+            raise ConfigError(f"{row} is capped after {steps} steps, config max_steps={config.max_steps}")
         by_x[x0][pid] = mc_engine.record_from_trajectory(pid, traj)
     for x0, recs in by_x.items():
         if len(recs) != config.n_traj:
@@ -425,13 +429,20 @@ def cmd_report(config: ExperimentConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
 
 
-def run(config_path: Optional[str], seed: Optional[int] = None, threads: Optional[int] = None) -> int:
-    """Run the whole pipeline for a config file; returns the exit code."""
+def _guarded(command: Callable[[], int]) -> int:
+    """Run a command; input it cannot serve ends it with exit 1 and an error line."""
     try:
-        return cmd_verify(load_config(config_path, seed, threads))
+        return command()
     except (ConfigError, mc_engine.AssumptionsFailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except bound_calc.BoundRangeError as exc:
+        print(f"error: config field 'm_list': moment order too large: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def run(config_path: Optional[str], seed: Optional[int] = None, threads: Optional[int] = None) -> int:
+    """Run the whole pipeline for a config file; returns the exit code."""
+    return _guarded(lambda: cmd_verify(load_config(config_path, seed, threads)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,24 +470,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    config = load_config(args.config, args.seed, args.threads)
+    if args.command == "certify":
+        return cmd_certify(config, args.out)
+    if args.command == "bounds":
+        return cmd_bounds(config, args.out)
+    if args.command == "simulate":
+        return cmd_simulate(config)
+    if args.command == "verify":
+        return cmd_verify(config)
+    if args.command == "report":
+        return cmd_report(config)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config, args.seed, args.threads)
-        if args.command == "certify":
-            return cmd_certify(config, args.out)
-        if args.command == "bounds":
-            return cmd_bounds(config, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "report":
-            return cmd_report(config)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, mc_engine.AssumptionsFailError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return _guarded(lambda: _dispatch(args))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Deterministic Monte Carlo estimation and one-sided bound verification.
 
 Paths are embarrassingly parallel: each owns a counter-based substream
-keyed by (seed, path index), workers only simulate, and all statistics
-are folded by the main thread in path-index order.  Results are therefore
-bit-identical for a fixed seed no matter how many workers run.
+keyed by (seed, path index), and workers only simulate.  Every folded
+sample is an integer, so the fold keeps exact integer power sums over a
+histogram of values and rounds each reported number once: it does not
+depend on the order of the records.  Results are therefore bit-identical
+for a fixed seed no matter how many workers run.
 
 Two comparison rules are used, matching how sharp each inequality is:
 
@@ -25,7 +27,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from scipy.stats import beta as beta_dist
 
@@ -42,7 +44,6 @@ __all__ = [
     "PathRecord",
     "RecordFold",
     "VerificationVerdict",
-    "Welford",
     "certify_bounds",
     "estimate_segment_moments",
     "estimate_tau_moments",
@@ -65,36 +66,6 @@ class AllCappedError(RuntimeError):
 
 class AssumptionsFailError(RuntimeError):
     """The model certificate does not support the bound being verified."""
-
-
-class Welford:
-    """Streaming mean and variance, numerically stable."""
-
-    __slots__ = ("n", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0 for fewer than two samples)."""
-        if self.n < 2:
-            return 0.0
-        return self._m2 / (self.n - 1)
-
-    @property
-    def std_error(self) -> float:
-        if self.n < 1:
-            return 0.0
-        return math.sqrt(self.variance / self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +190,8 @@ def _run_paths(
     """Simulate paths 0..n_traj-1 from x0; reduce(pid, path) of each, in path order.
 
     Worker count affects speed only: each path's stream is keyed by its
-    index, and results are reassembled in order before any statistics.
+    index, and results are reassembled in path order, which paths.csv and
+    the trajectory dump keep.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -268,28 +240,35 @@ def simulate_records(
     return _run_paths(record_from_trajectory, kernel, x0, n_traj, seed, max_steps, task_index, threads)
 
 
-def _moment_estimate(
-    quantity: str,
-    m: int,
-    x0: int,
-    samples: Iterable[float],
-    capped: int,
-) -> MomentEstimate:
-    acc = Welford()
-    for v in samples:
-        acc.push(v)
+def _ratio(num: int, den: int) -> float:
+    """num / den, correctly rounded; inf when the quotient is beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _moment_estimate(quantity: str, m: int, x0: int, hist: Counter, capped: int) -> MomentEstimate:
+    """Mean and standard error of v**m over a histogram of integer samples v.
+
+    Both come from the exact sums S1 = sum(v**m) and S2 = sum(v**(2m)) and
+    are rounded once, whatever order the samples arrived in.
+    """
+    n = hist.total()
+    s1 = sum(c * v**m for v, c in hist.items())
+    s2 = sum(c * v ** (2 * m) for v, c in hist.items())
     flag = None
-    if acc.n == 0:
+    if n == 0:
         flag = "no-samples"
-    elif acc.n < 2:
+    elif n < 2:
         flag = "single-sample"
     return MomentEstimate(
         quantity=quantity,
         m=m,
         x0=x0,
-        n_samples=acc.n,
-        mean=acc.mean,
-        std_error=acc.std_error,
+        n_samples=n,
+        mean=_ratio(s1, n) if n else 0.0,
+        std_error=math.sqrt(_ratio(n * s2 - s1 * s1, n * n * (n - 1))) if n >= 2 else 0.0,
         capped_paths=capped,
         flag=flag,
     )
@@ -318,36 +297,35 @@ def _index_means(seqs: list[tuple[int, ...]]) -> dict:
     """Count and mean of the j-th entry over the sequences that have one, j <= ATTEMPT_TAIL_MAX."""
     out = {}
     for j in range(1, ATTEMPT_TAIL_MAX + 1):
-        acc = Welford()
-        for v in [s[j - 1] for s in seqs if len(s) >= j]:
-            acc.push(float(v))
-        if acc.n:
-            out[str(j)] = {"n": acc.n, "mean": acc.mean}
+        vals = [s[j - 1] for s in seqs if len(s) >= j]
+        if vals:
+            out[str(j)] = {"n": len(vals), "mean": sum(vals) / len(vals)}
     return out
 
 
 def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) -> RecordFold:
     """Fold one start state's records into estimates, attempt hits, counters and diagnostics.
 
-    This is the only place records become statistics.  Every accumulator
-    takes its samples in record order, then in order within a record.
-    The diagnostics break the pooled samples down by segment index (first
-    rise, second rise, ...), which makes index-dependent drift visible
-    without affecting any verdict.
+    This is the only place records become statistics.  Each quantity's
+    samples become one histogram of values, and every number is derived
+    from exact integer sums over it, so any permutation of ``records``
+    gives the same fold.  The diagnostics break the pooled samples down by
+    segment index (first rise, second rise, ...), which makes
+    index-dependent drift visible without affecting any verdict.
     """
     live = [r for r in records if not r.capped]
     n_live = len(live)
     capped = len(records) - n_live
-    samples = {
-        "tau_m": [r.tau for r in live],
-        "rise_length_m": [v for r in live for v in r.rise_lengths],
-        "fall_length_m": [v for r in live for v in r.fall_lengths],
-        "overshoot_m": [v for r in live for v in r.overshoots],
+    hists = {
+        "tau_m": Counter(r.tau for r in live),
+        "rise_length_m": Counter(v for r in live for v in r.rise_lengths),
+        "fall_length_m": Counter(v for r in live for v in r.fall_lengths),
+        "overshoot_m": Counter(v for r in live for v in r.overshoots),
     }
     estimates = {
-        (quantity, m): _moment_estimate(quantity, m, x0, (float(v) ** m for v in values), capped)
+        (quantity, m): _moment_estimate(quantity, m, x0, hist, capped)
         for m in m_list
-        for quantity, values in samples.items()
+        for quantity, hist in hists.items()
     }
     # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
     attempt_hist = Counter(min(r.attempts, ATTEMPT_TAIL_MAX + 1) for r in live)
@@ -523,7 +501,7 @@ def report_from_records(
     certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
     records_by_x: dict[int, tuple[PathRecord, ...]], m_list: Sequence[int],
 ) -> VerificationReport:
-    """Fold each start state's records once, in order, into verdicts and warnings."""
+    """Fold each start state's records once into verdicts and warnings."""
     folds = {x0: fold_records(records, x0, m_list) for x0, records in records_by_x.items()}
     verdicts: list[VerificationVerdict] = []
     warnings: list[str] = []

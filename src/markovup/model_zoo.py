@@ -47,11 +47,8 @@ class KappaSpec:
 
     a: float
     r: float
-    form: str = "geometric_gap"
 
     def __post_init__(self) -> None:
-        if self.form != "geometric_gap":
-            raise InvalidParameterError(f"unknown kappa form {self.form!r}")
         _check_open_unit("a", self.a)
         _check_open_unit("r", self.r)
 

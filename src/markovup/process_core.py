@@ -31,7 +31,7 @@ MASS_TOL = 1e-12
 
 
 class DistributionInvalidError(ValueError):
-    """A step distribution whose total mass is not 1 within tolerance."""
+    """A step distribution with negative or misplaced mass, or total mass not 1 within tolerance."""
 
 
 class StopReason(Enum):
@@ -78,18 +78,30 @@ def initial_window(x0: int) -> FallWindow:
     return FallWindow(0, (x0,))
 
 
+def _trusted_window(start_time: int, values: tuple[int, ...]) -> FallWindow:
+    """A window whose invariants the caller has established, built without re-checking them."""
+    window = object.__new__(FallWindow)
+    object.__setattr__(window, "start_time", start_time)
+    object.__setattr__(window, "values", values)
+    return window
+
+
 def window_update(window: FallWindow, x_next: int, n_next: int) -> FallWindow:
     """Advance the fall window by one observed step.
 
     A strict decrease extends the run; anything else (including a flat
-    step) resets the window to the single new state.
+    step) resets the window to the single new state.  The checks are O(1):
+    ``window`` already holds a strictly decreasing run, so only the new
+    step needs checking.
     """
     expected = window.start_time + len(window.values)
     if n_next != expected:
         raise ValueError(f"n_next must be {expected}, got {n_next}")
+    if x_next < 0:
+        raise ValueError("states must be non-negative")
     if x_next < window.values[-1]:
-        return FallWindow(window.start_time, window.values + (x_next,))
-    return FallWindow(n_next, (x_next,))
+        return _trusted_window(window.start_time, window.values + (x_next,))
+    return _trusted_window(n_next, (x_next,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,6 +133,10 @@ class StepDistribution:
             self.tail_start is not None and self.tail_start < 0
         ):
             raise DistributionInvalidError("support must be non-negative")
+        if any(p < 0.0 for p in self.probs) or self.tail_mass < 0.0:
+            raise DistributionInvalidError("probabilities must be non-negative")
+        if self.tail_start is None and self.tail_mass > 0.0:
+            raise DistributionInvalidError("tail_mass needs a tail_start to carry it")
         mass = self.total_mass()
         if abs(mass - 1.0) > MASS_TOL:
             raise DistributionInvalidError(f"total mass {mass!r} is not 1 within {MASS_TOL}")
@@ -211,8 +227,12 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.states or self.states[0] != self.x0:
             raise ValueError("states must start at x0")
+        if min(self.states) < 0:
+            raise ValueError("states must be non-negative")
         if self.stop_reason is StopReason.HIT_FLOOR and self.tau is None:
             raise ValueError("hit_floor trajectories must carry tau")
+        if self.stop_reason is StopReason.HIT_FLOOR and len(self.states) != self.tau + 1:
+            raise ValueError(f"a path that hit the floor at tau={self.tau} must end there")
         if self.stop_reason is StopReason.STEP_CAP and self.tau is not None:
             raise ValueError("capped trajectories have no tau")
 

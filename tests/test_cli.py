@@ -219,9 +219,11 @@ class TestTrajectoryRoundTrip:
     def test_report_rejects_floor_mismatch(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)
         row = next(r for r in rows if r["x0"] == "10" and r["path_id"] == "3")
-        # a consistent row at another floor: tau still round-trips
-        row["floor_n"] = "6"
-        row["tau"] = str(tau_of(tuple(int(s) for s in row["states"].split()), 6))
+        # a consistent row at another floor: tau still round-trips, and the
+        # states end at it
+        states = row["states"].split()
+        tau = tau_of(tuple(int(s) for s in states), 6)
+        row["floor_n"], row["tau"], row["states"] = "6", str(tau), " ".join(states[:tau + 1])
         self.rewrite_dump(traj_csv, rows)
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -247,7 +249,7 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["x0", "tau", "short"])
+    @pytest.mark.parametrize("fault", ["x0", "tau", "short", "past_tau", "negative"])
     def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
         lines = traj_csv.read_text().splitlines()
@@ -256,12 +258,25 @@ class TestTrajectoryRoundTrip:
             cells[0] = str(int(cells[0]) + 1)  # no longer the first state
         elif fault == "tau":
             cells[2] = "x"
-        else:
+        elif fault == "short":
             cells = cells[:3]
+        elif fault == "past_tau":
+            cells[4] += " 900 901 902"  # tau still round-trips
+        else:
+            cells[0], cells[2], cells[4] = "6", "1", "6 -1"
         lines[5] = ",".join(cells)
         traj_csv.write_text("\n".join(lines) + "\n")
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "trajectories.csv:6:" in capsys.readouterr().err
+
+    def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        row = next(r for r in rows if r["x0"] == "10" and r["path_id"] == "3")
+        row["tau"], row["states"] = "", "10 11 12"
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "(x0=10, path_id=3)" in err and "max_steps" in err
 
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)
@@ -284,6 +299,19 @@ def test_certify_once_per_command(tmp_path, monkeypatch):
         assert cli.main([command, str(path)]) == cli.EXIT_OK
         counts[command] = len(calls)
     assert counts == {"simulate": 0, "verify": 1, "report": 1}
+
+
+@pytest.mark.parametrize(
+    "command, m",
+    [("bounds", 60), ("verify", 60), ("bounds", 91), ("verify", 91),
+     ("certify", 200), ("bounds", 200), ("verify", 200)],
+)
+def test_moment_order_beyond_float_range_exit_usage(tmp_path, capsys, command, m):
+    path = write_config(tmp_path, m_list=[m])
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'m_list'" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 
@@ -14,30 +15,10 @@ from markovup.mc_engine import (
     AllCappedError,
     AssumptionsFailError,
     PathRecord,
-    Welford,
     binomial_lower99,
     fold_records,
     simulate_records,
 )
-
-
-class TestWelford:
-    def test_matches_two_pass(self):
-        data = [1.5, 2.0, 7.25, -3.0, 0.5, 11.0]
-        acc = Welford()
-        for v in data:
-            acc.push(v)
-        mean = sum(data) / len(data)
-        var = sum((v - mean) ** 2 for v in data) / (len(data) - 1)
-        assert acc.mean == pytest.approx(mean, rel=1e-14)
-        assert acc.variance == pytest.approx(var, rel=1e-12)
-
-    def test_constant_stream_has_zero_variance(self):
-        acc = Welford()
-        for _ in range(1000):
-            acc.push(4.0)
-        assert acc.variance == 0.0
-        assert acc.std_error == 0.0
 
 
 class TestFoldRecords:
@@ -88,6 +69,29 @@ class TestFoldRecords:
                 assert est.mean == pytest.approx(statistics.mean(powers), rel=1e-12)
                 se = statistics.stdev(powers) / math.sqrt(len(powers))
                 assert est.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_mean_is_exact_power_sum_ratio(self):
+        live = [r for r in self.RECORDS if not r.capped]
+        overshoots = [v for r in live for v in r.overshoots]
+        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        for m in (1, 2, 3):
+            assert fold.estimates[("tau_m", m)].mean == sum(r.tau**m for r in live) / len(live)
+            est = fold.estimates[("overshoot_m", m)]
+            assert est.mean == sum(v**m for v in overshoots) / len(overshoots)
+
+    def test_fold_independent_of_record_order(self):
+        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        for perm in itertools.permutations(self.RECORDS):
+            assert fold_records(perm, 10, [1, 2, 3]) == fold
+
+    def test_moment_beyond_float_range_reads_inf(self):
+        records = [
+            PathRecord(pid, tau=tau, capped=False, attempts=1, max_state=6, steps=1, fall_lengths=(0,))
+            for pid, tau in enumerate((0, 10**160))
+        ]
+        est = fold_records(records, 6, [1]).estimates[("tau_m", 1)]
+        assert est.mean == 5e159
+        assert est.std_error == math.inf
 
 
 class TestDeterministicDynamics:

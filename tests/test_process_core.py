@@ -57,6 +57,10 @@ class TestFallWindow:
         with pytest.raises(ValueError):
             window_update(w, 6, 5)
 
+    def test_update_rejects_negative_state(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            window_update(FallWindow(0, (9, 7)), -1, 2)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=40))
@@ -101,6 +105,15 @@ class TestStepDistribution:
         with pytest.raises(DistributionInvalidError):
             d = StepDistribution((4, 6), (0.5, 0.4))
             d.quantile(0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(states=(1, 2), probs=(1.5, -0.5)),
+        dict(states=(1,), probs=(1.2,), tail_start=2, tail_mass=-0.2, tail_ratio=0.5),
+        dict(states=(1,), probs=(0.7,), tail_mass=0.3),  # no tail to carry the 0.3
+    ])
+    def test_negative_or_misplaced_mass_rejected(self, kwargs):
+        with pytest.raises(DistributionInvalidError):
+            StepDistribution(**kwargs)
 
     def test_geometric_tail_quantile_matches_cdf(self):
         # head {2: 0.5}, tail on {3, 4, ...} with ratio 0.5
