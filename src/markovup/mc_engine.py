@@ -1,7 +1,11 @@
 """Deterministic Monte Carlo estimation and one-sided bound verification.
 
 Paths are embarrassingly parallel: each owns a counter-based substream
-keyed by (seed, path index), and workers only simulate.  Every folded
+keyed by (seed, path index), and workers only simulate.  The benchmark
+kernel's paths are stepped together by the lockstep engine
+(:mod:`markovup.lockstep`), which reproduces the scalar engine bit for bit
+on one thread; any other kernel runs on the scalar engine, path by path,
+over a pool of worker threads.  Every folded
 sample is an integer, so the fold keeps exact integer power sums over a
 histogram of values and rounds each reported number once: it does not
 depend on the order of the records.  Results are therefore bit-identical
@@ -29,11 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import bound_calc, path_analysis
 from .bound_calc import BoundSet
-from .model_zoo import AssumptionCertificate, BenchmarkModelSpec, certify
+from .lockstep import simulate_lockstep
+from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
 from .process_core import KernelContract, StopReason, Trajectory, simulate_path
 from .streams import path_stream
 
@@ -189,14 +194,19 @@ def _run_paths(
 ) -> list:
     """Simulate paths 0..n_traj-1 from x0; reduce(pid, path) of each, in path order.
 
-    Worker count affects speed only: each path's stream is keyed by its
-    index, and results are reassembled in path order, which paths.csv and
-    the trajectory dump keep.
+    A :class:`BenchmarkKernel` (not a subclass, which may change the law)
+    runs on the lockstep engine, which ignores ``threads``.  Other kernels
+    run on the scalar engine in ``threads`` workers.  Worker count affects
+    speed only: each path's stream is keyed by its index, and results are
+    reassembled in path order, which paths.csv and the trajectory dump keep.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if type(kernel) is BenchmarkKernel:
+        paths = simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
+        return [reduce(pid, traj) for pid, traj in enumerate(paths)]
 
     def run_chunk(bounds: tuple[int, int]) -> list:
         lo, hi = bounds
@@ -405,13 +415,16 @@ def binomial_lower99(successes: int, n: int) -> float:
     """Exact one-sided 99% lower confidence bound for a binomial proportion.
 
     The dual of the exact binomial test of H0: p <= p0; the verdict passes
-    exactly when this bound does not exceed the claimed ceiling.
+    exactly when this bound does not exceed the claimed ceiling.  It is
+    the 1% quantile of Beta(successes, n - successes + 1), which
+    ``scipy.special.betaincinv`` gives bit for bit as ``scipy.stats.beta.ppf``
+    does, without the import cost of ``scipy.stats``.
     """
     if not 0 <= successes <= n or n < 1:
         raise ValueError("need 0 <= successes <= n with n >= 1")
     if successes == 0:
         return 0.0
-    return float(beta_dist.ppf(0.01, successes, n - successes + 1))
+    return float(betaincinv(successes, n - successes + 1, 0.01))
 
 
 def verdicts_for_records(

@@ -107,8 +107,10 @@ class BenchmarkKernel(KernelContract):
         return self._spec.floor_n
 
     def next(self, window: FallWindow) -> StepDistribution:
-        x = window.current
-        ell = window.fall_length
+        return self.law(window.fall_length, window.current)
+
+    def law(self, ell: int, x: int) -> StepDistribution:
+        """The step law from state x after ell consecutive down-steps (what next() returns)."""
         key = (ell, x)
         dist = self._cache.get(key)
         if dist is None:

@@ -4,6 +4,12 @@ Each path owns a Philox generator keyed by (seed, task, path index), so
 results never depend on scheduling order or worker count.  Philox is a
 counter-based generator: distinct keys give statistically independent
 streams and identical output on every platform.
+
+Because the output is a pure function of key and counter, the streams of
+many paths can also be advanced together: :func:`lane_keys` and
+:func:`philox_block` compute, with numpy array arithmetic, the same
+Philox4x64-10 words that each path's own generator would produce, so a
+lockstep simulation reads every path's next uniform in one call.
 """
 
 from __future__ import annotations
@@ -16,14 +22,88 @@ _PATH_BITS = 40
 _MAX_PATHS = 1 << _PATH_BITS
 _MAX_TASKS = 1 << (64 - _PATH_BITS)
 
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_M0 = 0xD2E7470EE14C6C93
+_M1 = 0xCA5A826395121157
+_W0 = 0x9E3779B97F4A7C15
+_W1 = 0xBB67AE8584CAA73B
+_ROUNDS = 10
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+_TWO_M53 = 2.0**-53
+# (M1, M0) as a column, the multipliers of counter words 2 and 0
+_MUL = np.array([[_M1], [_M0]], dtype=np.uint64)
+_MUL_HI = _MUL >> _SHIFT32
+_MUL_LO = _MUL & _MASK32
 
-def path_stream(seed: int, path_index: int, task_index: int = 0) -> np.random.Generator:
-    """Return the uniform-[0,1) source owned by one simulated path."""
+
+def _check_key(seed: int, path_index: int, task_index: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= path_index < _MAX_PATHS:
         raise ValueError(f"path_index must be in [0, 2**{_PATH_BITS}), got {path_index}")
     if not 0 <= task_index < _MAX_TASKS:
         raise ValueError(f"task_index must be in [0, 2**{64 - _PATH_BITS}), got {task_index}")
+
+
+def path_stream(seed: int, path_index: int, task_index: int = 0) -> np.random.Generator:
+    """Return the uniform-[0,1) source owned by one simulated path."""
+    _check_key(seed, path_index, task_index)
     key = np.array([seed, (task_index << _PATH_BITS) | path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def lane_keys(seed: int, path_ids: np.ndarray, task_index: int = 0) -> np.ndarray:
+    """Second Philox key word of each path in ``path_ids``, range-checked as by path_stream.
+
+    The first key word is ``seed`` itself, shared by every path.
+    """
+    path_ids = np.asarray(path_ids, dtype=np.int64)
+    if path_ids.size:
+        _check_key(seed, int(path_ids.min()), task_index)
+        _check_key(seed, int(path_ids.max()), task_index)
+    else:
+        _check_key(seed, 0, task_index)
+    return path_ids.astype(np.uint64) | np.uint64(task_index << _PATH_BITS)
+
+
+def philox_block(seed: int, keys: np.ndarray, block) -> np.ndarray:
+    """Philox4x64-10 output for counter ``block`` under keys (seed, keys[i]): shape (4, n).
+
+    ``block`` is one counter for every key, or an array of one per key.
+    ``path_stream(seed, pid, task)`` returns the words of counter blocks
+    1, 2, 3, ... in order, four per block, so its j-th raw draw (from 0)
+    is ``philox_block(seed, lane_keys(seed, [pid], task), j // 4 + 1)[j % 4, 0]``.
+    The 64x64->128-bit products are assembled from 32-bit halves.
+    """
+    n = keys.shape[0]
+    ctr = np.zeros((4, n), dtype=np.uint64)
+    ctr[0] = block
+    # rows: (k0, k1) against output words (0, 2)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0] = seed
+    key[1] = keys
+    bump = np.array([[_W0], [_W1]], dtype=np.uint64)
+    for r in range(_ROUNDS):
+        if r:
+            key += bump
+        # words 2 and 0 times (M1, M0): full 128-bit products
+        c = ctr[2::-2]
+        c_lo = c & _MASK32
+        c_hi = c >> _SHIFT32
+        lh = _MUL_LO * c_hi
+        hl = _MUL_HI * c_lo
+        mid = (_MUL_LO * c_lo >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
+        hi = _MUL_HI * c_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+        lo = _MUL * c
+        nxt = np.empty_like(ctr)
+        nxt[0::2] = hi ^ ctr[1::2] ^ key
+        nxt[1::2] = lo
+        ctr = nxt
+    return ctr
+
+
+def block_uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw words, as ``Generator.random`` maps them: (w >> 11) * 2**-53."""
+    return (words >> _SHIFT11).astype(np.float64) * _TWO_M53

@@ -1,6 +1,6 @@
 import pytest
 
-from markovup import BenchmarkModelSpec, KappaSpec, build_benchmark
+from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +11,15 @@ def benchmark_spec():
 @pytest.fixture()
 def benchmark_kernel(benchmark_spec):
     return build_benchmark(benchmark_spec)
+
+
+class ScalarBenchmarkKernel(BenchmarkKernel):
+    """The benchmark law under another type, so the runner steps it with the scalar engine."""
+
+
+@pytest.fixture()
+def scalar_benchmark_kernel(benchmark_spec):
+    return ScalarBenchmarkKernel(benchmark_spec)
 
 
 class FixedDraws:

@@ -2,6 +2,7 @@ import itertools
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from markovup import (
@@ -135,12 +136,15 @@ class TestTauMoments:
 
 
 class TestDeterminism:
-    def test_records_independent_of_worker_count(self, benchmark_kernel):
-        runs = [
-            simulate_records(benchmark_kernel, 10, 500, seed=42, threads=t)
-            for t in (1, 4, 8)
-        ]
-        assert runs[0] == runs[1] == runs[2]
+    def test_records_independent_of_worker_count(self, benchmark_kernel, scalar_benchmark_kernel):
+        # the benchmark kernel runs in lockstep on one thread; its subclass
+        # runs on the scalar engine's chunked thread pool
+        for kernel in (benchmark_kernel, scalar_benchmark_kernel):
+            runs = [
+                simulate_records(kernel, 10, 500, seed=42, threads=t)
+                for t in (1, 4, 8)
+            ]
+            assert runs[0] == runs[1] == runs[2]
 
     def test_records_keyed_by_path_and_task(self, benchmark_kernel):
         a = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0)
@@ -183,6 +187,19 @@ class TestBinomialTest:
         assert 0.9 < binomial_lower99(100, 100) < 1.0
         lo = binomial_lower99(50, 100)
         assert 0.3 < lo < 0.5  # well below the point estimate
+
+    def test_equals_scipy_stats_beta_quantile(self):
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(2024)
+        n = rng.integers(1, 300_001, size=2400)
+        s = rng.integers(1, n, endpoint=True)
+        # edge counts: one success, all successes, and the largest n
+        s[:400], s[400:800] = 1, n[400:800]
+        pairs = [(1, 1), (1, 300_000), (300_000, 300_000), (150_000, 300_000)]
+        pairs += list(zip(s.tolist(), n.tolist()))
+        for k, m in pairs:
+            assert binomial_lower99(k, m) == float(beta.ppf(0.01, k, m - k + 1)), (k, m)
 
     def test_duality_with_exact_binomial_test(self):
         from scipy.stats import binomtest
