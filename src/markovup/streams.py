@@ -36,6 +36,8 @@ _TWO_M53 = 2.0**-53
 _MUL = np.array([[_M1], [_M0]], dtype=np.uint64)
 _MUL_HI = _MUL >> _SHIFT32
 _MUL_LO = _MUL & _MASK32
+# (W0, W1) as a column, the increments of key words 0 and 1
+_BUMP = np.array([[_W0], [_W1]], dtype=np.uint64)
 
 
 def _check_key(seed: int, path_index: int, task_index: int) -> None:
@@ -60,11 +62,8 @@ def lane_keys(seed: int, path_ids: np.ndarray, task_index: int = 0) -> np.ndarra
     The first key word is ``seed`` itself, shared by every path.
     """
     path_ids = np.asarray(path_ids, dtype=np.int64)
-    if path_ids.size:
-        _check_key(seed, int(path_ids.min()), task_index)
-        _check_key(seed, int(path_ids.max()), task_index)
-    else:
-        _check_key(seed, 0, task_index)
+    for pid in (int(path_ids.min()), int(path_ids.max())):
+        _check_key(seed, pid, task_index)
     return path_ids.astype(np.uint64) | np.uint64(task_index << _PATH_BITS)
 
 
@@ -80,14 +79,13 @@ def philox_block(seed: int, keys: np.ndarray, block) -> np.ndarray:
     n = keys.shape[0]
     ctr = np.zeros((4, n), dtype=np.uint64)
     ctr[0] = block
-    # rows: (k0, k1) against output words (0, 2)
+    # key words k0 (the seed) and k1, XORed into output words 0 and 2
     key = np.empty((2, n), dtype=np.uint64)
     key[0] = seed
     key[1] = keys
-    bump = np.array([[_W0], [_W1]], dtype=np.uint64)
     for r in range(_ROUNDS):
         if r:
-            key += bump
+            key += _BUMP
         # words 2 and 0 times (M1, M0): full 128-bit products
         c = ctr[2::-2]
         c_lo = c & _MASK32
