@@ -29,6 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import bound_calc, mc_engine, path_analysis
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
 from .process_core import StopReason, Trajectory
+from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
@@ -140,6 +141,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     n_traj = _as_int(data.get("n_traj", defaults.n_traj), "n_traj")
     _require(n_traj >= 2, "n_traj", "must be >= 2")
+    _require(n_traj <= MAX_PATHS, "n_traj", f"must be <= {MAX_PATHS}: paths beyond it have no random stream")
 
     seed = _as_int(data.get("seed", defaults.seed), "seed")
     _require(0 <= seed < 2**64, "seed", "must be in [0, 2**64)")
@@ -298,24 +300,27 @@ def write_trajectories_csv(path: str, trajectories: list[tuple[int, int, Traject
 
 
 def read_trajectories_csv(path: str) -> list[tuple[int, int, Trajectory]]:
-    """Parse a trajectory dump; a row that is no valid trajectory raises ConfigError naming its line."""
+    """Parse a trajectory dump; an unreadable file or a malformed row raises ConfigError."""
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        for row in reader:
-            try:
-                states = tuple(int(tok) for tok in row["states"].split())
-                tau = None if row["tau"] == "" else int(row["tau"])
-                traj = Trajectory(
-                    x0=int(row["x0"]),
-                    states=states,
-                    floor_n=int(row["floor_n"]),
-                    stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
-                    tau=tau,
-                )
-                out.append((traj.x0, int(row["path_id"]), traj))
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")
+            for row in reader:
+                try:
+                    states = tuple(int(tok) for tok in row["states"].split())
+                    tau = None if row["tau"] == "" else int(row["tau"])
+                    traj = Trajectory(
+                        x0=int(row["x0"]),
+                        states=states,
+                        floor_n=int(row["floor_n"]),
+                        stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
+                        tau=tau,
+                    )
+                    out.append((traj.x0, int(row["path_id"]), traj))
+                except (ValueError, KeyError) as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
     return out
 
 

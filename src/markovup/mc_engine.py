@@ -157,34 +157,31 @@ class PathRecord:
 def record_from_trajectory(path_id: int, traj) -> PathRecord:
     """Reduce one trajectory to the statistics the estimators need."""
     states = traj.states
-    if traj.stop_reason is StopReason.STEP_CAP:
+    if not traj.tau:  # capped, or started in the floor: no attempts
         return PathRecord(
             path_id=path_id,
-            tau=None,
-            capped=True,
+            tau=traj.tau,
+            capped=traj.tau is None,
             attempts=0,
             max_state=max(states),
             steps=len(states) - 1,
         )
-    decomp = path_analysis.decompose_attempts(traj)
-    # only segments where the process actually rose; paths that open with
-    # a fall have an empty initial rise, which carries no sample
-    real_rises = [(T_j, t_j) for _, T_j, t_j in decomp.rise_segments if t_j > T_j]
-    rises = tuple(t_j - T_j for T_j, t_j in real_rises)
-    falls = tuple(
-        0 if a.success else a.length for a in decomp.attempts
-    )
-    overs = tuple(states[t_j] - states[T_j] for T_j, t_j in real_rises)
+    times = path_analysis.turning_times(states, traj.tau)
+    # rises run over [T_j, t_j]; a path that opens with a fall has an empty
+    # first rise, which carries no sample
+    first = 2 if times[1] == 0 else 0
+    rises = list(zip(times[first:-1:2], times[first + 1::2]))
     return PathRecord(
         path_id=path_id,
         tau=traj.tau,
         capped=False,
-        attempts=len(decomp.attempts),
+        attempts=len(times) // 2,
         max_state=max(states),
         steps=len(states) - 1,
-        rise_lengths=rises,
-        fall_lengths=falls,
-        overshoots=overs,
+        rise_lengths=tuple(t - T for T, t in rises),
+        # falls run over [t_{j-1}, T_j]; the last, successful one counts as 0
+        fall_lengths=tuple(T - t for t, T in zip(times[1:-2:2], times[2:-1:2])) + (0,),
+        overshoots=tuple(states[t] - states[T] for T, t in rises),
     )
 
 
@@ -246,7 +243,7 @@ def simulate_records(
     task_index: int = 0,
     threads: int = 1,
 ) -> list[PathRecord]:
-    """Simulate and decompose n_traj paths, each as soon as it ends, in path-index order."""
+    """Simulate n_traj paths, each reduced to its record as soon as it ends, in path-index order."""
     return _run_paths(record_from_trajectory, kernel, x0, n_traj, seed, max_steps, task_index, threads)
 
 

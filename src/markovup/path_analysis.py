@@ -1,10 +1,11 @@
-"""Offline stopping times and fall/rise attempt decomposition of paths.
+"""Offline stopping times and the one fall/rise split of paths.
 
 Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
-statistics are never biased by truncation.  The one exception is the
-attempt decomposition: a fall that reaches the floor set is complete by
+statistics are never biased by truncation.  ``turning_times`` splits a
+floor-hitting path into falls and rises for both ``decompose_attempts``
+and the per-path record; a fall that reaches the floor set is complete by
 definition, even though the path stops there.
 """
 
@@ -23,6 +24,7 @@ __all__ = [
     "chi_at",
     "decompose_attempts",
     "tau_of",
+    "turning_times",
     "xi_at",
     "zeta_at",
 ]
@@ -145,6 +147,28 @@ class AttemptDecomposition:
         return tuple(out)
 
 
+def turning_times(states: Sequence[int], tau: int) -> tuple[int, ...]:
+    """Turning times (T_0, t_0, T_1, t_1, ..., T_i) of a path first in the floor at tau, in one scan.
+
+    ``t_j`` is where a non-decreasing run turns strictly down, ``T_j`` where
+    a fall turns non-decreasing; the last fall ends at T_i = tau.  A path
+    that opens with a fall has an empty opening rise, T_0 = t_0 = 0, and
+    tau = 0 gives (0,).
+    """
+    times = [0]
+    falling = False
+    prev = states[0]
+    for k in range(1, tau + 1):
+        x = states[k]
+        if (x < prev) is not falling:
+            times.append(k - 1)
+            falling = not falling
+        prev = x
+    if tau:
+        times.append(tau)  # the fall into the floor ends there
+    return tuple(times)
+
+
 def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
     """Split a floor-hitting path into descent attempts and rises.
 
@@ -154,33 +178,11 @@ def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
     """
     if traj.stop_reason is not StopReason.HIT_FLOOR or traj.tau is None:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
-    states = traj.states
-    tau = traj.tau
-    if tau == 0:
-        return AttemptDecomposition(case="I", times=(0,), attempts=(), successful_attempt=None)
-
-    case = "I" if states[1] < states[0] else "II"
-    times: list[int] = [0]  # T_0
-    t_prev = 0 if case == "I" else xi_at(states, 0)
-    times.append(t_prev)  # t_0
-
-    attempts: list[Attempt] = []
-    last = len(states) - 1
-    while True:
-        j = len(attempts) + 1
-        # fall from t_prev: the first step is strictly down by construction
-        k = t_prev
-        while k < last and states[k + 1] < states[k]:
-            k += 1
-        success = states[k] <= traj.floor_n
-        attempts.append(Attempt(index=j, start=t_prev, end=k, success=success))
-        times.append(k)  # T_j
-        if success:
-            return AttemptDecomposition(
-                case=case,
-                times=tuple(times),
-                attempts=tuple(attempts),
-                successful_attempt=j,
-            )
-        t_prev = xi_at(states, k)
-        times.append(t_prev)  # t_j
+    times = turning_times(traj.states, traj.tau)
+    n = len(times) // 2
+    attempts = tuple(
+        Attempt(index=j, start=times[2 * j - 1], end=times[2 * j], success=j == n)
+        for j in range(1, n + 1)
+    )
+    case = "II" if n and times[1] > 0 else "I"  # II: the path opens with a rise
+    return AttemptDecomposition(case=case, times=times, attempts=attempts, successful_attempt=n or None)

@@ -19,7 +19,7 @@ import numpy as np
 # Task index is packed into the high bits of the second key word, leaving
 # room for 2**40 paths per task and 2**24 tasks per seed.
 _PATH_BITS = 40
-_MAX_PATHS = 1 << _PATH_BITS
+MAX_PATHS = 1 << _PATH_BITS
 _MAX_TASKS = 1 << (64 - _PATH_BITS)
 
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
@@ -43,7 +43,7 @@ _BUMP = np.array([[_W0], [_W1]], dtype=np.uint64)
 def _check_key(seed: int, path_index: int, task_index: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= path_index < _MAX_PATHS:
+    if not 0 <= path_index < MAX_PATHS:
         raise ValueError(f"path_index must be in [0, 2**{_PATH_BITS}), got {path_index}")
     if not 0 <= task_index < _MAX_TASKS:
         raise ValueError(f"task_index must be in [0, 2**{64 - _PATH_BITS}), got {task_index}")

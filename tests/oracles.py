@@ -59,3 +59,41 @@ def window_oracle(states, n):
 def brute_series(m, q, terms):
     """Naive partial sum of sum_{k>=1} k**m * q**k."""
     return sum(k**m * q**k for k in range(1, terms + 1))
+
+
+def record_oracle(states, floor_n):
+    """Per-path record fields of a path, read off the run-end definitions.
+
+    From each rise start n the rise ends at xi(n) (an empty rise when the
+    path falls at once), and the fall that follows ends at chi; a fall still
+    open at the end of the path is the one that reached the floor.  Every
+    real rise gives a length and an overshoot; every fall gives a length,
+    except the successful one, which counts as 0.
+    """
+    tau = tau_oracle(states, floor_n)
+    rises, overshoots, falls = [], [], []
+    if tau is not None:
+        path = list(states[:tau + 1])
+        n = 0
+        while n < tau:
+            t = xi_oracle(path, n)
+            if t > n:
+                rises.append(t - n)
+                overshoots.append(path[t] - path[n])
+            end = chi_oracle(path, t)
+            if end == UNTERMINATED:
+                falls.append(0)
+                n = tau
+            else:
+                falls.append(end - t)
+                n = end
+    return {
+        "tau": tau,
+        "capped": tau is None,
+        "attempts": len(falls),
+        "max_state": max(states),
+        "steps": len(states) - 1,
+        "rise_lengths": tuple(rises),
+        "fall_lengths": tuple(falls),
+        "overshoots": tuple(overshoots),
+    }

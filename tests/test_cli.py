@@ -47,9 +47,11 @@ class TestConfigValidation:
             cli.load_config(str(path))
 
     def test_out_of_range_parameter_names_field(self, tmp_path):
-        path = write_config(tmp_path, r=1.0)
-        with pytest.raises(cli.ConfigError, match="model.r"):
-            cli.load_config(str(path))
+        # n_traj past the 2**40 paths one stream key can address
+        for field, value in (("r", 1.0), ("n_traj", 2**40 + 1)):
+            path = write_config(tmp_path, **{field: value})
+            with pytest.raises(cli.ConfigError, match=field):
+                cli.load_config(str(path))
 
     def test_duplicate_start_rejected(self, tmp_path):
         path = write_config(tmp_path, x_grid=[6, 10, 6])
@@ -277,6 +279,15 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "(x0=10, path_id=3)" in err and "max_steps" in err
+
+    @pytest.mark.parametrize("content", [None, b"x0,path_id,tau,floor_n,states\n\xff\xfe\x80,0\n"])
+    def test_report_rejects_unreadable_dump(self, tmp_path, capsys, content):
+        traj_csv = tmp_path / "trajectories.csv"
+        if content is not None:
+            traj_csv.write_bytes(content)
+        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv))
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "output.trajectories_csv" in capsys.readouterr().err
 
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)

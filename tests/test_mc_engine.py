@@ -7,6 +7,8 @@ import pytest
 
 from markovup import (
     DeterministicDownKernel,
+    StopReason,
+    Trajectory,
     estimate_segment_moments,
     estimate_tau_moments,
     make_bound_set,
@@ -18,8 +20,12 @@ from markovup.mc_engine import (
     PathRecord,
     binomial_lower99,
     fold_records,
+    record_from_trajectory,
     simulate_records,
+    simulate_trajectories,
 )
+
+from oracles import record_oracle
 
 
 class TestFoldRecords:
@@ -93,6 +99,49 @@ class TestFoldRecords:
         est = fold_records(records, 6, [1]).estimates[("tau_m", 1)]
         assert est.mean == 5e159
         assert est.std_error == math.inf
+
+
+def _hit(*states, floor_n=5):
+    return Trajectory(states[0], states, floor_n, StopReason.HIT_FLOOR, len(states) - 1)
+
+
+class TestRecordFromTrajectory:
+    """Each record equals the literal-definition reducer, field by field."""
+
+    HAND_BUILT = {
+        "opens with a fall": _hit(8, 7, 9, 10, 8, 7, 6, 5),
+        "opens with a rise": _hit(7, 9, 8, 6, 7, 6, 4),
+        "opens with a flat step": _hit(7, 7, 6, 8, 8, 7, 5),
+        "flat step mid-rise": _hit(9, 8, 10, 10, 12, 11, 12, 12, 13, 6, 4),
+        "down-steps larger than 1": _hit(12, 9, 10, 10, 4),
+        "tau = 0": _hit(3),
+        "capped": Trajectory(9, (9, 8, 10, 10, 7, 8), 5, StopReason.STEP_CAP, None),
+    }
+
+    @staticmethod
+    def check(trajectories):
+        for pid, traj in enumerate(trajectories):
+            record = record_from_trajectory(pid, traj)
+            want = record_oracle(traj.states, traj.floor_n)
+            got = {name: getattr(record, name) for name in want}
+            assert got == want, traj.states
+            assert record.path_id == pid
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    def test_hand_built(self, case):
+        self.check([self.HAND_BUILT[case]])
+
+    @pytest.mark.parametrize("x0", [10, 20])
+    def test_default_model_paths(self, benchmark_kernel, x0):
+        self.check(simulate_trajectories(benchmark_kernel, x0, 10_000, seed=13))
+
+    def test_capped_model_paths(self, benchmark_kernel):
+        trajectories = simulate_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
+        assert any(t.stop_reason is StopReason.STEP_CAP for t in trajectories)
+        self.check(trajectories)
+
+    def test_deterministic_down_path(self):
+        self.check(simulate_trajectories(DeterministicDownKernel(floor_n=5), 12, 2, seed=0))
 
 
 class TestDeterministicDynamics:
