@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from . import bound_calc, mc_engine, path_analysis
+from . import bound_calc, mc_engine
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
 from .process_core import StopReason, Trajectory
 from .streams import MAX_PATHS
@@ -408,9 +408,6 @@ def _records_from_dump(
             raise ConfigError(f"{row} starts outside config x_grid {list(config.x_grid)}")
         if not 0 <= pid < config.n_traj or pid in by_x[x0]:
             raise ConfigError(f"{row} is duplicated or outside path ids 0..{config.n_traj - 1}")
-        tau = path_analysis.tau_of(traj.states, traj.floor_n)
-        if tau != traj.tau:
-            raise ConfigError(f"{row} does not round-trip: recorded tau={traj.tau}, recomputed tau={tau}")
         steps = len(traj.states) - 1
         if traj.tau is None and steps != config.max_steps:
             raise ConfigError(f"{row} is capped after {steps} steps, config max_steps={config.max_steps}")

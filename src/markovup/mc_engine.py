@@ -167,20 +167,19 @@ def record_from_trajectory(path_id: int, traj) -> PathRecord:
             steps=len(states) - 1,
         )
     times = path_analysis.turning_times(states, traj.tau)
-    # rises run over [T_j, t_j]; a path that opens with a fall has an empty
-    # first rise, which carries no sample
-    first = 2 if times[1] == 0 else 0
-    rises = list(zip(times[first:-1:2], times[first + 1::2]))
+    rises, falls = path_analysis.rises_of(times), path_analysis.falls_of(times)
+    if rises[0][1] == 0:  # a path that opens with a fall: its empty first rise is no sample
+        del rises[0]
     return PathRecord(
         path_id=path_id,
         tau=traj.tau,
         capped=False,
-        attempts=len(times) // 2,
+        attempts=len(falls),
         max_state=max(states),
         steps=len(states) - 1,
         rise_lengths=tuple(t - T for T, t in rises),
-        # falls run over [t_{j-1}, T_j]; the last, successful one counts as 0
-        fall_lengths=tuple(T - t for t, T in zip(times[1:-2:2], times[2:-1:2])) + (0,),
+        # the last, successful fall counts as 0
+        fall_lengths=tuple(T - t for t, T in falls[:-1]) + (0,),
         overshoots=tuple(states[t] - states[T] for T, t in rises),
     )
 

@@ -23,6 +23,8 @@ __all__ = [
     "UnterminatedRunError",
     "chi_at",
     "decompose_attempts",
+    "falls_of",
+    "rises_of",
     "tau_of",
     "turning_times",
     "xi_at",
@@ -133,18 +135,12 @@ class AttemptDecomposition:
     @property
     def rise_segments(self) -> tuple[tuple[int, int, int], ...]:
         """(j, T_j, t_j) for every rise in the decomposition, j from 0."""
-        out = []
-        for j in range(len(self.attempts)):
-            out.append((j, self.times[2 * j], self.times[2 * j + 1]))
-        return tuple(out)
+        return tuple((j, T, t) for j, (T, t) in enumerate(rises_of(self.times)))
 
     @property
     def fall_segments(self) -> tuple[tuple[int, int, int], ...]:
         """(j, t_{j-1}, T_j) for every attempt, j from 1."""
-        out = []
-        for j in range(1, len(self.attempts) + 1):
-            out.append((j, self.times[2 * j - 1], self.times[2 * j]))
-        return tuple(out)
+        return tuple((j, t, T) for j, (t, T) in enumerate(falls_of(self.times), 1))
 
 
 def turning_times(states: Sequence[int], tau: int) -> tuple[int, ...]:
@@ -169,6 +165,16 @@ def turning_times(states: Sequence[int], tau: int) -> tuple[int, ...]:
     return tuple(times)
 
 
+def rises_of(times: Sequence[int]) -> list[tuple[int, int]]:
+    """Rises (T_j, t_j), j from 0, of turning times (T_0, t_0, ..., T_i)."""
+    return list(zip(times[:-1:2], times[1::2]))
+
+
+def falls_of(times: Sequence[int]) -> list[tuple[int, int]]:
+    """Falls (t_{j-1}, T_j), j from 1, of turning times (T_0, t_0, ..., T_i)."""
+    return list(zip(times[1:-1:2], times[2::2]))
+
+
 def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
     """Split a floor-hitting path into descent attempts and rises.
 
@@ -180,9 +186,6 @@ def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
     times = turning_times(traj.states, traj.tau)
     n = len(times) // 2
-    attempts = tuple(
-        Attempt(index=j, start=times[2 * j - 1], end=times[2 * j], success=j == n)
-        for j in range(1, n + 1)
-    )
+    attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(falls_of(times), 1))
     case = "II" if n and times[1] > 0 else "I"  # II: the path opens with a rise
     return AttemptDecomposition(case=case, times=times, attempts=attempts, successful_attempt=n or None)

@@ -229,12 +229,17 @@ class Trajectory:
             raise ValueError("states must start at x0")
         if min(self.states) < 0:
             raise ValueError("states must be non-negative")
-        if self.stop_reason is StopReason.HIT_FLOOR and self.tau is None:
-            raise ValueError("hit_floor trajectories must carry tau")
-        if self.stop_reason is StopReason.HIT_FLOOR and len(self.states) != self.tau + 1:
-            raise ValueError(f"a path that hit the floor at tau={self.tau} must end there")
-        if self.stop_reason is StopReason.STEP_CAP and self.tau is not None:
+        if self.stop_reason is StopReason.HIT_FLOOR:
+            if self.tau is None:
+                raise ValueError("hit_floor trajectories must carry tau")
+            if len(self.states) != self.tau + 1:
+                raise ValueError(f"a path that hit the floor at tau={self.tau} must end there")
+            if self.states[-1] > self.floor_n or (self.tau and min(self.states[:-1]) <= self.floor_n):
+                raise ValueError(f"a path that hit the floor at tau={self.tau} must first enter it there")
+        elif self.tau is not None:
             raise ValueError("capped trajectories have no tau")
+        elif min(self.states) <= self.floor_n:
+            raise ValueError("a capped path must never enter the floor")
 
 
 def simulate_path(

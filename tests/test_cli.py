@@ -48,9 +48,9 @@ class TestConfigValidation:
 
     def test_out_of_range_parameter_names_field(self, tmp_path):
         # n_traj past the 2**40 paths one stream key can address
-        for field, value in (("r", 1.0), ("n_traj", 2**40 + 1)):
+        for field, value, name in (("r", 1.0, "model.r"), ("n_traj", 2**40 + 1, "n_traj")):
             path = write_config(tmp_path, **{field: value})
-            with pytest.raises(cli.ConfigError, match=field):
+            with pytest.raises(cli.ConfigError, match=name):
                 cli.load_config(str(path))
 
     def test_duplicate_start_rejected(self, tmp_path):
@@ -221,8 +221,8 @@ class TestTrajectoryRoundTrip:
     def test_report_rejects_floor_mismatch(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)
         row = next(r for r in rows if r["x0"] == "10" and r["path_id"] == "3")
-        # a consistent row at another floor: tau still round-trips, and the
-        # states end at it
+        # a consistent row at another floor: it first enters that floor at
+        # tau and ends there
         states = row["states"].split()
         tau = tau_of(tuple(int(s) for s in states), 6)
         row["floor_n"], row["tau"], row["states"] = "6", str(tau), " ".join(states[:tau + 1])
@@ -251,7 +251,9 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["x0", "tau", "short", "past_tau", "negative"])
+    @pytest.mark.parametrize(
+        "fault", ["x0", "tau", "short", "past_tau", "negative", "floor_before_tau", "capped_in_floor"]
+    )
     def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
         lines = traj_csv.read_text().splitlines()
@@ -263,7 +265,11 @@ class TestTrajectoryRoundTrip:
         elif fault == "short":
             cells = cells[:3]
         elif fault == "past_tau":
-            cells[4] += " 900 901 902"  # tau still round-trips
+            cells[4] += " 900 901 902"  # states go on past tau
+        elif fault == "floor_before_tau":
+            cells[0], cells[2], cells[4] = "7", "2", "7 5 5"
+        elif fault == "capped_in_floor":
+            cells[0], cells[2], cells[4] = "7", "", "7 5 6"
         else:
             cells[0], cells[2], cells[4] = "6", "1", "6 -1"
         lines[5] = ",".join(cells)
