@@ -10,9 +10,10 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
 
 Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict failure.
 
-report.json must be byte-identical for a fixed seed regardless of
---threads, so wall-clock time goes to stderr and the report's "timing"
-section carries deterministic work counters only.
+--threads is accepted and validated but has no effect: every engine runs
+on one thread.  report.json must be byte-identical for a fixed seed, so
+wall-clock time goes to stderr and the report's "timing" section carries
+deterministic work counters only.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class ExperimentConfig:
     m_list: tuple[int, ...] = (1, 2, 3)
     n_traj: int = 100_000
     seed: int = 7
-    max_steps: int = 1_000_000
-    epsilon: float = 1e-10
+    max_steps: int = mc_engine.DEFAULT_MAX_STEPS
+    epsilon: float = bound_calc.DEFAULT_EPS
     threads: int = 1
     report_json: str = "report.json"
     paths_csv: str = "paths.csv"
@@ -70,8 +71,8 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        # threads deliberately omitted: the echo lands in report.json,
-        # whose bytes must not depend on the worker count
+        # threads deliberately omitted: it has no effect, and the echo
+        # lands in report.json, whose bytes must not depend on it
         return {
             "model": {"a": self.a, "r": self.r, "s": self.s},
             "floor_n": self.floor_n,
@@ -151,8 +152,9 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     epsilon_raw = data.get("epsilon", defaults.epsilon)
     _require(
-        isinstance(epsilon_raw, (int, float)) and not isinstance(epsilon_raw, bool) and epsilon_raw > 0,
-        "epsilon", "must be a positive number",
+        isinstance(epsilon_raw, (int, float)) and not isinstance(epsilon_raw, bool)
+        and 0 < epsilon_raw <= sys.float_info.max,  # finite, also as a float
+        "epsilon", "must be a positive finite number",
     )
     epsilon = float(epsilon_raw)
 
@@ -353,8 +355,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     trajectories: list[tuple[int, int, Trajectory]] = []
     for task_index, x0 in enumerate(config.x_grid):
         trajs = mc_engine.simulate_trajectories(
-            kernel, x0, config.n_traj, config.seed, config.max_steps,
-            task_index=task_index, threads=config.threads,
+            kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
         )
         records_by_x[x0] = tuple(
             mc_engine.record_from_trajectory(pid, traj) for pid, traj in enumerate(trajs)
@@ -375,7 +376,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
     kernel = build_benchmark(spec)
     report = mc_engine.verify(
         kernel, spec, config.x_grid, config.m_list, config.n_traj,
-        config.seed, config.max_steps, config.epsilon, config.threads,
+        config.seed, config.max_steps, config.epsilon,
     )
     doc = build_report(config, report)
     _dump_json(doc, config.report_json)
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker count (affects speed only, never results)",
+        help="must be >= 1; has no effect (every engine runs on one thread)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

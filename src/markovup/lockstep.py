@@ -21,9 +21,9 @@ every lane at once with numpy.  It reproduces the scalar engine
   regrouped into the same :class:`Trajectory`.
 
 Paths run in blocks of ``BLOCK`` lanes, which bounds the memory of the
-recorded states.  States are held as int64: a block whose states would
-leave that range is simulated again by the scalar engine, whose Python
-integers do not wrap.
+recorded states.  States are held as int64: a block whose start state or
+later states would leave that range is simulated again by the scalar
+engine, whose Python integers do not wrap.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def _run_block(
     seed: int, max_steps: int, task_index: int,
 ) -> list[Trajectory]:
     """Trajectories of paths lo..hi-1, all lanes stepped together."""
+    if x0 > _INT64_MAX:
+        raise _LeavesInt64
     n = hi - lo
     keys = lane_keys(seed, np.arange(lo, hi), task_index)
     lane = np.arange(n)  # block-local index of each live lane

@@ -1,15 +1,13 @@
 """Deterministic Monte Carlo estimation and one-sided bound verification.
 
-Paths are embarrassingly parallel: each owns a counter-based substream
-keyed by (seed, path index), and workers only simulate.  The benchmark
-kernel's paths are stepped together by the lockstep engine
-(:mod:`markovup.lockstep`), which reproduces the scalar engine bit for bit
-on one thread; any other kernel runs on the scalar engine, path by path,
-over a pool of worker threads.  Every folded
-sample is an integer, so the fold keeps exact integer power sums over a
-histogram of values and rounds each reported number once: it does not
-depend on the order of the records.  Results are therefore bit-identical
-for a fixed seed no matter how many workers run.
+Each path owns a counter-based substream keyed by (seed, path index), and
+every engine runs on one thread.  The benchmark kernel's paths are stepped
+together by the lockstep engine (:mod:`markovup.lockstep`), which
+reproduces the scalar engine bit for bit; any other kernel runs on the
+scalar engine, path by path.  Every folded sample is an integer, so the
+fold keeps exact integer power sums over a histogram of values and rounds
+each reported number once: it does not depend on the order of the
+records.  Results are therefore bit-identical for a fixed seed.
 
 Two comparison rules are used, matching how sharp each inequality is:
 
@@ -29,9 +27,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from scipy.special import betaincinv
 
@@ -39,7 +36,7 @@ from . import bound_calc, path_analysis
 from .bound_calc import BoundSet
 from .lockstep import simulate_lockstep
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .process_core import KernelContract, StopReason, Trajectory, simulate_path
+from .process_core import KernelContract, Trajectory, simulate_path
 from .streams import path_stream
 
 __all__ = [
@@ -184,40 +181,22 @@ def record_from_trajectory(path_id: int, traj) -> PathRecord:
     )
 
 
-def _run_paths(
-    reduce: Callable[[int, Trajectory], Any], kernel: KernelContract, x0: int,
-    n_traj: int, seed: int, max_steps: int, task_index: int, threads: int,
-) -> list:
-    """Simulate paths 0..n_traj-1 from x0; reduce(pid, path) of each, in path order.
+def _paths(
+    kernel: KernelContract, x0: int, n_traj: int, seed: int, max_steps: int, task_index: int
+) -> Iterator[Trajectory]:
+    """Yield the trajectories of paths 0..n_traj-1 from x0, in path order.
 
     A :class:`BenchmarkKernel` (not a subclass, which may change the law)
-    runs on the lockstep engine, which ignores ``threads``.  Other kernels
-    run on the scalar engine in ``threads`` workers.  Worker count affects
-    speed only: each path's stream is keyed by its index, and results are
-    reassembled in path order, which paths.csv and the trajectory dump keep.
+    runs on the lockstep engine; any other kernel on the scalar engine.
+    Each path's stream is keyed by its index, so both give the same paths.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if type(kernel) is BenchmarkKernel:
-        paths = simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
-        return [reduce(pid, traj) for pid, traj in enumerate(paths)]
-
-    def run_chunk(bounds: tuple[int, int]) -> list:
-        lo, hi = bounds
-        return [
-            reduce(pid, simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)))
-            for pid in range(lo, hi)
-        ]
-
-    if threads == 1:
-        return run_chunk((0, n_traj))
-    chunk = max(1, math.ceil(n_traj / (threads * 4)))
-    spans = [(lo, min(lo + chunk, n_traj)) for lo in range(0, n_traj, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, spans))
-    return [res for part in parts for res in part]
+        yield from simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
+        return
+    for pid in range(n_traj):
+        yield simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
 
 
 def simulate_trajectories(
@@ -227,10 +206,9 @@ def simulate_trajectories(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     task_index: int = 0,
-    threads: int = 1,
 ) -> list[Trajectory]:
     """Simulate n_traj raw paths, returned in path-index order."""
-    return _run_paths(lambda pid, traj: traj, kernel, x0, n_traj, seed, max_steps, task_index, threads)
+    return list(_paths(kernel, x0, n_traj, seed, max_steps, task_index))
 
 
 def simulate_records(
@@ -240,10 +218,10 @@ def simulate_records(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     task_index: int = 0,
-    threads: int = 1,
 ) -> list[PathRecord]:
     """Simulate n_traj paths, each reduced to its record as soon as it ends, in path-index order."""
-    return _run_paths(record_from_trajectory, kernel, x0, n_traj, seed, max_steps, task_index, threads)
+    paths = _paths(kernel, x0, n_traj, seed, max_steps, task_index)
+    return [record_from_trajectory(pid, traj) for pid, traj in enumerate(paths)]
 
 
 def _ratio(num: int, den: int) -> float:
@@ -363,11 +341,9 @@ def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) 
 
 def _estimate_table(
     kernel: KernelContract, x0: int, m_list: Sequence[int],
-    n_traj: int, seed: int, max_steps: int, threads: int,
+    n_traj: int, seed: int, max_steps: int,
 ) -> dict[tuple[str, int], MomentEstimate]:
-    fold = fold_records(
-        simulate_records(kernel, x0, n_traj, seed, max_steps, threads=threads), x0, m_list
-    )
+    fold = fold_records(simulate_records(kernel, x0, n_traj, seed, max_steps), x0, m_list)
     if not fold.n_live:
         raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
     return fold.estimates
@@ -380,10 +356,9 @@ def estimate_tau_moments(
     n_traj: int,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    threads: int = 1,
 ) -> list[MomentEstimate]:
     """Estimate E_x tau**m for each m, excluding capped paths."""
-    table = _estimate_table(kernel, x0, m_list, n_traj, seed, max_steps, threads)
+    table = _estimate_table(kernel, x0, m_list, n_traj, seed, max_steps)
     return [table[("tau_m", m)] for m in m_list]
 
 
@@ -394,7 +369,6 @@ def estimate_segment_moments(
     n_traj: int,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    threads: int = 1,
 ) -> dict[str, MomentEstimate]:
     """Pooled m-th moments of rise lengths, fall lengths, and overshoots.
 
@@ -403,7 +377,7 @@ def estimate_segment_moments(
     with one sample per attempt, zeroed on the successful one (the fall
     that reaches the floor does not count toward its ceiling).
     """
-    table = _estimate_table(kernel, x0, [m], n_traj, seed, max_steps, threads)
+    table = _estimate_table(kernel, x0, [m], n_traj, seed, max_steps)
     return {q: table[(q, m)] for q in ("rise_length_m", "fall_length_m", "overshoot_m")}
 
 
@@ -532,7 +506,6 @@ def verify(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     eps: float = bound_calc.DEFAULT_EPS,
-    threads: int = 1,
 ) -> VerificationReport:
     """Compare Monte Carlo estimates against every computed bound.
 
@@ -551,9 +524,7 @@ def verify(
         raise ValueError("n_traj must be >= 2")
     cert, bound_sets = certify_bounds(spec, m_list, eps)
     records_by_x = {
-        x0: tuple(simulate_records(
-            kernel, x0, n_traj, seed, max_steps, task_index=task_index, threads=threads
-        ))
+        x0: tuple(simulate_records(kernel, x0, n_traj, seed, max_steps, task_index))
         for task_index, x0 in enumerate(x_grid)
     }
     return report_from_records(cert, bound_sets, records_by_x, m_list)

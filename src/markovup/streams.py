@@ -1,7 +1,7 @@
 """Counter-based random streams for reproducible parallel simulation.
 
 Each path owns a Philox generator keyed by (seed, task, path index), so
-results never depend on scheduling order or worker count.  Philox is a
+results never depend on the order in which paths are run.  Philox is a
 counter-based generator: distinct keys give statistically independent
 streams and identical output on every platform.
 

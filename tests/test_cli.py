@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -48,7 +49,10 @@ class TestConfigValidation:
 
     def test_out_of_range_parameter_names_field(self, tmp_path):
         # n_traj past the 2**40 paths one stream key can address
-        for field, value, name in (("r", 1.0, "model.r"), ("n_traj", 2**40 + 1, "n_traj")):
+        # an infinite epsilon would stop every series at its first term
+        for field, value, name in (
+            ("r", 1.0, "model.r"), ("n_traj", 2**40 + 1, "n_traj"), ("epsilon", math.inf, "epsilon"),
+        ):
             path = write_config(tmp_path, **{field: value})
             with pytest.raises(cli.ConfigError, match=name):
                 cli.load_config(str(path))
@@ -137,6 +141,14 @@ class TestSubcommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["timing"]["capped_paths"] > 0
         assert any("capped" in w for w in report["warnings"])
+
+    def test_start_beyond_int64_reports_capped(self, tmp_path):
+        path = write_config(tmp_path, x_grid=[2**63], n_traj=3, max_steps=5)
+        assert cli.main(["verify", str(path)]) == cli.EXIT_VERDICT_FAIL
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["timing"]["capped_paths"] == 3
+        assert report["verdicts"]
+        assert all(v["method"] == "not-issued" for v in report["verdicts"])
 
     def test_low_sample_warning(self, tmp_path):
         path = write_config(tmp_path, n_traj=10)

@@ -99,6 +99,13 @@ def test_states_beyond_int64_match_scalar_engine():
     assert all(max(t.states) > 2**63 for t in lockstep)
 
 
+@pytest.mark.parametrize("x0", [2**63 - 1, 2**63])
+def test_start_at_int64_edge_matches_scalar_engine(benchmark_kernel, x0):
+    # 2**63 does not fit an int64 lane, so its block runs on the scalar engine
+    lockstep, scalar = _both(benchmark_kernel, x0, 5, seed=2, max_steps=3)
+    assert lockstep == scalar
+
+
 def test_kappa_near_one_ratio():
     # r = 1 - 1e-9: kappa approaches 1 only after ~1e10 fall steps, so a
     # table sized from r instead of from the falls reached would not fit
@@ -154,7 +161,7 @@ def test_runner_uses_lockstep_for_benchmark_kernel_only(
     monkeypatch.setattr(mc_engine, "simulate_lockstep", spy)
     for simulate in (mc_engine.simulate_records, mc_engine.simulate_trajectories):
         lockstep = simulate(benchmark_kernel, 20, 300, 9, task_index=2)
-        # the subclass keeps the scalar engine, here on two worker threads
-        scalar = simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2, threads=2)
+        # the subclass keeps the scalar engine
+        scalar = simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2)
         assert lockstep == scalar
     assert kernels_seen == [benchmark_kernel, benchmark_kernel]

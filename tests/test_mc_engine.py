@@ -185,16 +185,6 @@ class TestTauMoments:
 
 
 class TestDeterminism:
-    def test_records_independent_of_worker_count(self, benchmark_kernel, scalar_benchmark_kernel):
-        # the benchmark kernel runs in lockstep on one thread; its subclass
-        # runs on the scalar engine's chunked thread pool
-        for kernel in (benchmark_kernel, scalar_benchmark_kernel):
-            runs = [
-                simulate_records(kernel, 10, 500, seed=42, threads=t)
-                for t in (1, 4, 8)
-            ]
-            assert runs[0] == runs[1] == runs[2]
-
     def test_records_keyed_by_path_and_task(self, benchmark_kernel):
         a = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0)
         b = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=1)
@@ -284,17 +274,6 @@ class TestVerify:
         assert first.estimate.mean == 1.0
         assert first.bound == 1.0
         assert first.passed
-
-    def test_verdicts_deterministic_across_threads(self, benchmark_kernel, benchmark_spec):
-        reports = [
-            verify(
-                benchmark_kernel, benchmark_spec,
-                x_grid=[8], m_list=[1], n_traj=2000, seed=9, threads=t,
-            )
-            for t in (1, 4)
-        ]
-        rows = [[v.to_dict() for v in rep.verdicts] for rep in reports]
-        assert rows[0] == rows[1]
 
     def test_assumption_gate(self, benchmark_spec):
         # a kernel whose spec fails the structural checks cannot be verified;
