@@ -103,9 +103,9 @@ def _as_int(raw: Any, field_name: str) -> int:
 
 def _as_prob(raw: Any, field_name: str) -> float:
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), field_name, "must be a number")
-    value = float(raw)
-    _require(0.0 < value < 1.0, field_name, f"must lie strictly between 0 and 1, got {value}")
-    return value
+    # compared before the float conversion, which overflows on integers beyond float range
+    _require(0 < raw < 1, field_name, f"must lie strictly between 0 and 1, got {raw}")
+    return float(raw)
 
 
 def parse_config(data: dict[str, Any]) -> ExperimentConfig:
@@ -264,19 +264,19 @@ def _dump_json(doc: dict[str, Any], path: Optional[str]) -> None:
         Path(path).write_text(text + "\n")
 
 
-def write_paths_csv(path: str, records_by_x: dict[int, tuple[mc_engine.PathRecord, ...]]) -> None:
+def write_paths_csv(path: str, records_by_x: dict[int, mc_engine.RecordColumns]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "tau", "attempts", "max_state", "capped"])
-        for x0 in records_by_x:
-            for rec in records_by_x[x0]:
-                writer.writerow([
-                    rec.path_id,
-                    "" if rec.tau is None else rec.tau,
-                    rec.attempts,
-                    rec.max_state,
-                    int(rec.capped),
-                ])
+        for records in records_by_x.values():
+            capped = records.capped.tolist()
+            writer.writerows(zip(
+                range(len(records)),
+                ["" if c else steps for steps, c in zip(records.steps.tolist(), capped)],
+                records.attempts.tolist(),
+                records.max_state.tolist(),
+                map(int, capped),
+            ))
 
 
 def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
@@ -351,17 +351,17 @@ def cmd_bounds(config: ExperimentConfig, out: Optional[str]) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     kernel = build_benchmark(config.model_spec())
-    records_by_x: dict[int, tuple[mc_engine.PathRecord, ...]] = {}
+    records_by_x: dict[int, mc_engine.RecordColumns] = {}
     trajectories: list[tuple[int, int, Trajectory]] = []
     for task_index, x0 in enumerate(config.x_grid):
-        trajs = mc_engine.simulate_trajectories(
+        blocks = mc_engine.simulate_blocks(
             kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
         )
-        records_by_x[x0] = tuple(
-            mc_engine.record_from_trajectory(pid, traj) for pid, traj in enumerate(trajs)
-        )
         if config.trajectories_csv is not None:
+            blocks = list(blocks)
+            trajs = (traj for block in blocks for traj in block.trajectories())
             trajectories.extend((x0, pid, traj) for pid, traj in enumerate(trajs))
+        records_by_x[x0] = mc_engine.records_of(blocks)
     write_paths_csv(config.paths_csv, records_by_x)
     if config.trajectories_csv is not None:
         write_trajectories_csv(config.trajectories_csv, trajectories)
@@ -394,13 +394,13 @@ def cmd_verify(config: ExperimentConfig) -> int:
 
 def _records_from_dump(
     config: ExperimentConfig, dumped: list[tuple[int, int, Trajectory]]
-) -> dict[int, tuple[mc_engine.PathRecord, ...]]:
+) -> dict[int, mc_engine.RecordColumns]:
     """Reduce a trajectory dump to records in x_grid and path order, as verify builds them.
 
     Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's
     floor_n, and a capped row must have run the config's max_steps.
     """
-    by_x: dict[int, dict[int, mc_engine.PathRecord]] = {x0: {} for x0 in config.x_grid}
+    by_x: dict[int, dict[int, Trajectory]] = {x0: {} for x0 in config.x_grid}
     for x0, pid, traj in dumped:
         row = f"trajectory dump row (x0={x0}, path_id={pid})"
         if traj.floor_n != config.floor_n:
@@ -412,12 +412,15 @@ def _records_from_dump(
         steps = len(traj.states) - 1
         if traj.tau is None and steps != config.max_steps:
             raise ConfigError(f"{row} is capped after {steps} steps, config max_steps={config.max_steps}")
-        by_x[x0][pid] = mc_engine.record_from_trajectory(pid, traj)
-    for x0, recs in by_x.items():
-        if len(recs) != config.n_traj:
-            missing = min(set(range(config.n_traj)) - recs.keys())
+        by_x[x0][pid] = traj
+    for x0, trajs in by_x.items():
+        if len(trajs) != config.n_traj:
+            missing = min(set(range(config.n_traj)) - trajs.keys())
             raise ConfigError(f"trajectory dump has no row (x0={x0}, path_id={missing})")
-    return {x0: tuple(recs[pid] for pid in range(config.n_traj)) for x0, recs in by_x.items()}
+    return {
+        x0: mc_engine.records_of(mc_engine.blocks_of(trajs[pid] for pid in range(config.n_traj)))
+        for x0, trajs in by_x.items()
+    }
 
 
 def cmd_report(config: ExperimentConfig) -> int:

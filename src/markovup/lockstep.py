@@ -18,12 +18,13 @@ every lane at once with numpy.  It reproduces the scalar engine
   floats, because ``np.log1p`` differs from ``math.log1p`` in the last
   bit on some inputs;
 * a lane leaves at the floor or at the step cap, and its states are
-  regrouped into the same :class:`Trajectory`.
+  regrouped path by path into a :class:`PathBlock`, whose
+  :meth:`~PathBlock.trajectories` are the scalar engine's.
 
 Paths run in blocks of ``BLOCK`` lanes, which bounds the memory of the
 recorded states.  States are held as int64: a block whose start state or
 later states would leave that range is simulated again by the scalar
-engine, whose Python integers do not wrap.
+engine, whose Python integers do not wrap, and laid out as Python ints.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .model_zoo import BenchmarkKernel
-from .process_core import StopReason, Trajectory, simulate_path
+from .process_core import PathBlock, simulate_path, state_array
 from .streams import block_uniforms, lane_keys, path_stream, philox_block
 
 __all__ = ["BLOCK", "FallLaws", "simulate_lockstep", "step_lanes"]
@@ -98,8 +99,8 @@ def step_lanes(
 
 def simulate_lockstep(
     kernel: BenchmarkKernel, x0: int, n_traj: int, seed: int, max_steps: int, task_index: int
-) -> Iterator[Trajectory]:
-    """Yield the trajectories of paths 0..n_traj-1 from x0, in path order.
+) -> Iterator[PathBlock]:
+    """Yield the paths 0..n_traj-1 from x0 in blocks of up to ``BLOCK``, in path order.
 
     Path ``pid`` equals ``simulate_path(kernel, x0, max_steps,
     path_stream(seed, pid, task_index))``, and invalid arguments raise the
@@ -111,28 +112,27 @@ def simulate_lockstep(
     if x0 < 0:
         raise ValueError("x0 must be non-negative")
     floor_n = kernel.floor_n
-    if x0 <= floor_n:
-        for _ in range(n_traj):
-            yield Trajectory(x0, (x0,), floor_n, StopReason.HIT_FLOOR, 0)
-        return
-    laws = FallLaws(kernel)
+    laws = FallLaws(kernel) if x0 > floor_n else None
     for lo in range(0, n_traj, BLOCK):
         hi = min(lo + BLOCK, n_traj)
+        if laws is None:  # every path starts in the floor
+            steps = np.zeros(hi - lo, dtype=np.int64)
+            yield PathBlock(floor_n, state_array([x0] * (hi - lo)), steps, steps.astype(bool))
+            continue
         try:
-            block = _run_block(laws, x0, floor_n, lo, hi, seed, max_steps, task_index)
+            yield _run_block(laws, x0, floor_n, lo, hi, seed, max_steps, task_index)
         except _LeavesInt64:
-            block = [
+            yield PathBlock.of([
                 simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
                 for pid in range(lo, hi)
-            ]
-        yield from block
+            ])
 
 
 def _run_block(
     laws: FallLaws, x0: int, floor_n: int, lo: int, hi: int,
     seed: int, max_steps: int, task_index: int,
-) -> list[Trajectory]:
-    """Trajectories of paths lo..hi-1, all lanes stepped together."""
+) -> PathBlock:
+    """Paths lo..hi-1, all lanes stepped together."""
     if x0 > _INT64_MAX:
         raise _LeavesInt64
     n = hi - lo
@@ -142,9 +142,9 @@ def _run_block(
     ell = np.zeros(n, dtype=np.int64)
     steps = np.empty(n, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
-    # states after each step, with the lanes they belong to
-    seen_lane: list[np.ndarray] = []
-    seen_x: list[np.ndarray] = []
+    # states at each time, with the lanes they belong to
+    seen_lane: list[np.ndarray] = [lane]
+    seen_x: list[np.ndarray] = [x]
     t = 0
     draws = np.empty((0, n))  # row j: each live lane's uniform for step t + 1 + j - row
     row = 0
@@ -172,16 +172,6 @@ def _run_block(
             steps[lane[done]] = t
             keep = ~done
             lane, x, ell, keys, draws = lane[keep], x[keep], ell[keep], keys[keep], draws[:, keep]
-    # regroup: a stable sort by lane keeps each lane's states in step order
+    # regroup: a stable sort by lane keeps each lane's states in time order
     order = np.argsort(np.concatenate(seen_lane), kind="stable")
-    states = np.concatenate(seen_x)[order].tolist()
-    out = []
-    end = 0
-    for n_steps, is_capped in zip(steps.tolist(), capped.tolist()):
-        start, end = end, end + n_steps
-        path = (x0, *states[start:end])
-        if is_capped:
-            out.append(Trajectory(x0, path, floor_n, StopReason.STEP_CAP, None))
-        else:
-            out.append(Trajectory(x0, path, floor_n, StopReason.HIT_FLOOR, n_steps))
-    return out
+    return PathBlock(floor_n, np.concatenate(seen_x)[order], steps, capped)

@@ -4,10 +4,13 @@ Each path owns a counter-based substream keyed by (seed, path index), and
 every engine runs on one thread.  The benchmark kernel's paths are stepped
 together by the lockstep engine (:mod:`markovup.lockstep`), which
 reproduces the scalar engine bit for bit; any other kernel runs on the
-scalar engine, path by path.  Every folded sample is an integer, so the
-fold keeps exact integer power sums over a histogram of values and rounds
-each reported number once: it does not depend on the order of the
-records.  Results are therefore bit-identical for a fixed seed.
+scalar engine, path by path.  Both hand over blocks of paths in one flat
+layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
+:func:`reduce_block`, turns each block into record columns with array
+operations.  Every folded sample is an integer, so the fold keeps exact
+integer power sums over a histogram of values and rounds each reported
+number once: it does not depend on the order of the records.  Results
+are therefore bit-identical for a fixed seed.
 
 Two comparison rules are used, matching how sharp each inequality is:
 
@@ -25,18 +28,19 @@ Two comparison rules are used, matching how sharp each inequality is:
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
 from scipy.special import betaincinv
 
-from . import bound_calc, path_analysis
+from . import bound_calc
 from .bound_calc import BoundSet
-from .lockstep import simulate_lockstep
+from .lockstep import BLOCK, simulate_lockstep
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .process_core import KernelContract, Trajectory, simulate_path
+from .process_core import KernelContract, PathBlock, Trajectory, simulate_path
 from .streams import path_stream
 
 __all__ = [
@@ -44,13 +48,18 @@ __all__ = [
     "AssumptionsFailError",
     "MomentEstimate",
     "PathRecord",
+    "RecordColumns",
     "RecordFold",
     "VerificationVerdict",
+    "blocks_of",
     "certify_bounds",
     "estimate_segment_moments",
     "estimate_tau_moments",
     "fold_records",
+    "records_of",
+    "reduce_block",
     "report_from_records",
+    "simulate_blocks",
     "simulate_records",
     "simulate_trajectories",
     "verify",
@@ -131,7 +140,7 @@ class VerificationVerdict:
 
 @dataclass(frozen=True, slots=True)
 class PathRecord:
-    """Per-path sufficient statistics for every verified quantity.
+    """Per-path sufficient statistics for every verified quantity; one row of :class:`RecordColumns`.
 
     ``rise_lengths`` and ``overshoots`` sample the segments where the
     process actually rose.  ``fall_lengths`` has one entry per attempt:
@@ -151,52 +160,191 @@ class PathRecord:
     overshoots: tuple[int, ...] = ()
 
 
-def record_from_trajectory(path_id: int, traj) -> PathRecord:
-    """Reduce one trajectory to the statistics the estimators need."""
-    states = traj.states
-    if not traj.tau:  # capped, or started in the floor: no attempts
-        return PathRecord(
-            path_id=path_id,
-            tau=traj.tau,
-            capped=traj.tau is None,
-            attempts=0,
-            max_state=max(states),
-            steps=len(states) - 1,
+_COLUMNS = (
+    "steps", "capped", "attempts", "max_state",
+    "rise_path", "rise_lengths", "overshoots", "fall_path", "fall_lengths",
+)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RecordColumns:
+    """The records of one start state's paths 0..n-1, as columns.
+
+    Per path: ``steps``, ``capped``, ``attempts`` and ``max_state``; a live
+    path's tau is its step count.  Per segment, grouped by path in path
+    order: ``rise_lengths`` and ``overshoots`` with each rise's path in
+    ``rise_path``, and ``fall_lengths`` with ``fall_path``, holding what
+    :class:`PathRecord` holds.  ``max_state`` and ``overshoots`` are object
+    arrays of Python ints when a state does not fit int64.  Iterating
+    gives each path's :class:`PathRecord`.
+    """
+
+    steps: np.ndarray
+    capped: np.ndarray
+    attempts: np.ndarray
+    max_state: np.ndarray
+    rise_path: np.ndarray
+    rise_lengths: np.ndarray
+    overshoots: np.ndarray
+    fall_path: np.ndarray
+    fall_lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
+
+    def __iter__(self) -> Iterator[PathRecord]:
+        n = len(self)
+        rises = _by_path(self.rise_path, n, self.rise_lengths, self.overshoots)
+        falls = _by_path(self.fall_path, n, self.fall_lengths)
+        per_path = zip(
+            self.steps.tolist(), self.capped.tolist(), self.attempts.tolist(), self.max_state.tolist()
         )
-    times = path_analysis.turning_times(states, traj.tau)
-    rises, falls = path_analysis.rises_of(times), path_analysis.falls_of(times)
-    if rises[0][1] == 0:  # a path that opens with a fall: its empty first rise is no sample
-        del rises[0]
-    return PathRecord(
-        path_id=path_id,
-        tau=traj.tau,
-        capped=False,
-        attempts=len(falls),
-        max_state=max(states),
-        steps=len(states) - 1,
-        rise_lengths=tuple(t - T for T, t in rises),
-        # the last, successful fall counts as 0
-        fall_lengths=tuple(T - t for t, T in falls[:-1]) + (0,),
-        overshoots=tuple(states[t] - states[T] for T, t in rises),
+        for pid, (steps, capped, attempts, max_state) in enumerate(per_path):
+            (rise_lengths, overshoots), (fall_lengths,) = rises[pid], falls[pid]
+            yield PathRecord(
+                pid, None if capped else steps, capped, attempts, max_state, steps,
+                rise_lengths, fall_lengths, overshoots,
+            )
+
+    @classmethod
+    def concat(cls, parts: Sequence[RecordColumns]) -> RecordColumns:
+        """The columns of consecutive runs of paths, path ids shifted to follow on."""
+        if len(parts) == 1:
+            return parts[0]
+        firsts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+
+        def joined(name: str) -> np.ndarray:
+            columns = [getattr(p, name) for p in parts]
+            if name in ("rise_path", "fall_path"):
+                columns = [c + first for c, first in zip(columns, firsts)]
+            return np.concatenate(columns)
+
+        return cls(**{name: joined(name) for name in _COLUMNS})
+
+
+def _by_path(path: np.ndarray, n: int, *columns: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """Each of paths 0..n-1's entries of columns grouped by the (sorted) path tags."""
+    bounds = np.searchsorted(path, np.arange(n + 1)).tolist()
+    lists = [c.tolist() for c in columns]
+    return [tuple(tuple(col[lo:hi]) for col in lists) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def reduce_block(block: PathBlock) -> RecordColumns:
+    """Every path's record of a block, with array operations over all its states at once.
+
+    This is the one record reducer.  A live path's turning times
+    (T_0, t_0, T_1, ..., T_i) are those of
+    :func:`~markovup.path_analysis.turning_times`: T_0 = 0, then every state
+    after which the path turns from non-decreasing to strictly down or
+    back, then tau.  A path that opens with a fall has T_0 = t_0 = 0, so
+    the times are gathered as positions, not marked in a mask that would
+    merge the two.  Rises run over [T_j, t_j] and falls over [t_{j-1}, T_j].
+
+    Raises ValueError, as :class:`Trajectory` does for one path, when a
+    state is negative, a live path does not first enter the floor at its
+    last state, or a capped path enters the floor.
+    """
+    states, steps, capped = block.states, block.steps, block.capped
+    n = steps.size
+    live = ~capped
+    ends = np.cumsum(steps + 1) - 1  # each path's last state
+    starts = ends - steps
+    if states.size != ends[-1] + 1:
+        raise ValueError(f"{states.size} states do not lay out paths of {int(steps.sum())} steps")
+    if (states < 0).any():
+        raise ValueError("states must be non-negative")
+    in_floor = states <= block.floor_n
+    entries = np.add.reduceat(in_floor, starts, dtype=np.int64)  # states in the floor, per path
+    bad = np.flatnonzero((entries != live) | (in_floor[ends] != live))
+    if bad.size:
+        p = int(bad[0])
+        if capped[p]:
+            raise ValueError(f"capped path {p} of the block enters the floor")
+        raise ValueError(f"path {p} of the block does not first enter the floor at its last state")
+
+    # step i goes from state i to state i + 1; only the steps inside live paths turn
+    down = states[1:] < states[:-1]
+    inside = np.repeat(live, steps + 1)[:-1]
+    inside[ends[:-1]] = False
+    before = np.zeros_like(down)  # is the step before down; a path starts as if rising
+    before[1:] = down[:-1]
+    before[starts[starts < down.size]] = False
+    turns = np.flatnonzero(inside & (down != before))  # t_0, T_1, t_1, ..., t_{i-1}, path by path
+    n_turns = np.bincount(np.searchsorted(ends, turns), minlength=n)
+    attempts = (n_turns + 1) // 2
+
+    split = np.flatnonzero(n_turns)  # the live paths with tau >= 1
+    size = n_turns[split] + 2  # T_0, the turns, T_i = tau
+    first = np.cumsum(size) - size
+    last = first + size - 1
+    times = np.empty(int(size.sum()), dtype=np.int64)
+    inner = np.ones(times.size, dtype=bool)
+    inner[first] = inner[last] = False
+    times[first], times[last], times[inner] = starts[split], ends[split], turns
+    owner = np.repeat(split, size)
+    odd = (np.arange(times.size) - np.repeat(first, size)) % 2 == 1  # the slots of t_j
+    rise_at = ~odd
+    rise_at[last] = False
+    r, f = np.flatnonzero(rise_at), np.flatnonzero(odd)
+    rise_lengths = times[r + 1] - times[r]
+    real = rise_lengths > 0  # the empty first rise of a path that opens with a fall is no sample
+    r = r[real]
+    fall_lengths = times[f + 1] - times[f]
+    fall_lengths[np.cumsum(attempts[split]) - 1] = 0  # the last, successful fall counts as 0
+    return RecordColumns(
+        steps=steps,
+        capped=capped,
+        attempts=attempts,
+        max_state=np.maximum.reduceat(states, starts),
+        rise_path=owner[r],
+        rise_lengths=rise_lengths[real],
+        overshoots=states[times[r + 1]] - states[times[r]],
+        fall_path=owner[f],
+        fall_lengths=fall_lengths,
     )
 
 
-def _paths(
-    kernel: KernelContract, x0: int, n_traj: int, seed: int, max_steps: int, task_index: int
-) -> Iterator[Trajectory]:
-    """Yield the trajectories of paths 0..n_traj-1 from x0, in path order.
+def record_from_trajectory(path_id: int, traj: Trajectory) -> PathRecord:
+    """The record of one path: the block reducer on a block of that path alone."""
+    (record,) = reduce_block(PathBlock.of([traj]))
+    return replace(record, path_id=path_id)
+
+
+def simulate_blocks(
+    kernel: KernelContract,
+    x0: int,
+    n_traj: int,
+    seed: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    task_index: int = 0,
+) -> Iterator[PathBlock]:
+    """Yield paths 0..n_traj-1 from x0 in blocks of up to ``BLOCK``, in path order.
 
     A :class:`BenchmarkKernel` (not a subclass, which may change the law)
-    runs on the lockstep engine; any other kernel on the scalar engine.
-    Each path's stream is keyed by its index, so both give the same paths.
+    runs on the lockstep engine; any other kernel on the scalar engine,
+    whose paths are laid out in the same blocks.  Each path's stream is
+    keyed by its index, so both give the same paths.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if type(kernel) is BenchmarkKernel:
         yield from simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
         return
-    for pid in range(n_traj):
-        yield simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
+    yield from blocks_of(
+        simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)) for pid in range(n_traj)
+    )
+
+
+def blocks_of(trajectories: Iterable[Trajectory]) -> Iterator[PathBlock]:
+    """Consecutive blocks of up to ``BLOCK`` paths, laid out from a stream of trajectories."""
+    stream = iter(trajectories)
+    while batch := list(itertools.islice(stream, BLOCK)):
+        yield PathBlock.of(batch)
 
 
 def simulate_trajectories(
@@ -208,7 +356,13 @@ def simulate_trajectories(
     task_index: int = 0,
 ) -> list[Trajectory]:
     """Simulate n_traj raw paths, returned in path-index order."""
-    return list(_paths(kernel, x0, n_traj, seed, max_steps, task_index))
+    blocks = simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
+    return [traj for block in blocks for traj in block.trajectories()]
+
+
+def records_of(blocks: Iterable[PathBlock]) -> RecordColumns:
+    """The records of one start state's paths, given in consecutive blocks, reduced block by block."""
+    return RecordColumns.concat([reduce_block(block) for block in blocks])
 
 
 def simulate_records(
@@ -218,10 +372,9 @@ def simulate_records(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     task_index: int = 0,
-) -> list[PathRecord]:
-    """Simulate n_traj paths, each reduced to its record as soon as it ends, in path-index order."""
-    paths = _paths(kernel, x0, n_traj, seed, max_steps, task_index)
-    return [record_from_trajectory(pid, traj) for pid, traj in enumerate(paths)]
+) -> RecordColumns:
+    """Simulate n_traj paths, each block reduced to its records as soon as it ends."""
+    return records_of(simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index))
 
 
 def _ratio(num: int, den: int) -> float:
@@ -232,13 +385,21 @@ def _ratio(num: int, den: int) -> float:
         return math.inf
 
 
-def _moment_estimate(quantity: str, m: int, x0: int, hist: Counter, capped: int) -> MomentEstimate:
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    """Count of each distinct value, as Python ints."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return dict(zip(distinct.tolist(), counts.tolist()))
+
+
+def _moment_estimate(
+    quantity: str, m: int, x0: int, hist: dict[int, int], capped: int
+) -> MomentEstimate:
     """Mean and standard error of v**m over a histogram of integer samples v.
 
     Both come from the exact sums S1 = sum(v**m) and S2 = sum(v**(2m)) and
     are rounded once, whatever order the samples arrived in.
     """
-    n = hist.total()
+    n = sum(hist.values())
     s1 = sum(c * v**m for v, c in hist.items())
     s2 = sum(c * v ** (2 * m) for v, c in hist.items())
     flag = None
@@ -277,34 +438,40 @@ class RecordFold:
     diagnostics: dict
 
 
-def _index_means(seqs: list[tuple[int, ...]]) -> dict:
-    """Count and mean of the j-th entry over the sequences that have one, j <= ATTEMPT_TAIL_MAX."""
+def _index_means(values: np.ndarray, path: np.ndarray, live: np.ndarray) -> dict:
+    """Count and mean of the j-th value of each live path that has one, j <= ATTEMPT_TAIL_MAX.
+
+    ``path`` tags each value with its path, in path order.
+    """
+    counts = np.bincount(path, minlength=live.size)
+    index = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)  # j - 1
     out = {}
     for j in range(1, ATTEMPT_TAIL_MAX + 1):
-        vals = [s[j - 1] for s in seqs if len(s) >= j]
-        if vals:
-            out[str(j)] = {"n": len(vals), "mean": sum(vals) / len(vals)}
+        vals = values[live[path] & (index == j - 1)]
+        if vals.size:
+            out[str(j)] = {"n": vals.size, "mean": int(vals.sum()) / vals.size}
     return out
 
 
-def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) -> RecordFold:
+def fold_records(records: RecordColumns, x0: int, m_list: Sequence[int]) -> RecordFold:
     """Fold one start state's records into estimates, attempt hits, counters and diagnostics.
 
     This is the only place records become statistics.  Each quantity's
     samples become one histogram of values, and every number is derived
-    from exact integer sums over it, so any permutation of ``records``
-    gives the same fold.  The diagnostics break the pooled samples down by
-    segment index (first rise, second rise, ...), which makes
-    index-dependent drift visible without affecting any verdict.
+    from exact integer sums over it, so any order of the paths gives the
+    same fold.  The diagnostics break the pooled samples down by segment
+    index (first rise, second rise, ...), which makes index-dependent
+    drift visible without affecting any verdict.
     """
-    live = [r for r in records if not r.capped]
-    n_live = len(live)
+    live = ~records.capped
+    n_live = int(live.sum())
     capped = len(records) - n_live
+    live_rise, live_fall = live[records.rise_path], live[records.fall_path]
     hists = {
-        "tau_m": Counter(r.tau for r in live),
-        "rise_length_m": Counter(v for r in live for v in r.rise_lengths),
-        "fall_length_m": Counter(v for r in live for v in r.fall_lengths),
-        "overshoot_m": Counter(v for r in live for v in r.overshoots),
+        "tau_m": _histogram(records.steps[live]),
+        "rise_length_m": _histogram(records.rise_lengths[live_rise]),
+        "fall_length_m": _histogram(records.fall_lengths[live_fall]),
+        "overshoot_m": _histogram(records.overshoots[live_rise]),
     }
     estimates = {
         (quantity, m): _moment_estimate(quantity, m, x0, hist, capped)
@@ -312,7 +479,7 @@ def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) 
         for quantity, hist in hists.items()
     }
     # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
-    attempt_hist = Counter(min(r.attempts, ATTEMPT_TAIL_MAX + 1) for r in live)
+    attempt_hist = _histogram(np.minimum(records.attempts[live], ATTEMPT_TAIL_MAX + 1))
     hits = tuple(
         sum(n for a, n in attempt_hist.items() if a >= i) for i in range(1, ATTEMPT_TAIL_MAX + 1)
     )
@@ -330,13 +497,13 @@ def fold_records(records: Sequence[PathRecord], x0: int, m_list: Sequence[int]) 
             flag=None if n_live >= 2 else "no-samples",
         )
     diagnostics = {
-        "rise_length_by_index": _index_means([r.rise_lengths for r in live]),
-        "fall_length_by_index": _index_means([r.fall_lengths for r in live]),
+        "rise_length_by_index": _index_means(records.rise_lengths, records.rise_path, live),
+        "fall_length_by_index": _index_means(records.fall_lengths, records.fall_path, live),
         "attempt_count_hist": {
             str(a) if a <= ATTEMPT_TAIL_MAX else f"{a}+": n for a, n in sorted(attempt_hist.items())
         },
     }
-    return RecordFold(x0, estimates, hits, n_live, capped, sum(r.steps for r in records), diagnostics)
+    return RecordFold(x0, estimates, hits, n_live, capped, int(records.steps.sum()), diagnostics)
 
 
 def _estimate_table(
@@ -460,7 +627,7 @@ class VerificationReport:
     verdicts: tuple[VerificationVerdict, ...]
     certificate: AssumptionCertificate
     bound_sets: dict[int, BoundSet]
-    records_by_x: dict[int, tuple[PathRecord, ...]]
+    records_by_x: dict[int, RecordColumns]
     folds: dict[int, RecordFold]
     warnings: tuple[str, ...] = field(default=())
 
@@ -482,7 +649,7 @@ def certify_bounds(
 
 def report_from_records(
     certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
-    records_by_x: dict[int, tuple[PathRecord, ...]], m_list: Sequence[int],
+    records_by_x: dict[int, RecordColumns], m_list: Sequence[int],
 ) -> VerificationReport:
     """Fold each start state's records once into verdicts and warnings."""
     folds = {x0: fold_records(records, x0, m_list) for x0, records in records_by_x.items()}
@@ -524,7 +691,7 @@ def verify(
         raise ValueError("n_traj must be >= 2")
     cert, bound_sets = certify_bounds(spec, m_list, eps)
     records_by_x = {
-        x0: tuple(simulate_records(kernel, x0, n_traj, seed, max_steps, task_index))
+        x0: simulate_records(kernel, x0, n_traj, seed, max_steps, task_index)
         for task_index, x0 in enumerate(x_grid)
     }
     return report_from_records(cert, bound_sets, records_by_x, m_list)

@@ -1,12 +1,13 @@
-"""Offline stopping times and the one fall/rise split of paths.
+"""Offline stopping times and the fall/rise split of one path.
 
 Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
 statistics are never biased by truncation.  ``turning_times`` splits a
-floor-hitting path into falls and rises for both ``decompose_attempts``
-and the per-path record; a fall that reaches the floor set is complete by
-definition, even though the path stops there.
+floor-hitting path into falls and rises for ``decompose_attempts``; a fall
+that reaches the floor set is complete by definition, even though the path
+stops there.  The per-path records find the same turning times for whole
+blocks of paths at once, in :func:`markovup.mc_engine.reduce_block`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Memory-window state, transition-kernel contract, and path simulation.
+"""Memory-window state, transition-kernel contract, path simulation, and the layout of many paths.
 
 A Markov-up process is Markov while it rises but, while it falls, may
 condition on the whole current strictly-decreasing run.  That run (the
@@ -8,22 +8,27 @@ two calls with equal windows must return identical step distributions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "DistributionInvalidError",
     "FallWindow",
     "KernelContract",
+    "PathBlock",
     "StepDistribution",
     "StopReason",
     "Trajectory",
     "initial_window",
     "sample_step",
     "simulate_path",
+    "state_array",
     "window_update",
 ]
 
@@ -240,6 +245,61 @@ class Trajectory:
             raise ValueError("capped trajectories have no tau")
         elif min(self.states) <= self.floor_n:
             raise ValueError("a capped path must never enter the floor")
+
+
+def state_array(states: Sequence[int]) -> np.ndarray:
+    """States as int64, or as Python ints in an object array when one does not fit int64."""
+    try:
+        return np.array(states, dtype=np.int64)
+    except OverflowError:
+        return np.array(states, dtype=object)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PathBlock:
+    """Paths in one flat layout, the form the record reducer reads.
+
+    ``states`` holds every path's states, its start state included, one
+    path after another: path i has ``steps[i] + 1`` states.  It is capped
+    iff ``capped[i]``; otherwise it first enters [0, floor_n] at its last
+    state.  The reducer checks this, as :class:`Trajectory` does per path.
+    """
+
+    floor_n: int
+    states: np.ndarray  # see state_array
+    steps: np.ndarray   # int64
+    capped: np.ndarray  # bool
+
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory]) -> PathBlock:
+        """The block of trajectories that share one floor, in their order."""
+        def states() -> Iterator[int]:
+            return itertools.chain.from_iterable(t.states for t in trajectories)
+
+        try:  # without a list of every state in between
+            flat = np.fromiter(states(), dtype=np.int64)
+        except OverflowError:
+            flat = state_array(list(states()))
+        return cls(
+            trajectories[0].floor_n,
+            flat,
+            np.array([len(t.states) - 1 for t in trajectories], dtype=np.int64),
+            np.array([t.tau is None for t in trajectories], dtype=bool),
+        )
+
+    def trajectories(self) -> list[Trajectory]:
+        """One checked :class:`Trajectory` per path, in block order."""
+        states = self.states.tolist()
+        out = []
+        end = 0
+        for n_steps, capped in zip(self.steps.tolist(), self.capped.tolist()):
+            start, end = end, end + n_steps + 1
+            path = tuple(states[start:end])
+            if capped:
+                out.append(Trajectory(path[0], path, self.floor_n, StopReason.STEP_CAP, None))
+            else:
+                out.append(Trajectory(path[0], path, self.floor_n, StopReason.HIT_FLOOR, n_steps))
+        return out
 
 
 def simulate_path(

@@ -57,6 +57,15 @@ class TestConfigValidation:
             with pytest.raises(cli.ConfigError, match=name):
                 cli.load_config(str(path))
 
+    @pytest.mark.parametrize("field", ["a", "r", "s"])
+    def test_parameter_beyond_float_range_names_field(self, tmp_path, capsys, field):
+        # a JSON integer too large for a float is out of range, not a traceback
+        path = write_config(tmp_path, **{field: 10**400})
+        assert cli.main(["certify", str(path)]) == cli.EXIT_USAGE
+        assert f"error: config field 'model.{field}': must lie strictly between 0 and 1" in (
+            capsys.readouterr().err
+        )
+
     def test_duplicate_start_rejected(self, tmp_path):
         path = write_config(tmp_path, x_grid=[6, 10, 6])
         with pytest.raises(cli.ConfigError, match="x_grid"):

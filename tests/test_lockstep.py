@@ -13,9 +13,15 @@ def _kernel(a, r, s, floor_n=5):
     return build_benchmark(BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n))
 
 
+def _lockstep(kernel, x0, n_traj, seed, max_steps, task_index):
+    """The lockstep engine's trajectories, block after block."""
+    blocks = simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
+    return [traj for block in blocks for traj in block.trajectories()]
+
+
 def _both(kernel, x0, n_traj, seed, max_steps=10**6, task_index=0):
     """(lockstep, scalar) trajectories of the same paths."""
-    lockstep = list(simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index))
+    lockstep = _lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
     scalar = [
         simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
         for pid in range(n_traj)
@@ -31,8 +37,8 @@ def test_matches_scalar_engine(benchmark_kernel, x0, n_traj, task_index):
 
 
 def test_task_index_changes_paths(benchmark_kernel):
-    a = list(simulate_lockstep(benchmark_kernel, 20, 50, 11, 10**6, 0))
-    b = list(simulate_lockstep(benchmark_kernel, 20, 50, 11, 10**6, 3))
+    a = _lockstep(benchmark_kernel, 20, 50, 11, 10**6, 0)
+    b = _lockstep(benchmark_kernel, 20, 50, 11, 10**6, 3)
     assert a != b
 
 
@@ -58,7 +64,7 @@ def test_non_default_model(a, r, s, max_steps):
 
 
 def test_non_default_model_reaches_floor():
-    lockstep = simulate_lockstep(_kernel(0.9, 0.95, 0.1), 10, 200, 5, 300, 1)
+    lockstep = _lockstep(_kernel(0.9, 0.95, 0.1), 10, 200, 5, 300, 1)
     assert any(t.stop_reason is StopReason.HIT_FLOOR for t in lockstep)
 
 

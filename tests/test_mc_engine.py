@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,23 +10,48 @@ from markovup import (
     DeterministicDownKernel,
     StopReason,
     Trajectory,
+    cli,
     estimate_segment_moments,
     estimate_tau_moments,
     make_bound_set,
+    mc_engine,
     verify,
 )
+from markovup.lockstep import BLOCK
 from markovup.mc_engine import (
     AllCappedError,
     AssumptionsFailError,
     PathRecord,
+    RecordColumns,
     binomial_lower99,
     fold_records,
     record_from_trajectory,
+    reduce_block,
     simulate_records,
     simulate_trajectories,
 )
+from markovup.process_core import PathBlock, state_array
 
 from oracles import record_oracle
+
+
+def _columns(records):
+    """The columns of per-path records, their paths numbered in the given order."""
+    rises = [(pid, v, o) for pid, r in enumerate(records) for v, o in zip(r.rise_lengths, r.overshoots)]
+    falls = [(pid, v) for pid, r in enumerate(records) for v in r.fall_lengths]
+    rise_path, rise_lengths, overshoots = zip(*rises) if rises else ((), (), ())
+    fall_path, fall_lengths = zip(*falls) if falls else ((), ())
+    return RecordColumns(
+        steps=state_array([r.steps if r.capped else r.tau for r in records]),
+        capped=np.array([r.capped for r in records], dtype=bool),
+        attempts=state_array([r.attempts for r in records]),
+        max_state=state_array([r.max_state for r in records]),
+        rise_path=state_array(rise_path),
+        rise_lengths=state_array(rise_lengths),
+        overshoots=state_array(overshoots),
+        fall_path=state_array(fall_path),
+        fall_lengths=state_array(fall_lengths),
+    )
 
 
 class TestFoldRecords:
@@ -43,7 +69,7 @@ class TestFoldRecords:
     )
 
     def test_capped_record_only_counted(self):
-        fold = fold_records(self.RECORDS, 10, [1])
+        fold = fold_records(_columns(self.RECORDS), 10, [1])
         assert (fold.capped, fold.n_live, fold.steps) == (1, 3, 132)
         assert fold.estimates[("tau_m", 1)].n_samples == 3
         assert fold.estimates[("fall_length_m", 1)].n_samples == 10
@@ -53,7 +79,7 @@ class TestFoldRecords:
         assert fold.diagnostics["rise_length_by_index"]["1"] == {"n": 2, "mean": 2.0}
 
     def test_long_attempt_run_in_top_bucket_and_every_hit(self):
-        fold = fold_records(self.RECORDS, 10, [1])
+        fold = fold_records(_columns(self.RECORDS), 10, [1])
         assert fold.hits == (3, 2, 1, 1, 1)
         assert fold.diagnostics["attempt_count_hist"] == {"1": 1, "2": 1, "6+": 1}
         assert fold.diagnostics["fall_length_by_index"]["5"] == {"n": 1, "mean": 1.0}
@@ -67,7 +93,7 @@ class TestFoldRecords:
             "fall_length_m": [v for r in live for v in r.fall_lengths],
             "overshoot_m": [v for r in live for v in r.overshoots],
         }
-        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
         for m in (1, 2, 3):
             for quantity, values in pooled.items():
                 powers = [float(v) ** m for v in values]
@@ -80,23 +106,23 @@ class TestFoldRecords:
     def test_mean_is_exact_power_sum_ratio(self):
         live = [r for r in self.RECORDS if not r.capped]
         overshoots = [v for r in live for v in r.overshoots]
-        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
         for m in (1, 2, 3):
             assert fold.estimates[("tau_m", m)].mean == sum(r.tau**m for r in live) / len(live)
             est = fold.estimates[("overshoot_m", m)]
             assert est.mean == sum(v**m for v in overshoots) / len(overshoots)
 
     def test_fold_independent_of_record_order(self):
-        fold = fold_records(self.RECORDS, 10, [1, 2, 3])
+        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
         for perm in itertools.permutations(self.RECORDS):
-            assert fold_records(perm, 10, [1, 2, 3]) == fold
+            assert fold_records(_columns(perm), 10, [1, 2, 3]) == fold
 
     def test_moment_beyond_float_range_reads_inf(self):
         records = [
             PathRecord(pid, tau=tau, capped=False, attempts=1, max_state=6, steps=1, fall_lengths=(0,))
             for pid, tau in enumerate((0, 10**160))
         ]
-        est = fold_records(records, 6, [1]).estimates[("tau_m", 1)]
+        est = fold_records(_columns(records), 6, [1]).estimates[("tau_m", 1)]
         assert est.mean == 5e159
         assert est.std_error == math.inf
 
@@ -142,6 +168,95 @@ class TestRecordFromTrajectory:
 
     def test_deterministic_down_path(self):
         self.check(simulate_trajectories(DeterministicDownKernel(floor_n=5), 12, 2, seed=0))
+
+
+class TestBlockReducer:
+    """reduce_block on whole blocks equals the literal-definition reducer path by path."""
+
+    @staticmethod
+    def check(trajectories, records):
+        records = list(records)
+        assert len(records) == len(trajectories)
+        for pid, (traj, record) in enumerate(zip(trajectories, records)):
+            want = record_oracle(traj.states, traj.floor_n)
+            assert {name: getattr(record, name) for name in want} == want, traj.states
+            assert record.path_id == pid
+
+    def test_hand_built_block(self):
+        # a capped path in the middle, a start in the floor, falls from the first step
+        # and flat steps (up-jumps of 0), all in one block
+        hand_built = TestRecordFromTrajectory.HAND_BUILT
+        trajectories = [
+            hand_built["opens with a fall"],
+            hand_built["opens with a flat step"],
+            hand_built["capped"],
+            _hit(9, 8, 8, 7, 5),  # a flat step ends a fall
+            hand_built["tau = 0"],
+            hand_built["flat step mid-rise"],
+            _hit(6, 5),  # one fall, from the first step into the floor
+            hand_built["down-steps larger than 1"],
+            hand_built["opens with a rise"],
+        ]
+        block = PathBlock.of(trajectories)
+        assert block.states.dtype == np.int64
+        self.check(trajectories, reduce_block(block))
+        assert block.trajectories() == trajectories
+
+    def test_start_in_floor(self, benchmark_kernel):
+        self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
+
+    def test_path_ids_offset_across_blocks(self, benchmark_kernel):
+        n = BLOCK + 300
+        records = simulate_records(benchmark_kernel, 7, n, seed=8)
+        assert records.rise_path[-1] >= BLOCK and records.fall_path[-1] == n - 1
+        self.check(simulate_trajectories(benchmark_kernel, 7, n, seed=8), records)
+
+    def test_capped_paths_mid_block(self, benchmark_kernel):
+        trajectories = simulate_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
+        assert trajectories[0].tau is not None and any(t.tau is None for t in trajectories)
+        self.check(trajectories, simulate_records(benchmark_kernel, 20, 300, seed=13, max_steps=30))
+
+    def test_states_beyond_int64_as_python_ints(self):
+        big = 2**63
+        trajectories = [
+            _hit(big, big - 1, big + 5, big + 5, big + 2**70, 3),
+            Trajectory(big + 1, (big + 1, big, big + 9), 5, StopReason.STEP_CAP, None),
+            _hit(7, 6, 8, 5),
+        ]
+        block = PathBlock.of(trajectories)
+        assert block.states.dtype == object
+        self.check(trajectories, reduce_block(block))
+
+    def test_start_beyond_int64_through_scalar_fallback(self, benchmark_kernel):
+        # the lockstep engine re-runs such a block on the scalar engine
+        records = simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40)
+        self.check(simulate_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), records)
+        assert records.max_state.dtype == object
+
+    def test_columns_iterate_as_records(self):
+        records = TestFoldRecords.RECORDS
+        assert list(_columns(records)) == list(records)
+        assert _columns(records) == _columns(records)
+        assert _columns(records) != _columns(records[:3])
+
+    @pytest.mark.parametrize("fault, message", [
+        ("negative state", "non-negative"),
+        ("early floor entry", "first enter the floor at its last state"),
+        ("capped path in the floor", "capped path"),
+    ])
+    def test_corrupted_block_raises(self, benchmark_kernel, fault, message):
+        block = next(mc_engine.simulate_blocks(benchmark_kernel, 20, 200, seed=13, max_steps=30))
+        ends = np.cumsum(block.steps + 1) - 1
+        if fault == "capped path in the floor":
+            pid = int(np.flatnonzero(block.capped)[0])
+        else:
+            pid = int(np.flatnonzero(~block.capped & (block.steps >= 2))[0])
+        state = ends[pid] - 1  # the state before the path's last
+        states = block.states.copy()
+        states[state] = -1 if fault == "negative state" else block.floor_n
+        reduce_block(block)
+        with pytest.raises(ValueError, match=message):
+            reduce_block(replace(block, states=states))
 
 
 class TestDeterministicDynamics:
@@ -294,6 +409,24 @@ class TestVerify:
     def test_repeated_moment_order_rejected(self, benchmark_kernel, benchmark_spec):
         with pytest.raises(ValueError, match="m_list"):
             verify(benchmark_kernel, benchmark_spec, x_grid=[6], m_list=[1, 1], n_traj=10, seed=0)
+
+    def test_same_report_from_both_engines(
+        self, benchmark_kernel, scalar_benchmark_kernel, benchmark_spec, tmp_path
+    ):
+        # the subclass takes the scalar engine; both engines' paths go through one reducer
+        reports, paths_csv = [], []
+        for name, kernel in (("lockstep", benchmark_kernel), ("scalar", scalar_benchmark_kernel)):
+            reports.append(verify(
+                kernel, benchmark_spec, x_grid=[5, 6, 20], m_list=[1, 2], n_traj=BLOCK + 100, seed=17,
+                max_steps=60,
+            ))
+            cli.write_paths_csv(str(tmp_path / name), reports[-1].records_by_x)
+            paths_csv.append((tmp_path / name).read_bytes())
+        lockstep, scalar = reports
+        assert lockstep.folds == scalar.folds
+        assert lockstep.records_by_x == scalar.records_by_x
+        assert paths_csv[0] == paths_csv[1]
+        assert lockstep.folds[20].capped and lockstep.folds[20].n_live
 
     def test_capped_paths_block_verdicts(self, benchmark_kernel, benchmark_spec):
         report = verify(
