@@ -22,6 +22,7 @@ __all__ = [
     "DualBound",
     "InvalidQError",
     "SeriesValue",
+    "StartRangeError",
     "TheoremBound",
     "fall_length_bound",
     "jump_moment",
@@ -41,6 +42,10 @@ class InvalidQError(ValueError):
 
 class BoundRangeError(ValueError):
     """A certified constant too large to represent as a float (the moment order is too high)."""
+
+
+class StartRangeError(BoundRangeError):
+    """The theorem bound at a start state leaves float range, though its constants do not."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,7 +315,9 @@ class TheoremBound:
 def theorem_bound(m: int, x: int, bounds: BoundSet) -> TheoremBound:
     """Evaluate the polynomial moment bound E_x tau**m <= C1 * (C2 + x**m).
 
-    Raises BoundRangeError when the bound leaves float range.
+    Raises BoundRangeError when the bound leaves float range; at x > 0, where
+    a bound set from :func:`make_bound_set` is finite at x = 0, that is the
+    start state's doing and the error is a StartRangeError.
     """
     if m != bounds.m:
         raise ValueError(f"bound set was built for m={bounds.m}, got m={m}")
@@ -329,5 +336,6 @@ def theorem_bound(m: int, x: int, bounds: BoundSet) -> TheoremBound:
     # factor on the overshoot constant.
     termwise = c1 * (x_m + (core + bounds.overshoot.upper) * s)
     if not math.isfinite(termwise):
-        raise BoundRangeError(f"theorem bound for m={m} at x={x} leaves float range")
+        error = StartRangeError if x else BoundRangeError
+        raise error(f"theorem bound for m={m} at x={x} leaves float range")
     return TheoremBound(display=display, termwise=termwise, c1=c1, c2=bounds.c2)

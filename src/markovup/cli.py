@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import bound_calc, mc_engine
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
-from .process_core import StopReason, Trajectory
+from .process_core import PathBlock, StopReason, Trajectory
 from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
@@ -196,13 +196,15 @@ def load_config(
     data: Any = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer with more digits than int() converts
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data.update((k, v) for k, v in (("seed", seed), ("threads", threads)) if v is not None)
     return parse_config(data)
@@ -287,23 +289,23 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
         writer.writerows(rows)
 
 
-def write_trajectories_csv(path: str, trajectories: list[tuple[int, int, Trajectory]]) -> None:
-    """Dump raw state sequences: one row per path, states space-separated."""
+def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -> None:
+    """Dump each start state's blocks of paths: one row per path, states space-separated."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x0", "path_id", "tau", "floor_n", "states"])
-        for x0, pid, traj in trajectories:
-            writer.writerow([
-                x0, pid,
-                "" if traj.tau is None else traj.tau,
-                traj.floor_n,
-                " ".join(str(s) for s in traj.states),
-            ])
+        for x0, blocks in blocks_by_x.items():
+            paths = ((block.floor_n, *path) for block in blocks for path in block.paths())
+            writer.writerows(
+                [x0, pid, "" if capped else steps, floor_n, " ".join(map(str, states))]
+                for pid, (floor_n, states, steps, capped) in enumerate(paths)
+            )
 
 
 def read_trajectories_csv(path: str) -> list[tuple[int, int, Trajectory]]:
     """Parse a trajectory dump; an unreadable file or a malformed row raises ConfigError."""
     out = []
+    limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh, restval="")
@@ -323,6 +325,8 @@ def read_trajectories_csv(path: str) -> list[tuple[int, int, Trajectory]]:
                     raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
+    finally:
+        csv.field_size_limit(limit)
     return out
 
 
@@ -352,19 +356,17 @@ def cmd_bounds(config: ExperimentConfig, out: Optional[str]) -> int:
 def cmd_simulate(config: ExperimentConfig) -> int:
     kernel = build_benchmark(config.model_spec())
     records_by_x: dict[int, mc_engine.RecordColumns] = {}
-    trajectories: list[tuple[int, int, Trajectory]] = []
+    blocks_by_x: dict[int, list[PathBlock]] = {}
     for task_index, x0 in enumerate(config.x_grid):
         blocks = mc_engine.simulate_blocks(
             kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
         )
         if config.trajectories_csv is not None:
-            blocks = list(blocks)
-            trajs = (traj for block in blocks for traj in block.trajectories())
-            trajectories.extend((x0, pid, traj) for pid, traj in enumerate(trajs))
+            blocks = blocks_by_x[x0] = list(blocks)
         records_by_x[x0] = mc_engine.records_of(blocks)
     write_paths_csv(config.paths_csv, records_by_x)
     if config.trajectories_csv is not None:
-        write_trajectories_csv(config.trajectories_csv, trajectories)
+        write_trajectories_csv(config.trajectories_csv, blocks_by_x)
     print(f"wrote {config.paths_csv}", file=sys.stderr)
     return EXIT_OK
 
@@ -427,7 +429,9 @@ def cmd_report(config: ExperimentConfig) -> int:
     """Recompute estimates and verdicts from a previous trajectory dump."""
     if config.trajectories_csv is None:
         raise ConfigError("config field 'output.trajectories_csv': required by the report command")
-    cert, bound_sets = mc_engine.certify_bounds(config.model_spec(), config.m_list, config.epsilon)
+    cert, bound_sets = mc_engine.certify_bounds(
+        config.model_spec(), config.m_list, config.x_grid, config.epsilon
+    )
     records_by_x = _records_from_dump(config, read_trajectories_csv(config.trajectories_csv))
     report = mc_engine.report_from_records(cert, bound_sets, records_by_x, config.m_list)
     _dump_json(build_report(config, report), config.report_json)
@@ -441,6 +445,8 @@ def _guarded(command: Callable[[], int]) -> int:
         return command()
     except (ConfigError, mc_engine.AssumptionsFailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except bound_calc.StartRangeError as exc:
+        print(f"error: config field 'x_grid': start state too large: {exc}", file=sys.stderr)
     except bound_calc.BoundRangeError as exc:
         print(f"error: config field 'm_list': moment order too large: {exc}", file=sys.stderr)
     return EXIT_USAGE

@@ -6,7 +6,8 @@ together by the lockstep engine (:mod:`markovup.lockstep`), which
 reproduces the scalar engine bit for bit; any other kernel runs on the
 scalar engine, path by path.  Both hand over blocks of paths in one flat
 layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
-:func:`reduce_block`, turns each block into record columns with array
+:func:`reduce_block`, turns each block into record columns
+(:class:`RecordColumns`, the only form a record takes) with array
 operations.  Every folded sample is an integer, so the fold keeps exact
 integer power sums over a histogram of values and rounds each reported
 number once: it does not depend on the order of the records.  Results
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "AllCappedError",
     "AssumptionsFailError",
     "MomentEstimate",
-    "PathRecord",
     "RecordColumns",
     "RecordFold",
     "VerificationVerdict",
@@ -138,28 +138,6 @@ class VerificationVerdict:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class PathRecord:
-    """Per-path sufficient statistics for every verified quantity; one row of :class:`RecordColumns`.
-
-    ``rise_lengths`` and ``overshoots`` sample the segments where the
-    process actually rose.  ``fall_lengths`` has one entry per attempt:
-    the fall length for unsuccessful attempts and 0 for the successful
-    one, mirroring the indicator in the fall-length moment bound (falls
-    that reach the floor do not count toward it).
-    """
-
-    path_id: int
-    tau: Optional[int]
-    capped: bool
-    attempts: int
-    max_state: int
-    steps: int
-    rise_lengths: tuple[int, ...] = ()
-    fall_lengths: tuple[int, ...] = ()
-    overshoots: tuple[int, ...] = ()
-
-
 _COLUMNS = (
     "steps", "capped", "attempts", "max_state",
     "rise_path", "rise_lengths", "overshoots", "fall_path", "fall_lengths",
@@ -168,15 +146,18 @@ _COLUMNS = (
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RecordColumns:
-    """The records of one start state's paths 0..n-1, as columns.
+    """The records of one start state's paths 0..n-1, as columns: the only form a record takes.
 
     Per path: ``steps``, ``capped``, ``attempts`` and ``max_state``; a live
     path's tau is its step count.  Per segment, grouped by path in path
     order: ``rise_lengths`` and ``overshoots`` with each rise's path in
-    ``rise_path``, and ``fall_lengths`` with ``fall_path``, holding what
-    :class:`PathRecord` holds.  ``max_state`` and ``overshoots`` are object
-    arrays of Python ints when a state does not fit int64.  Iterating
-    gives each path's :class:`PathRecord`.
+    ``rise_path``, and ``fall_lengths`` with ``fall_path``.  Rise lengths
+    and overshoots sample the segments where the process actually rose.
+    Fall lengths have one entry per attempt: the fall length for an
+    unsuccessful attempt and 0 for the successful one, mirroring the
+    indicator in the fall-length moment bound.  ``max_state`` and
+    ``overshoots`` are object arrays of Python ints when a state does not
+    fit int64.
     """
 
     steps: np.ndarray
@@ -197,20 +178,6 @@ class RecordColumns:
             return NotImplemented
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
 
-    def __iter__(self) -> Iterator[PathRecord]:
-        n = len(self)
-        rises = _by_path(self.rise_path, n, self.rise_lengths, self.overshoots)
-        falls = _by_path(self.fall_path, n, self.fall_lengths)
-        per_path = zip(
-            self.steps.tolist(), self.capped.tolist(), self.attempts.tolist(), self.max_state.tolist()
-        )
-        for pid, (steps, capped, attempts, max_state) in enumerate(per_path):
-            (rise_lengths, overshoots), (fall_lengths,) = rises[pid], falls[pid]
-            yield PathRecord(
-                pid, None if capped else steps, capped, attempts, max_state, steps,
-                rise_lengths, fall_lengths, overshoots,
-            )
-
     @classmethod
     def concat(cls, parts: Sequence[RecordColumns]) -> RecordColumns:
         """The columns of consecutive runs of paths, path ids shifted to follow on."""
@@ -225,13 +192,6 @@ class RecordColumns:
             return np.concatenate(columns)
 
         return cls(**{name: joined(name) for name in _COLUMNS})
-
-
-def _by_path(path: np.ndarray, n: int, *columns: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    """Each of paths 0..n-1's entries of columns grouped by the (sorted) path tags."""
-    bounds = np.searchsorted(path, np.arange(n + 1)).tolist()
-    lists = [c.tolist() for c in columns]
-    return [tuple(tuple(col[lo:hi]) for col in lists) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def reduce_block(block: PathBlock) -> RecordColumns:
@@ -307,12 +267,6 @@ def reduce_block(block: PathBlock) -> RecordColumns:
         fall_path=owner[f],
         fall_lengths=fall_lengths,
     )
-
-
-def record_from_trajectory(path_id: int, traj: Trajectory) -> PathRecord:
-    """The record of one path: the block reducer on a block of that path alone."""
-    (record,) = reduce_block(PathBlock.of([traj]))
-    return replace(record, path_id=path_id)
 
 
 def simulate_blocks(
@@ -637,13 +591,21 @@ class VerificationReport:
 
 
 def certify_bounds(
-    spec: BenchmarkModelSpec, m_list: Sequence[int], eps: float = bound_calc.DEFAULT_EPS
+    spec: BenchmarkModelSpec, m_list: Sequence[int], x_grid: Sequence[int],
+    eps: float = bound_calc.DEFAULT_EPS,
 ) -> tuple[AssumptionCertificate, dict[int, BoundSet]]:
-    """Certify the model, or raise AssumptionsFailError, and build each order's bound set."""
+    """Certify the model, or raise AssumptionsFailError, and build each order's bound set.
+
+    Every start state's theorem bound is evaluated here, so a start beyond
+    float range raises StartRangeError before any path is simulated.
+    """
     cert = certify(spec, m_max=max(m_list))
     if not cert.theorem_ready:
         raise AssumptionsFailError("model certificate does not satisfy the required assumptions")
     bound_sets = {m: bound_calc.make_bound_set(m, spec.kappa, spec.up_jump_s, eps) for m in m_list}
+    for x0 in x_grid:
+        for m, bset in bound_sets.items():
+            bound_calc.theorem_bound(m, x0, bset)
     return cert, bound_sets
 
 
@@ -689,7 +651,7 @@ def verify(
         raise ValueError("m_list entries must be distinct")
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    cert, bound_sets = certify_bounds(spec, m_list, eps)
+    cert, bound_sets = certify_bounds(spec, m_list, x_grid, eps)
     records_by_x = {
         x0: simulate_records(kernel, x0, n_traj, seed, max_steps, task_index)
         for task_index, x0 in enumerate(x_grid)

@@ -287,19 +287,23 @@ class PathBlock:
             np.array([t.tau is None for t in trajectories], dtype=bool),
         )
 
-    def trajectories(self) -> list[Trajectory]:
-        """One checked :class:`Trajectory` per path, in block order."""
+    def paths(self) -> Iterator[tuple[list[int], int, bool]]:
+        """Each path's states as Python ints, its step count and its capped flag, in block order."""
         states = self.states.tolist()
-        out = []
         end = 0
         for n_steps, capped in zip(self.steps.tolist(), self.capped.tolist()):
             start, end = end, end + n_steps + 1
-            path = tuple(states[start:end])
-            if capped:
-                out.append(Trajectory(path[0], path, self.floor_n, StopReason.STEP_CAP, None))
-            else:
-                out.append(Trajectory(path[0], path, self.floor_n, StopReason.HIT_FLOOR, n_steps))
-        return out
+            yield states[start:end], n_steps, capped
+
+    def trajectories(self) -> list[Trajectory]:
+        """One checked :class:`Trajectory` per path, in block order."""
+        return [
+            Trajectory(
+                path[0], tuple(path), self.floor_n,
+                StopReason.STEP_CAP if capped else StopReason.HIT_FLOOR, None if capped else n_steps,
+            )
+            for path, n_steps, capped in self.paths()
+        ]
 
 
 def simulate_path(

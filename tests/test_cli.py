@@ -5,6 +5,7 @@ import math
 import pytest
 
 from markovup import cli, mc_engine, model_zoo, tau_of
+from markovup.lockstep import BLOCK
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -88,9 +89,19 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="floor"):
             cli.load_config(str(path))
 
-    def test_missing_file(self):
+    def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(cli.ConfigError, match="no/such/file"):
             cli.load_config("no/such/file.json")
+        # files that exist but hold no JSON document: a byte that is not UTF-8, and an
+        # integer of more digits than int() converts
+        for name, content in (
+            ("latin1.json", b'{"seed": 7}\xff'), ("digits.json", b'{"seed": ' + b"7" * 5000 + b"}"),
+        ):
+            path = tmp_path / name
+            path.write_bytes(content)
+            assert cli.main(["certify", str(path)]) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(path) in err
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, r=1.5)
@@ -186,21 +197,27 @@ class TestSubcommands:
 class TestTrajectoryRoundTrip:
     def test_dump_and_report(self, tmp_path):
         traj_csv = str(tmp_path / "trajectories.csv")
-        path = write_config(tmp_path, output_trajectories_csv=traj_csv)
-        assert cli.main(["simulate", str(path)]) == 0
-        dumped = cli.read_trajectories_csv(traj_csv)
-        assert len(dumped) == 2 * 400
-        for x0, pid, traj in dumped:
-            assert tau_of(traj.states, traj.floor_n) == traj.tau
-        # report rebuilds verdicts from the dump alone
-        code = cli.main(["report", str(path)])
-        assert code == cli.EXIT_OK
-        replayed = (tmp_path / "report.json").read_bytes()
-        report = json.loads(replayed)
-        assert all(v["passed"] for v in report["verdicts"])
-        # and rebuilds exactly what verify reports for the same config
-        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
-        assert (tmp_path / "report.json").read_bytes() == replayed
+        # the second config's paths span two blocks; the third's, from 2**63, are laid
+        # out in object-array blocks and end capped
+        for overrides, n_rows, code in (
+            ({}, 2 * 400, cli.EXIT_OK),
+            ({"x_grid": [6], "n_traj": BLOCK + 100}, BLOCK + 100, cli.EXIT_OK),
+            ({"x_grid": [2**63, 6], "n_traj": 3, "max_steps": 50}, 2 * 3, cli.EXIT_VERDICT_FAIL),
+        ):
+            path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
+            assert cli.main(["simulate", str(path)]) == 0
+            dumped = cli.read_trajectories_csv(traj_csv)
+            assert len(dumped) == n_rows
+            for x0, pid, traj in dumped:
+                assert tau_of(traj.states, traj.floor_n) == traj.tau
+            # report rebuilds verdicts from the dump alone
+            assert cli.main(["report", str(path)]) == code
+            replayed = (tmp_path / "report.json").read_bytes()
+            report = json.loads(replayed)
+            assert all(v["passed"] for v in report["verdicts"]) == (code == cli.EXIT_OK)
+            # and rebuilds exactly what verify reports for the same config
+            assert cli.main(["verify", str(path)]) == code
+            assert (tmp_path / "report.json").read_bytes() == replayed
 
     def test_dump_independent_of_threads(self, tmp_path):
         traj_csv = tmp_path / "trajectories.csv"
@@ -316,6 +333,21 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "output.trajectories_csv" in capsys.readouterr().err
 
+    def test_report_reads_paths_longer_than_csv_field_limit(self, tmp_path):
+        # two pure falls from 30,000, each a states cell longer than csv's default field limit
+        states = " ".join(map(str, range(30_000, 4, -1)))
+        traj_csv = tmp_path / "trajectories.csv"
+        traj_csv.write_text(
+            "x0,path_id,tau,floor_n,states\n" + "".join(f"30000,{pid},29995,5,{states}\n" for pid in (0, 1))
+        )
+        path = write_config(tmp_path, x_grid=[30_000], n_traj=2, output_trajectories_csv=str(traj_csv))
+        limit = csv.field_size_limit()
+        assert len(states) > limit
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        assert csv.field_size_limit() == limit  # the process-wide setting is put back
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["timing"]["steps_simulated"] == 2 * 29_995
+
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
@@ -350,6 +382,18 @@ def test_moment_order_beyond_float_range_exit_usage(tmp_path, capsys, command, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'m_list'" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_start_beyond_float_range_names_x_grid(tmp_path, monkeypatch, capsys, command):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(mc_engine, "simulate_blocks", no_paths)
+    path = write_config(tmp_path, x_grid=[10**400], m_list=[1], n_traj=2, max_steps=5)
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'x_grid'") and f"x={10**400}" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

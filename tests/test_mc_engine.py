@@ -21,11 +21,9 @@ from markovup.lockstep import BLOCK
 from markovup.mc_engine import (
     AllCappedError,
     AssumptionsFailError,
-    PathRecord,
     RecordColumns,
     binomial_lower99,
     fold_records,
-    record_from_trajectory,
     reduce_block,
     simulate_records,
     simulate_trajectories,
@@ -35,17 +33,51 @@ from markovup.process_core import PathBlock, state_array
 from oracles import record_oracle
 
 
+def _record(steps, capped, attempts, max_state, rise_lengths=(), fall_lengths=(), overshoots=()):
+    """One path's record as a dict shaped like record_oracle's."""
+    return {
+        "tau": None if capped else steps, "capped": capped, "attempts": attempts,
+        "max_state": max_state, "steps": steps, "rise_lengths": rise_lengths,
+        "fall_lengths": fall_lengths, "overshoots": overshoots,
+    }
+
+
+def _per_path(records):
+    """Each path's record read back from the columns, whose segments must run in path order."""
+    segments = {}
+    for name, path in (
+        ("rise_lengths", records.rise_path), ("overshoots", records.rise_path),
+        ("fall_lengths", records.fall_path),
+    ):
+        tags = path.tolist()
+        assert tags == sorted(tags) and all(0 <= t < len(records) for t in tags)
+        by_path = [[] for _ in range(len(records))]
+        for pid, value in zip(tags, getattr(records, name).tolist()):
+            by_path[pid].append(value)
+        segments[name] = by_path
+    per_path = zip(
+        records.steps.tolist(), records.capped.tolist(),
+        records.attempts.tolist(), records.max_state.tolist(),
+    )
+    return [
+        _record(*fields, **{name: tuple(by_path[pid]) for name, by_path in segments.items()})
+        for pid, fields in enumerate(per_path)
+    ]
+
+
 def _columns(records):
     """The columns of per-path records, their paths numbered in the given order."""
-    rises = [(pid, v, o) for pid, r in enumerate(records) for v, o in zip(r.rise_lengths, r.overshoots)]
-    falls = [(pid, v) for pid, r in enumerate(records) for v in r.fall_lengths]
+    rises = [
+        (pid, v, o) for pid, r in enumerate(records) for v, o in zip(r["rise_lengths"], r["overshoots"])
+    ]
+    falls = [(pid, v) for pid, r in enumerate(records) for v in r["fall_lengths"]]
     rise_path, rise_lengths, overshoots = zip(*rises) if rises else ((), (), ())
     fall_path, fall_lengths = zip(*falls) if falls else ((), ())
     return RecordColumns(
-        steps=state_array([r.steps if r.capped else r.tau for r in records]),
-        capped=np.array([r.capped for r in records], dtype=bool),
-        attempts=state_array([r.attempts for r in records]),
-        max_state=state_array([r.max_state for r in records]),
+        steps=state_array([r["steps"] for r in records]),
+        capped=np.array([r["capped"] for r in records], dtype=bool),
+        attempts=state_array([r["attempts"] for r in records]),
+        max_state=state_array([r["max_state"] for r in records]),
         rise_path=state_array(rise_path),
         rise_lengths=state_array(rise_lengths),
         overshoots=state_array(overshoots),
@@ -56,16 +88,16 @@ def _columns(records):
 
 class TestFoldRecords:
     RECORDS = (
-        PathRecord(0, tau=3, capped=False, attempts=1, max_state=8, steps=3,
-                   rise_lengths=(), fall_lengths=(0,), overshoots=()),
+        _record(3, capped=False, attempts=1, max_state=8,
+                rise_lengths=(), fall_lengths=(0,), overshoots=()),
         # capped, with segment samples that must not reach any statistic
-        PathRecord(1, tau=None, capped=True, attempts=3, max_state=40, steps=100,
-                   rise_lengths=(50,), fall_lengths=(50, 50, 50), overshoots=(50,)),
-        PathRecord(2, tau=20, capped=False, attempts=7, max_state=15, steps=20,
-                   rise_lengths=(2, 1, 3, 1, 2, 4, 1), fall_lengths=(1, 2, 1, 3, 1, 2, 0),
-                   overshoots=(3, 1, 4, 1, 5, 9, 2)),
-        PathRecord(3, tau=9, capped=False, attempts=2, max_state=12, steps=9,
-                   rise_lengths=(2,), fall_lengths=(2, 0), overshoots=(5,)),
+        _record(100, capped=True, attempts=3, max_state=40,
+                rise_lengths=(50,), fall_lengths=(50, 50, 50), overshoots=(50,)),
+        _record(20, capped=False, attempts=7, max_state=15,
+                rise_lengths=(2, 1, 3, 1, 2, 4, 1), fall_lengths=(1, 2, 1, 3, 1, 2, 0),
+                overshoots=(3, 1, 4, 1, 5, 9, 2)),
+        _record(9, capped=False, attempts=2, max_state=12,
+                rise_lengths=(2,), fall_lengths=(2, 0), overshoots=(5,)),
     )
 
     def test_capped_record_only_counted(self):
@@ -86,12 +118,12 @@ class TestFoldRecords:
         assert "6" not in fold.diagnostics["fall_length_by_index"]
 
     def test_estimates_match_two_pass(self):
-        live = [r for r in self.RECORDS if not r.capped]
+        live = [r for r in self.RECORDS if not r["capped"]]
         pooled = {
-            "tau_m": [r.tau for r in live],
-            "rise_length_m": [v for r in live for v in r.rise_lengths],
-            "fall_length_m": [v for r in live for v in r.fall_lengths],
-            "overshoot_m": [v for r in live for v in r.overshoots],
+            "tau_m": [r["tau"] for r in live],
+            "rise_length_m": [v for r in live for v in r["rise_lengths"]],
+            "fall_length_m": [v for r in live for v in r["fall_lengths"]],
+            "overshoot_m": [v for r in live for v in r["overshoots"]],
         }
         fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
         for m in (1, 2, 3):
@@ -104,11 +136,11 @@ class TestFoldRecords:
                 assert est.std_error == pytest.approx(se, rel=1e-12)
 
     def test_mean_is_exact_power_sum_ratio(self):
-        live = [r for r in self.RECORDS if not r.capped]
-        overshoots = [v for r in live for v in r.overshoots]
+        live = [r for r in self.RECORDS if not r["capped"]]
+        overshoots = [v for r in live for v in r["overshoots"]]
         fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
         for m in (1, 2, 3):
-            assert fold.estimates[("tau_m", m)].mean == sum(r.tau**m for r in live) / len(live)
+            assert fold.estimates[("tau_m", m)].mean == sum(r["tau"]**m for r in live) / len(live)
             est = fold.estimates[("overshoot_m", m)]
             assert est.mean == sum(v**m for v in overshoots) / len(overshoots)
 
@@ -119,8 +151,7 @@ class TestFoldRecords:
 
     def test_moment_beyond_float_range_reads_inf(self):
         records = [
-            PathRecord(pid, tau=tau, capped=False, attempts=1, max_state=6, steps=1, fall_lengths=(0,))
-            for pid, tau in enumerate((0, 10**160))
+            _record(tau, capped=False, attempts=1, max_state=6, fall_lengths=(0,)) for tau in (0, 10**160)
         ]
         est = fold_records(_columns(records), 6, [1]).estimates[("tau_m", 1)]
         assert est.mean == 5e159
@@ -132,7 +163,7 @@ def _hit(*states, floor_n=5):
 
 
 class TestRecordFromTrajectory:
-    """Each record equals the literal-definition reducer, field by field."""
+    """Each path, reduced as a block of that path alone, equals the literal-definition reducer."""
 
     HAND_BUILT = {
         "opens with a fall": _hit(8, 7, 9, 10, 8, 7, 6, 5),
@@ -146,12 +177,9 @@ class TestRecordFromTrajectory:
 
     @staticmethod
     def check(trajectories):
-        for pid, traj in enumerate(trajectories):
-            record = record_from_trajectory(pid, traj)
-            want = record_oracle(traj.states, traj.floor_n)
-            got = {name: getattr(record, name) for name in want}
-            assert got == want, traj.states
-            assert record.path_id == pid
+        for traj in trajectories:
+            (record,) = _per_path(reduce_block(PathBlock.of([traj])))
+            assert record == record_oracle(traj.states, traj.floor_n), traj.states
 
     @pytest.mark.parametrize("case", HAND_BUILT)
     def test_hand_built(self, case):
@@ -175,12 +203,10 @@ class TestBlockReducer:
 
     @staticmethod
     def check(trajectories, records):
-        records = list(records)
+        records = _per_path(records)
         assert len(records) == len(trajectories)
-        for pid, (traj, record) in enumerate(zip(trajectories, records)):
-            want = record_oracle(traj.states, traj.floor_n)
-            assert {name: getattr(record, name) for name in want} == want, traj.states
-            assert record.path_id == pid
+        for traj, record in zip(trajectories, records):
+            assert record == record_oracle(traj.states, traj.floor_n), traj.states
 
     def test_hand_built_block(self):
         # a capped path in the middle, a start in the floor, falls from the first step
@@ -233,9 +259,9 @@ class TestBlockReducer:
         self.check(simulate_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), records)
         assert records.max_state.dtype == object
 
-    def test_columns_iterate_as_records(self):
+    def test_columns_read_back_per_path(self):
         records = TestFoldRecords.RECORDS
-        assert list(_columns(records)) == list(records)
+        assert _per_path(_columns(records)) == list(records)
         assert _columns(records) == _columns(records)
         assert _columns(records) != _columns(records[:3])
 
@@ -324,15 +350,15 @@ class TestSegmentMoments:
                 assert est.mean <= bound + 3 * est.std_error, (m, est.quantity)
 
     def test_segment_sample_structure(self, benchmark_kernel):
-        records = simulate_records(benchmark_kernel, 10, 2000, seed=3)
+        records = _per_path(simulate_records(benchmark_kernel, 10, 2000, seed=3))
         # rises are actual rises; overshoots pair with them one to one
-        assert all(v >= 1 for r in records for v in r.rise_lengths)
-        assert all(len(r.rise_lengths) == len(r.overshoots) for r in records)
+        assert all(v >= 1 for r in records for v in r["rise_lengths"])
+        assert all(len(r["rise_lengths"]) == len(r["overshoots"]) for r in records)
         for r in records:
             # one fall sample per attempt; exactly the successful one is zero
-            assert len(r.fall_lengths) == r.attempts
-            assert sum(1 for v in r.fall_lengths if v == 0) == 1
-            assert r.fall_lengths[-1] == 0
+            assert len(r["fall_lengths"]) == r["attempts"]
+            assert sum(1 for v in r["fall_lengths"] if v == 0) == 1
+            assert r["fall_lengths"][-1] == 0
 
 
 class TestBinomialTest:
