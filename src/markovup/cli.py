@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from . import bound_calc, mc_engine
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
-from .process_core import PathBlock, StopReason, Trajectory
+from .process_core import PathBlock, state_array
 from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
@@ -289,11 +291,17 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
         writer.writerows(rows)
 
 
+_DUMP_COLUMNS = ("x0", "path_id", "tau", "floor_n", "states")
+# states text parsed at a time, which bounds the tokens held as strings
+_CHUNK_CHARS = 1 << 16
+_MAX_DIGITS = 18  # an integer of up to this many digits fits int64
+
+
 def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -> None:
     """Dump each start state's blocks of paths: one row per path, states space-separated."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x0", "path_id", "tau", "floor_n", "states"])
+        writer.writerow(_DUMP_COLUMNS)
         for x0, blocks in blocks_by_x.items():
             paths = ((block.floor_n, *path) for block in blocks for path in block.paths())
             writer.writerows(
@@ -302,32 +310,214 @@ def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -
             )
 
 
-def read_trajectories_csv(path: str) -> list[tuple[int, int, Trajectory]]:
-    """Parse a trajectory dump; an unreadable file or a malformed row raises ConfigError."""
-    out = []
+@dataclass(frozen=True, slots=True, eq=False)
+class TrajectoryDump:
+    """A trajectory dump's rows as columns, in file order.
+
+    Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
+    has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
+    capped iff ``capped[i]``.  The integer columns are laid out as
+    :func:`state_array` lays out states: int64, or Python ints when one does
+    not fit.
+    """
+
+    x0: np.ndarray
+    path_id: np.ndarray
+    floor_n: np.ndarray
+    steps: np.ndarray
+    capped: np.ndarray
+    states: np.ndarray
+
+
+def _first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
+    """The first row any mask marks, and the message of the first mask that marks it."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(message for mask, message in checks if mask[row])
+
+
+def _parse_int_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, ValueError]]]:
+    """The whitespace-separated integers of the cells, flat, and each cell's count.
+
+    A cell with a token int() rejects ends the parse: the third value is its
+    index and the error, and the first two cover the cells before it.
+    """
+    text = "\n".join(cells)
+    if text.isascii():
+        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        digit = (b >= ord("0")) & (b <= ord("9"))
+        newline = b == ord("\n")
+        # plain digits between spaces, never past a cell's end, parse in one pass
+        breaks = np.flatnonzero(newline)
+        if (digit | newline | (b == ord(" "))).all() and breaks.size == len(cells) - 1:
+            padded = np.concatenate(([False], digit, [False]))
+            first = np.flatnonzero(padded[1:] & ~padded[:-1])  # where each token starts
+            if not first.size or (np.flatnonzero(padded[:-1] & ~padded[1:]) - first).max() <= _MAX_DIGITS:
+                counts = np.bincount(np.searchsorted(breaks, first), minlength=len(cells))
+                return np.fromstring(text, dtype=np.int64, sep=" "), counts, None
+    # anything else is read token by token with int(), and laid out as state_array does
+    parts = []
+    bad = None
+    for i, cell in enumerate(cells):
+        try:
+            parts.append(state_array([int(tok) for tok in cell.split()]))
+        except ValueError as exc:
+            bad = (i, exc)
+            break
+    counts = np.array([part.size for part in parts], dtype=np.int64)
+    return np.concatenate(parts or [np.empty(0, np.int64)]), counts, bad
+
+
+def _path_failure(
+    x0: np.ndarray, tau: np.ndarray, floor_n: np.ndarray, capped: np.ndarray,
+    states: np.ndarray, counts: np.ndarray,
+) -> Optional[tuple[int, str]]:
+    """The first row :class:`Trajectory` would reject, with its message, checked for all rows at once."""
+    if not counts.size:
+        return None
+    if not states.size:  # every row is empty
+        return 0, "states must start at x0"
+    starts = np.cumsum(counts) - counts
+
+    # how many of each row's states a mask marks; an empty row reads a neighbour's
+    # count, and it, like the first and last state below, goes unread: the row
+    # fails the first check
+    def per_row(mask: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(np.append(mask, False), starts, dtype=np.int64)
+
+    first = states[np.minimum(starts, states.size - 1)]
+    last = states[starts + counts - 1]
+    in_floor = per_row(states <= np.repeat(floor_n, counts))
+    live = ~capped
+    failure = _first_failure((
+        ((counts == 0) | (first != x0), "states must start at x0"),
+        (per_row(states < 0) > 0, "states must be non-negative"),
+        (live & (counts != tau + 1), "a path that hit the floor at tau={tau} must end there"),
+        (live & ((last > floor_n) | (in_floor != 1)), "a path that hit the floor at tau={tau} must first enter it there"),
+        (capped & (in_floor > 0), "a capped path must never enter the floor"),
+    ))
+    if failure is None:
+        return None
+    row, message = failure
+    return row, message.format(tau=tau[row])
+
+
+def read_trajectories_csv(path: str) -> TrajectoryDump:
+    """Parse a trajectory dump into columns; an unreadable file or a malformed row raises ConfigError.
+
+    A row is malformed when it has more cells than the header, a cell that is
+    not an integer where one is due, or states that do not make the path its
+    x0, tau and floor_n describe (the checks :class:`Trajectory` makes of one
+    path).  The error names the first malformed row's line.  Rows are parsed
+    and checked a chunk of states text at a time, so the tokens of the whole
+    file are never held as strings.
+    """
     limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            for row in reader:
-                try:
-                    states = tuple(int(tok) for tok in row["states"].split())
-                    tau = None if row["tau"] == "" else int(row["tau"])
-                    traj = Trajectory(
-                        x0=int(row["x0"]),
-                        states=states,
-                        floor_n=int(row["floor_n"]),
-                        stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
-                        tau=tau,
-                    )
-                    out.append((traj.x0, int(row["path_id"]), traj))
-                except (ValueError, KeyError) as exc:
-                    raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
+            dump, fault = _DumpReader().read(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
-    return out
+    if fault is not None:
+        raise ConfigError(f"{path}:{fault[2]}: malformed dump row: {fault[3]!r}")
+    return dump
+
+
+class _DumpReader:
+    """Reads a dump's rows into columns, parsing and checking _CHUNK_CHARS of states text at a time.
+
+    A fault is (row, stage, line, error).  The faults of one row are met in
+    stage order: 0 its shape, 1 its states, 2 its tau, x0 and floor_n, 3 its
+    path (see _path_failure), 4 its path id.  The first row's first fault is
+    the one reported, as a row-by-row parse would meet it.
+    """
+
+    def __init__(self) -> None:
+        self.parts: list[tuple[np.ndarray, ...]] = []  # TrajectoryDump's columns, chunk by chunk
+        self.faults: list[tuple[int, int, int, Exception]] = []
+        self.rows = 0  # rows in parts
+        # line, tau, x0, floor_n, capped, path id and states cell of each row not yet in parts
+        self.pending: tuple[list, ...] = ([], [], [], [], [], [], [])
+
+    def read(self, reader: Any) -> tuple[TrajectoryDump, Optional[tuple[int, int, int, Exception]]]:
+        header = next(reader, [])
+        width = len(header)
+        where = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
+        # in the order a row-by-row parse looked the columns up
+        absent = [name for name in ("states", "tau", "x0", "floor_n", "path_id") if name not in where]
+        i_x0, i_pid, i_tau, i_floor, i_states = (where.get(name, 0) for name in _DUMP_COLUMNS)
+        lines, taus, x0s, floors, capped, pids, cells = self.pending
+        if absent:  # the first row lacks a cell it must have
+            row = next(filter(None, reader), None)
+            if row is not None:
+                self.faults.append((0, 0, reader.line_num, KeyError(absent[0])))
+            return self.finish()
+        chars = 0
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue  # a blank line holds no row
+                if len(row) > width:
+                    fault = ValueError(f"{len(row)} cells under a header of {width}")
+                    self.faults.append((self.rows + len(cells), 0, reader.line_num, fault))
+                    break
+                row += [""] * (width - len(row))  # a short row's missing cells are empty
+            cell, tau = row[i_states], row[i_tau]
+            try:
+                tau_value = 0 if tau == "" else int(tau)
+                x0 = int(row[i_x0])
+                floor_n = int(row[i_floor])
+            except ValueError as exc:
+                bad = _parse_int_cells([cell])[2]
+                fault = (1, bad[1]) if bad else (2, exc)
+                self.faults.append((self.rows + len(cells), fault[0], reader.line_num, fault[1]))
+                break
+            lines.append(reader.line_num)
+            taus.append(tau_value)
+            x0s.append(x0)
+            floors.append(floor_n)
+            capped.append(tau == "")
+            cells.append(cell)
+            try:
+                pids.append(int(row[i_pid]))
+            except ValueError as exc:
+                pids.append(0)
+                self.faults.append((self.rows + len(cells) - 1, 4, reader.line_num, exc))
+                break
+            chars += len(cell)
+            if chars >= _CHUNK_CHARS:
+                self.flush()
+                chars = 0
+                if self.faults:
+                    break
+        return self.finish()
+
+    def finish(self) -> tuple[TrajectoryDump, Optional[tuple[int, int, int, Exception]]]:
+        """The dump's columns and its first fault, once the last rows are flushed."""
+        self.flush()
+        fault = min(self.faults, key=lambda f: f[:2], default=None)
+        return TrajectoryDump(*(np.concatenate(column) for column in zip(*self.parts))), fault
+
+    def flush(self) -> None:
+        """Parse and check the pending rows, and move them into parts."""
+        lines, taus, x0s, floors, capped, pids, cells = self.pending
+        values, counts, bad = _parse_int_cells(cells)
+        if bad is not None:
+            self.faults.append((self.rows + bad[0], 1, lines[bad[0]], bad[1]))
+        n = counts.size  # the rows whose states parsed
+        x0, floor_n, capped_col = state_array(x0s[:n]), state_array(floors[:n]), np.array(capped[:n], dtype=bool)
+        failure = _path_failure(x0, state_array(taus[:n]), floor_n, capped_col, values, counts)
+        if failure is not None:
+            r, message = failure
+            self.faults.append((self.rows + r, 3, lines[r], ValueError(message)))
+        self.parts.append((x0, state_array(pids[:n]), floor_n, counts - 1, capped_col, values))
+        self.rows += len(cells)
+        for column in self.pending:
+            column.clear()
 
 
 # ------------------------------------------------------------- subcommands
@@ -394,35 +584,67 @@ def cmd_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
 
 
-def _records_from_dump(
-    config: ExperimentConfig, dumped: list[tuple[int, int, Trajectory]]
-) -> dict[int, mc_engine.RecordColumns]:
-    """Reduce a trajectory dump to records in x_grid and path order, as verify builds them.
+def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, list[PathBlock]]:
+    """Each start state's dumped paths, in x_grid and path order, in the blocks simulate_blocks yields.
 
     Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's
-    floor_n, and a capped row must have run the config's max_steps.
+    floor_n, and a capped row must have run the config's max_steps; the first
+    row that does not names its x0 and path id.  A start state whose rows
+    come in path order, as simulate writes them, shares the dump's states.
     """
-    by_x: dict[int, dict[int, Trajectory]] = {x0: {} for x0 in config.x_grid}
-    for x0, pid, traj in dumped:
-        row = f"trajectory dump row (x0={x0}, path_id={pid})"
-        if traj.floor_n != config.floor_n:
-            raise ConfigError(f"{row} has floor_n={traj.floor_n}, config floor_n={config.floor_n}")
-        if x0 not in by_x:
-            raise ConfigError(f"{row} starts outside config x_grid {list(config.x_grid)}")
-        if not 0 <= pid < config.n_traj or pid in by_x[x0]:
-            raise ConfigError(f"{row} is duplicated or outside path ids 0..{config.n_traj - 1}")
-        steps = len(traj.states) - 1
-        if traj.tau is None and steps != config.max_steps:
-            raise ConfigError(f"{row} is capped after {steps} steps, config max_steps={config.max_steps}")
-        by_x[x0][pid] = traj
-    for x0, trajs in by_x.items():
-        if len(trajs) != config.n_traj:
-            missing = min(set(range(config.n_traj)) - trajs.keys())
-            raise ConfigError(f"trajectory dump has no row (x0={x0}, path_id={missing})")
-    return {
-        x0: mc_engine.records_of(mc_engine.blocks_of(trajs[pid] for pid in range(config.n_traj)))
-        for x0, trajs in by_x.items()
-    }
+    n_traj, rows = config.n_traj, dump.steps.size
+    task = np.full(rows, -1)
+    for i, x0 in enumerate(config.x_grid):
+        task[dump.x0 == x0] = i
+    known = (task >= 0) & (dump.path_id >= 0) & (dump.path_id < n_traj)
+    pid = np.where(known, dump.path_id, 0).astype(np.int64)
+    key = np.where(known, task * n_traj + pid, -1 - np.arange(rows))  # only known rows can repeat a key
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(rows, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]  # a later row of a key seen before
+    failure = _first_failure((
+        (dump.floor_n != config.floor_n, f"has floor_n={{floor_n}}, config floor_n={config.floor_n}"),
+        (task < 0, f"starts outside config x_grid {list(config.x_grid)}"),
+        (~known | repeat, f"is duplicated or outside path ids 0..{n_traj - 1}"),
+        (dump.capped & (dump.steps != config.max_steps),
+         f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
+    ))
+    if failure is not None:
+        r, message = failure
+        detail = message.format(floor_n=dump.floor_n[r], steps=dump.steps[r])
+        raise ConfigError(f"trajectory dump row (x0={dump.x0[r]}, path_id={dump.path_id[r]}) {detail}")
+
+    row_stops = np.cumsum(dump.steps + 1)  # where each row's states end in dump.states
+    blocks_by_x: dict[int, list[PathBlock]] = {}
+    for i, x0 in enumerate(config.x_grid):
+        at = np.flatnonzero(task == i)
+        at = at[np.argsort(pid[at])]  # the rows in path order
+        if at.size != n_traj:
+            gap = np.flatnonzero(pid[at] != np.arange(at.size))
+            raise ConfigError(f"trajectory dump has no row (x0={x0}, path_id={gap[0] if gap.size else at.size})")
+        steps, capped = dump.steps[at], dump.capped[at]
+        size = steps + 1
+        bounds = np.concatenate([[0], np.cumsum(size)])  # path p's states are states[bounds[p]:bounds[p + 1]]
+        if (np.diff(at) == 1).all():  # in file order too: a slice of the dump's states
+            states = dump.states[row_stops[at[-1]] - bounds[-1]:row_stops[at[-1]]]
+        else:
+            states = dump.states[np.repeat(row_stops[at] - size - bounds[:-1], size) + np.arange(bounds[-1])]
+        edges = [*range(0, n_traj, mc_engine.BLOCK), n_traj]
+        blocks_by_x[x0] = [
+            PathBlock(config.floor_n, _fit(states[bounds[lo]:bounds[hi]]), steps[lo:hi], capped[lo:hi])
+            for lo, hi in zip(edges, edges[1:])
+        ]
+    return blocks_by_x
+
+
+def _records_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, mc_engine.RecordColumns]:
+    """Reduce a trajectory dump to records in x_grid and path order, as verify builds them."""
+    return {x0: mc_engine.records_of(blocks) for x0, blocks in _blocks_from_dump(config, dump).items()}
+
+
+def _fit(states: np.ndarray) -> np.ndarray:
+    """A block's states as int64 when they fit, as simulate_blocks lays them out."""
+    return state_array(states.tolist()) if states.dtype == object else states
 
 
 def cmd_report(config: ExperimentConfig) -> int:

@@ -172,6 +172,9 @@ def _run_block(
             steps[lane[done]] = t
             keep = ~done
             lane, x, ell, keys, draws = lane[keep], x[keep], ell[keep], keys[keep], draws[:, keep]
-    # regroup: a stable sort by lane keeps each lane's states in time order
-    order = np.argsort(np.concatenate(seen_lane), kind="stable")
-    return PathBlock(floor_n, np.concatenate(seen_x)[order], steps, capped)
+    # regroup: a lane's state at time t goes to the lane's first state's place plus t
+    size = steps + 1
+    times = np.repeat(np.arange(len(seen_lane)), [lanes.size for lanes in seen_lane])
+    states = np.empty(int(size.sum()), dtype=np.int64)
+    states[(np.cumsum(size) - size)[np.concatenate(seen_lane)] + times] = np.concatenate(seen_x)
+    return PathBlock(floor_n, states, steps, capped)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from markovup import cli, mc_engine, model_zoo, tau_of
@@ -194,6 +196,14 @@ class TestSubcommands:
         assert first == second
 
 
+def assert_same_blocks(read, simulated):
+    assert len(read) == len(simulated)
+    for a, b in zip(read, simulated):
+        assert a.floor_n == b.floor_n and a.states.dtype == b.states.dtype
+        for name in ("states", "steps", "capped"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestTrajectoryRoundTrip:
     def test_dump_and_report(self, tmp_path):
         traj_csv = str(tmp_path / "trajectories.csv")
@@ -206,10 +216,21 @@ class TestTrajectoryRoundTrip:
         ):
             path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
             assert cli.main(["simulate", str(path)]) == 0
-            dumped = cli.read_trajectories_csv(traj_csv)
-            assert len(dumped) == n_rows
-            for x0, pid, traj in dumped:
-                assert tau_of(traj.states, traj.floor_n) == traj.tau
+            dump = cli.read_trajectories_csv(traj_csv)
+            assert dump.steps.size == n_rows
+            stops = np.cumsum(dump.steps + 1)
+            for stop, steps, capped, floor_n in zip(stops, dump.steps, dump.capped, dump.floor_n):
+                states = dump.states[stop - steps - 1:stop].tolist()
+                assert tau_of(states, floor_n) == (None if capped else steps)
+            # the reader's blocks are the ones simulate laid out
+            config = cli.load_config(str(path))
+            kernel = model_zoo.build_benchmark(config.model_spec())
+            blocks_by_x = cli._blocks_from_dump(config, dump)
+            for task_index, x0 in enumerate(config.x_grid):
+                simulated = mc_engine.simulate_blocks(
+                    kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
+                )
+                assert_same_blocks(blocks_by_x[x0], list(simulated))
             # report rebuilds verdicts from the dump alone
             assert cli.main(["report", str(path)]) == code
             replayed = (tmp_path / "report.json").read_bytes()
@@ -218,6 +239,32 @@ class TestTrajectoryRoundTrip:
             # and rebuilds exactly what verify reports for the same config
             assert cli.main(["verify", str(path)]) == code
             assert (tmp_path / "report.json").read_bytes() == replayed
+
+    @pytest.mark.parametrize("chunk_chars", [None, 40])
+    def test_report_reads_rows_in_any_order(self, tmp_path, monkeypatch, chunk_chars):
+        # shuffled rows, across x0 too, are gathered into path order; a small chunk
+        # size parses the states cells in many chunks
+        if chunk_chars is not None:
+            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        ordered = [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")]
+        random.Random(3).shuffle(rows)
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        assert [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")] == ordered
+
+    def test_report_reads_cells_past_the_one_pass_parse(self, tmp_path):
+        # tokens int() reads that are not plain digits between single spaces: they
+        # are read token by token, to the same states
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        expected = (tmp_path / "report.json").read_bytes()
+        rows[3]["states"] = "+" + rows[3]["states"].replace(" ", " \t")
+        rows[4]["states"] = " " + rows[4]["states"].replace(" ", " 000000000000000000")
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        assert (tmp_path / "report.json").read_bytes() == expected
 
     def test_dump_independent_of_threads(self, tmp_path):
         traj_csv = tmp_path / "trajectories.csv"
@@ -290,7 +337,8 @@ class TestTrajectoryRoundTrip:
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fault", ["x0", "tau", "short", "past_tau", "negative", "floor_before_tau", "capped_in_floor"]
+        "fault",
+        ["x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor"],
     )
     def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
@@ -302,6 +350,8 @@ class TestTrajectoryRoundTrip:
             cells[2] = "x"
         elif fault == "short":
             cells = cells[:3]
+        elif fault == "long":
+            cells.append("junk")
         elif fault == "past_tau":
             cells[4] += " 900 901 902"  # states go on past tau
         elif fault == "floor_before_tau":
@@ -314,6 +364,30 @@ class TestTrajectoryRoundTrip:
         traj_csv.write_text("\n".join(lines) + "\n")
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "trajectories.csv:6:" in capsys.readouterr().err
+
+    def test_report_rejects_every_row_with_an_extra_cell(self, tmp_path, capsys):
+        path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        lines = traj_csv.read_text().splitlines()
+        traj_csv.write_text("\n".join(lines[:1] + [line + ",junk" for line in lines[1:]]) + "\n")
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "trajectories.csv:2: malformed dump row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk_chars", [None, 40])
+    def test_report_names_first_malformed_row(self, tmp_path, monkeypatch, capsys, chunk_chars):
+        # line 9 cannot be read at all, line 8 has a token int() rejects, and line 7's
+        # path enters the floor before its tau: line 7 comes first
+        if chunk_chars is not None:
+            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+        path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        lines = traj_csv.read_text().splitlines()
+        lines[6] = "7,5,2,5,7 5 5"
+        lines[7] = lines[7] + " x"
+        lines[8] = "7,5"
+        traj_csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "trajectories.csv:7: malformed dump row: ValueError('a path that hit the floor at tau=2" in (
+            capsys.readouterr().err
+        )
 
     def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)
