@@ -637,11 +637,6 @@ def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[in
     return blocks_by_x
 
 
-def _records_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, mc_engine.RecordColumns]:
-    """Reduce a trajectory dump to records in x_grid and path order, as verify builds them."""
-    return {x0: mc_engine.records_of(blocks) for x0, blocks in _blocks_from_dump(config, dump).items()}
-
-
 def _fit(states: np.ndarray) -> np.ndarray:
     """A block's states as int64 when they fit, as simulate_blocks lays them out."""
     return state_array(states.tolist()) if states.dtype == object else states
@@ -654,7 +649,10 @@ def cmd_report(config: ExperimentConfig) -> int:
     cert, bound_sets = mc_engine.certify_bounds(
         config.model_spec(), config.m_list, config.x_grid, config.epsilon
     )
-    records_by_x = _records_from_dump(config, read_trajectories_csv(config.trajectories_csv))
+    # records in x_grid and path order, as verify builds them; the dump and its
+    # blocks are dropped before the fold
+    blocks_by_x = _blocks_from_dump(config, read_trajectories_csv(config.trajectories_csv))
+    records_by_x = {x0: mc_engine.records_of(blocks_by_x.pop(x0)) for x0 in config.x_grid}
     report = mc_engine.report_from_records(cert, bound_sets, records_by_x, config.m_list)
     _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)

@@ -172,9 +172,16 @@ def _run_block(
             steps[lane[done]] = t
             keep = ~done
             lane, x, ell, keys, draws = lane[keep], x[keep], ell[keep], keys[keep], draws[:, keep]
-    # regroup: a lane's state at time t goes to the lane's first state's place plus t
+    # regroup: a lane's state at time t goes to the lane's first state's place
+    # plus t.  Each list is emptied once joined, so that no more than three
+    # arrays of every state are alive at once.
     size = steps + 1
-    times = np.repeat(np.arange(len(seen_lane)), [lanes.size for lanes in seen_lane])
-    states = np.empty(int(size.sum()), dtype=np.int64)
-    states[(np.cumsum(size) - size)[np.concatenate(seen_lane)] + times] = np.concatenate(seen_x)
+    live = [lanes.size for lanes in seen_lane]
+    place = (np.cumsum(size) - size)[np.concatenate(seen_lane)]
+    seen_lane.clear()
+    place += np.repeat(np.arange(len(live)), live)
+    values = np.concatenate(seen_x)
+    seen_x.clear()
+    states = np.empty(place.size, dtype=np.int64)
+    states[place] = values
     return PathBlock(floor_n, states, steps, capped)
