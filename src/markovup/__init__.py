@@ -24,7 +24,6 @@ from .mc_engine import (
     MomentEstimate,
     VerificationReport,
     VerificationVerdict,
-    estimate_segment_moments,
     estimate_tau_moments,
     verify,
 )
@@ -36,7 +35,6 @@ from .model_zoo import (
     KappaSpec,
     build_benchmark,
     certify,
-    kappa_at,
 )
 from .path_analysis import (
     Attempt,
@@ -86,12 +84,10 @@ __all__ = [
     "certify",
     "chi_at",
     "decompose_attempts",
-    "estimate_segment_moments",
     "estimate_tau_moments",
     "fall_length_bound",
     "initial_window",
     "jump_moment",
-    "kappa_at",
     "make_bound_set",
     "overshoot_bound",
     "path_stream",

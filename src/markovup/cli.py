@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import bound_calc, mc_engine
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
-from .process_core import PathBlock, state_array
+from .process_core import PathBlock, StopReason, Trajectory, state_array
 from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
@@ -329,195 +330,147 @@ class TrajectoryDump:
     states: np.ndarray
 
 
-def _first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
-    """The first row any mask marks, and the message of the first mask that marks it."""
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    return row, next(message for mask, message in checks if mask[row])
-
-
-def _parse_int_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, ValueError]]]:
-    """The whitespace-separated integers of the cells, flat, and each cell's count.
-
-    A cell with a token int() rejects ends the parse: the third value is its
-    index and the error, and the first two cover the cells before it.
-    """
-    text = "\n".join(cells)
-    if text.isascii():
-        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        digit = (b >= ord("0")) & (b <= ord("9"))
-        newline = b == ord("\n")
-        # plain digits between spaces, never past a cell's end, parse in one pass
-        breaks = np.flatnonzero(newline)
-        if (digit | newline | (b == ord(" "))).all() and breaks.size == len(cells) - 1:
-            padded = np.concatenate(([False], digit, [False]))
-            first = np.flatnonzero(padded[1:] & ~padded[:-1])  # where each token starts
-            if not first.size or (np.flatnonzero(padded[:-1] & ~padded[1:]) - first).max() <= _MAX_DIGITS:
-                counts = np.bincount(np.searchsorted(breaks, first), minlength=len(cells))
-                return np.fromstring(text, dtype=np.int64, sep=" "), counts, None
-    # anything else is read token by token with int(), and laid out as state_array does
-    parts = []
-    bad = None
-    for i, cell in enumerate(cells):
-        try:
-            parts.append(state_array([int(tok) for tok in cell.split()]))
-        except ValueError as exc:
-            bad = (i, exc)
-            break
-    counts = np.array([part.size for part in parts], dtype=np.int64)
-    return np.concatenate(parts or [np.empty(0, np.int64)]), counts, bad
-
-
-def _path_failure(
-    x0: np.ndarray, tau: np.ndarray, floor_n: np.ndarray, capped: np.ndarray,
-    states: np.ndarray, counts: np.ndarray,
-) -> Optional[tuple[int, str]]:
-    """The first row :class:`Trajectory` would reject, with its message, checked for all rows at once."""
-    if not counts.size:
-        return None
-    if not states.size:  # every row is empty
-        return 0, "states must start at x0"
-    starts = np.cumsum(counts) - counts
-
-    # how many of each row's states a mask marks; an empty row reads a neighbour's
-    # count, and it, like the first and last state below, goes unread: the row
-    # fails the first check
-    def per_row(mask: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(np.append(mask, False), starts, dtype=np.int64)
-
-    first = states[np.minimum(starts, states.size - 1)]
-    last = states[starts + counts - 1]
-    in_floor = per_row(states <= np.repeat(floor_n, counts))
-    live = ~capped
-    failure = _first_failure((
-        ((counts == 0) | (first != x0), "states must start at x0"),
-        (per_row(states < 0) > 0, "states must be non-negative"),
-        (live & (counts != tau + 1), "a path that hit the floor at tau={tau} must end there"),
-        (live & ((last > floor_n) | (in_floor != 1)), "a path that hit the floor at tau={tau} must first enter it there"),
-        (capped & (in_floor > 0), "a capped path must never enter the floor"),
-    ))
-    if failure is None:
-        return None
-    row, message = failure
-    return row, message.format(tau=tau[row])
-
-
 def read_trajectories_csv(path: str) -> TrajectoryDump:
     """Parse a trajectory dump into columns; an unreadable file or a malformed row raises ConfigError.
 
-    A row is malformed when it has more cells than the header, a cell that is
-    not an integer where one is due, or states that do not make the path its
-    x0, tau and floor_n describe (the checks :class:`Trajectory` makes of one
-    path).  The error names the first malformed row's line.  Rows are parsed
-    and checked a chunk of states text at a time, so the tokens of the whole
-    file are never held as strings.
+    A row is malformed when it lacks a column, has more cells than the
+    header, has a cell that is not an integer where one is due, or states
+    that do not make the path its x0, tau and floor_n describe (the checks
+    :class:`Trajectory` makes of one path).  The file is read in two passes.
+    The first (:func:`_read_plain_dump`) parses and checks the rows with
+    arrays, and only accepts.  When it declines, the second
+    (:func:`_read_dump_rows`) reads the file again a Trajectory per row,
+    and names the first malformed row's line.
     """
     limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            dump, fault = _DumpReader().read(csv.reader(fh))
+            dump = _read_plain_dump(fh)
+            if dump is None:
+                fh.seek(0)
+                dump = _read_dump_rows(path, fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
-    if fault is not None:
-        raise ConfigError(f"{path}:{fault[2]}: malformed dump row: {fault[3]!r}")
     return dump
 
 
-class _DumpReader:
-    """Reads a dump's rows into columns, parsing and checking _CHUNK_CHARS of states text at a time.
+def _read_plain_dump(fh: Any) -> Optional[TrajectoryDump]:
+    """A dump's columns, or None unless every row is a well-formed path in plain form.
 
-    A fault is (row, stage, line, error).  The faults of one row are met in
-    stage order: 0 its shape, 1 its states, 2 its tau, x0 and floor_n, 3 its
-    path (see _path_failure), 4 its path id.  The first row's first fault is
-    the one reported, as a row-by-row parse would meet it.
+    Plain form: each row has the header's width, and its states are plain
+    digits between spaces; every value fits int64.  The small cells become
+    ints in the row loop; the states are parsed, and the rows checked as
+    :class:`Trajectory` checks a path, _CHUNK_CHARS of states text at a
+    time, so the tokens of the whole file are never held as strings.  A
+    declined row is not explained: :func:`_read_dump_rows` does that.
     """
-
-    def __init__(self) -> None:
-        self.parts: list[tuple[np.ndarray, ...]] = []  # TrajectoryDump's columns, chunk by chunk
-        self.faults: list[tuple[int, int, int, Exception]] = []
-        self.rows = 0  # rows in parts
-        # line, tau, x0, floor_n, capped, path id and states cell of each row not yet in parts
-        self.pending: tuple[list, ...] = ([], [], [], [], [], [], [])
-
-    def read(self, reader: Any) -> tuple[TrajectoryDump, Optional[tuple[int, int, int, Exception]]]:
-        header = next(reader, [])
-        width = len(header)
-        where = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
-        # in the order a row-by-row parse looked the columns up
-        absent = [name for name in ("states", "tau", "x0", "floor_n", "path_id") if name not in where]
-        i_x0, i_pid, i_tau, i_floor, i_states = (where.get(name, 0) for name in _DUMP_COLUMNS)
-        lines, taus, x0s, floors, capped, pids, cells = self.pending
-        if absent:  # the first row lacks a cell it must have
-            row = next(filter(None, reader), None)
-            if row is not None:
-                self.faults.append((0, 0, reader.line_num, KeyError(absent[0])))
-            return self.finish()
-        chars = 0
-        for row in reader:
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    where = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
+    if not where.keys() >= set(_DUMP_COLUMNS):
+        return None
+    cells_of = operator.itemgetter(*(where[name] for name in _DUMP_COLUMNS))
+    width = len(header)
+    parts = []  # TrajectoryDump's columns, chunk by chunk
+    ints: list[int] = []  # x0, path_id, tau and floor_n of each row not yet in parts
+    capped: list[bool] = []
+    cells: list[str] = []
+    chars = 0
+    try:  # a file the row-by-row read cannot decode or split is left to it as well
+        for row in filter(None, reader):  # a blank line holds no row
             if len(row) != width:
-                if not row:
-                    continue  # a blank line holds no row
-                if len(row) > width:
-                    fault = ValueError(f"{len(row)} cells under a header of {width}")
-                    self.faults.append((self.rows + len(cells), 0, reader.line_num, fault))
-                    break
-                row += [""] * (width - len(row))  # a short row's missing cells are empty
-            cell, tau = row[i_states], row[i_tau]
-            try:
-                tau_value = 0 if tau == "" else int(tau)
-                x0 = int(row[i_x0])
-                floor_n = int(row[i_floor])
-            except ValueError as exc:
-                bad = _parse_int_cells([cell])[2]
-                fault = (1, bad[1]) if bad else (2, exc)
-                self.faults.append((self.rows + len(cells), fault[0], reader.line_num, fault[1]))
-                break
-            lines.append(reader.line_num)
-            taus.append(tau_value)
-            x0s.append(x0)
-            floors.append(floor_n)
+                return None
+            x0, path_id, tau, floor_n, cell = cells_of(row)
+            ints += (int(x0), int(path_id), int(tau or 0), int(floor_n))
             capped.append(tau == "")
             cells.append(cell)
-            try:
-                pids.append(int(row[i_pid]))
-            except ValueError as exc:
-                pids.append(0)
-                self.faults.append((self.rows + len(cells) - 1, 4, reader.line_num, exc))
-                break
             chars += len(cell)
             if chars >= _CHUNK_CHARS:
-                self.flush()
-                chars = 0
-                if self.faults:
-                    break
-        return self.finish()
+                parts.append(_plain_chunk(ints, capped, cells))
+                ints, capped, cells, chars = [], [], [], 0
+        if cells:
+            parts.append(_plain_chunk(ints, capped, cells))
+    except (ValueError, OverflowError, csv.Error):
+        return None
+    if not parts:  # a dump without rows
+        return None
+    return TrajectoryDump(*(np.concatenate(column) for column in zip(*parts)))
 
-    def finish(self) -> tuple[TrajectoryDump, Optional[tuple[int, int, int, Exception]]]:
-        """The dump's columns and its first fault, once the last rows are flushed."""
-        self.flush()
-        fault = min(self.faults, key=lambda f: f[:2], default=None)
-        return TrajectoryDump(*(np.concatenate(column) for column in zip(*self.parts))), fault
 
-    def flush(self) -> None:
-        """Parse and check the pending rows, and move them into parts."""
-        lines, taus, x0s, floors, capped, pids, cells = self.pending
-        values, counts, bad = _parse_int_cells(cells)
-        if bad is not None:
-            self.faults.append((self.rows + bad[0], 1, lines[bad[0]], bad[1]))
-        n = counts.size  # the rows whose states parsed
-        x0, floor_n, capped_col = state_array(x0s[:n]), state_array(floors[:n]), np.array(capped[:n], dtype=bool)
-        failure = _path_failure(x0, state_array(taus[:n]), floor_n, capped_col, values, counts)
-        if failure is not None:
-            r, message = failure
-            self.faults.append((self.rows + r, 3, lines[r], ValueError(message)))
-        self.parts.append((x0, state_array(pids[:n]), floor_n, counts - 1, capped_col, values))
-        self.rows += len(cells)
-        for column in self.pending:
-            column.clear()
+def _plain_chunk(ints: list[int], capped: list[bool], cells: list[str]) -> tuple[np.ndarray, ...]:
+    """TrajectoryDump's columns of some rows; ValueError or OverflowError unless each is a well-formed, plain path."""
+    states, counts = _parse_int_cells(cells)
+    x0, path_id, tau, floor_n = np.array(ints, dtype=np.int64).reshape(-1, 4).T
+    live = ~np.array(capped, dtype=bool)
+    if not counts.all():
+        raise ValueError("a row without states")
+    starts = np.cumsum(counts) - counts
+    in_floor = np.add.reduceat(states <= np.repeat(floor_n, counts), starts, dtype=np.int64)
+    last = states[starts + counts - 1]
+    # plain states are non-negative; a live path first enters the floor at
+    # its last state, tau steps in, and a capped one never does
+    if ((states[starts] != x0) | (in_floor != live) | (live & ((counts != tau + 1) | (last > floor_n)))).any():
+        raise ValueError("a malformed row")
+    return x0, path_id, floor_n, counts - 1, ~live, states
+
+
+def _parse_int_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The space-separated integers of the cells, flat, and each cell's count, parsed in one pass.
+
+    Anything but plain digits between spaces, or a token of more than
+    _MAX_DIGITS digits, raises ValueError.
+    """
+    text = "\n".join(cells)
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    newline = b == ord("\n")
+    breaks = np.flatnonzero(newline)
+    padded = np.concatenate(([False], digit, [False]))
+    first = np.flatnonzero(padded[1:] & ~padded[:-1])  # where each token starts
+    end = np.flatnonzero(padded[:-1] & ~padded[1:])
+    plain = (digit | newline | (b == ord(" "))).all() and (end - first <= _MAX_DIGITS).all()
+    if not plain or breaks.size != len(cells) - 1:  # a newline in a cell would shift later cells' counts
+        raise ValueError("not plain digits between spaces")
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.size != first.size:  # text without a token reads as one 0
+        raise ValueError("not plain digits between spaces")
+    return values, np.bincount(np.searchsorted(breaks, first), minlength=len(cells))
+
+
+def _read_dump_rows(path: str, fh: Any) -> TrajectoryDump:
+    """A dump's columns, read a :class:`Trajectory` per row; the first malformed row raises ConfigError."""
+    reader = csv.DictReader(fh, restval="")
+    x0s, path_ids, floors, steps, capped, states = [], [], [], [], [], []
+    for row in reader:
+        try:
+            # a missing column is met first, in the order the cells are read
+            cell, tau_cell, x0, floor_n, path_id = (row[name] for name in ("states", "tau", "x0", "floor_n", "path_id"))
+            if None in row:  # the cells past the header's
+                width = len(reader.fieldnames)
+                raise ValueError(f"{width + len(row[None])} cells under a header of {width}")
+            path_states = tuple(int(tok) for tok in cell.split())
+            tau = None if tau_cell == "" else int(tau_cell)
+            traj = Trajectory(
+                x0=int(x0),
+                states=path_states,
+                floor_n=int(floor_n),
+                stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
+                tau=tau,
+            )
+            path_ids.append(int(path_id))
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
+        x0s.append(traj.x0)
+        floors.append(traj.floor_n)
+        steps.append(len(path_states) - 1)
+        capped.append(tau is None)
+        states.extend(path_states)
+    return TrajectoryDump(
+        state_array(x0s), state_array(path_ids), state_array(floors),
+        np.array(steps, dtype=np.int64), np.array(capped, dtype=bool), state_array(states),
+    )
 
 
 # ------------------------------------------------------------- subcommands
@@ -582,6 +535,15 @@ def cmd_verify(config: ExperimentConfig) -> int:
         file=sys.stderr,
     )
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
+
+
+def _first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
+    """The first row any mask marks, and the message of the first mask that marks it."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(message for mask, message in checks if mask[row])
 
 
 def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, list[PathBlock]]:

@@ -53,7 +53,6 @@ __all__ = [
     "VerificationVerdict",
     "blocks_of",
     "certify_bounds",
-    "estimate_segment_moments",
     "estimate_tau_moments",
     "fold_records",
     "records_of",
@@ -61,7 +60,6 @@ __all__ = [
     "report_from_records",
     "simulate_blocks",
     "simulate_records",
-    "simulate_trajectories",
     "verify",
 ]
 
@@ -301,19 +299,6 @@ def blocks_of(trajectories: Iterable[Trajectory]) -> Iterator[PathBlock]:
         yield PathBlock.of(batch)
 
 
-def simulate_trajectories(
-    kernel: KernelContract,
-    x0: int,
-    n_traj: int,
-    seed: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    task_index: int = 0,
-) -> list[Trajectory]:
-    """Simulate n_traj raw paths, returned in path-index order."""
-    blocks = simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
-    return [traj for block in blocks for traj in block.trajectories()]
-
-
 def records_of(blocks: Iterable[PathBlock]) -> RecordColumns:
     """The records of one start state's paths, given in consecutive blocks, reduced block by block."""
     return RecordColumns.concat([reduce_block(block) for block in blocks])
@@ -460,16 +445,6 @@ def fold_records(records: RecordColumns, x0: int, m_list: Sequence[int]) -> Reco
     return RecordFold(x0, estimates, hits, n_live, capped, int(records.steps.sum()), diagnostics)
 
 
-def _estimate_table(
-    kernel: KernelContract, x0: int, m_list: Sequence[int],
-    n_traj: int, seed: int, max_steps: int,
-) -> dict[tuple[str, int], MomentEstimate]:
-    fold = fold_records(simulate_records(kernel, x0, n_traj, seed, max_steps), x0, m_list)
-    if not fold.n_live:
-        raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
-    return fold.estimates
-
-
 def estimate_tau_moments(
     kernel: KernelContract,
     x0: int,
@@ -479,27 +454,10 @@ def estimate_tau_moments(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> list[MomentEstimate]:
     """Estimate E_x tau**m for each m, excluding capped paths."""
-    table = _estimate_table(kernel, x0, m_list, n_traj, seed, max_steps)
-    return [table[("tau_m", m)] for m in m_list]
-
-
-def estimate_segment_moments(
-    kernel: KernelContract,
-    x0: int,
-    m: int,
-    n_traj: int,
-    seed: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> dict[str, MomentEstimate]:
-    """Pooled m-th moments of rise lengths, fall lengths, and overshoots.
-
-    Pooling follows the attempt decomposition: rise lengths and overshoots
-    over every segment where the process actually rose, and fall lengths
-    with one sample per attempt, zeroed on the successful one (the fall
-    that reaches the floor does not count toward its ceiling).
-    """
-    table = _estimate_table(kernel, x0, [m], n_traj, seed, max_steps)
-    return {q: table[(q, m)] for q in ("rise_length_m", "fall_length_m", "overshoot_m")}
+    fold = fold_records(simulate_records(kernel, x0, n_traj, seed, max_steps), x0, m_list)
+    if not fold.n_live:
+        raise AllCappedError(f"all {n_traj} paths hit the {max_steps}-step cap")
+    return [fold.estimates[("tau_m", m)] for m in m_list]
 
 
 def binomial_lower99(successes: int, n: int) -> float:

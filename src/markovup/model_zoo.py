@@ -24,7 +24,6 @@ __all__ = [
     "KappaSpec",
     "build_benchmark",
     "certify",
-    "kappa_at",
 ]
 
 
@@ -53,6 +52,7 @@ class KappaSpec:
         _check_open_unit("r", self.r)
 
     def at(self, i: int) -> float:
+        """Fall-continuation lower bound after i prior consecutive down-steps."""
         if i < 0:
             raise ValueError("index must be non-negative")
         return 1.0 - self.a * self.r**i
@@ -61,11 +61,6 @@ class KappaSpec:
     def q(self) -> float:
         """Upper bound 1 - kappa_0 on the probability of a non-decrease."""
         return self.a
-
-
-def kappa_at(spec: KappaSpec, i: int) -> float:
-    """Fall-continuation lower bound after i prior consecutive down-steps."""
-    return spec.at(i)
 
 
 @dataclass(frozen=True, slots=True)

@@ -336,10 +336,9 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "fault",
-        ["x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor"],
-    )
+    MALFORMED_ROWS = ["x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor"]
+
+    @pytest.mark.parametrize("fault", MALFORMED_ROWS)
     def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
         lines = traj_csv.read_text().splitlines()
@@ -365,6 +364,38 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "trajectories.csv:6: malformed dump row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", MALFORMED_ROWS)
+    def test_report_rejects_malformed_row_after_passed_chunks(self, tmp_path, monkeypatch, capsys, fault):
+        # at 40 characters a chunk, the rows before the malformed one pass the array checks
+        monkeypatch.setattr(cli, "_CHUNK_CHARS", 40)
+        self.test_report_rejects_malformed_row(tmp_path, capsys, fault)
+
+    @pytest.mark.parametrize("chunk_chars", [None, 40])
+    @pytest.mark.parametrize("fault, message", [
+        # a missing column is named before the width of the first row
+        ("no_states_column", ":2: malformed dump row: KeyError('states')"),
+        # line 4 is well formed but not plain, so the array pass stops before line 6
+        ("after_plus_token", ":6: malformed dump row: ValueError('a path that hit the floor at tau=2 must first enter"),
+    ])
+    def test_report_names_malformed_row_after_declined_one(
+        self, tmp_path, monkeypatch, capsys, chunk_chars, fault, message
+    ):
+        if chunk_chars is not None:
+            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+        path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        lines = traj_csv.read_text().splitlines()
+        if fault == "no_states_column":
+            lines[0] = lines[0].replace("states", "path")
+            lines[1] += ",junk"
+        else:
+            cells = lines[3].split(",")
+            cells[4] = "+" + cells[4]
+            lines[3] = ",".join(cells)
+            lines[5] = "7,5,2,5,7 5 5"
+        traj_csv.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert f"trajectories.csv{message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("chunk_chars", [None, 40])
     def test_report_names_first_malformed_row(self, tmp_path, monkeypatch, capsys, chunk_chars):
         # line 9 cannot be read at all, line 8 has a token int() rejects, and line 7's
@@ -381,6 +412,61 @@ class TestTrajectoryRoundTrip:
         assert "trajectories.csv:7: malformed dump row: ValueError('a path that hit the floor at tau=2" in (
             capsys.readouterr().err
         )
+
+    def test_reader_matches_row_by_row_parse_on_mutated_dumps(self, tmp_path, monkeypatch):
+        # seeded corruptions of a small dump: at every chunk size, the two-pass reader
+        # gives the columns, or the error, of the Trajectory-per-row parse alone
+        traj_csv = tmp_path / "trajectories.csv"
+        path = write_config(tmp_path, n_traj=12, output_trajectories_csv=str(traj_csv))
+        assert cli.main(["simulate", str(path)]) == 0
+        lines = traj_csv.read_text().splitlines()
+        rng = random.Random(11)
+        dumps = []
+        for k in range(200):
+            rows = [line.split(",") for line in lines]
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(1, len(rows))
+                edit = rng.choice(["cell", "cell", "states", "cut", "lengthen", "blank", "repeat"])
+                if edit == "cell" and rows[i]:
+                    rows[i][rng.randrange(len(rows[i]))] = rng.choice(["", "x", "-1", str(2**63), "7 5 5"])
+                elif edit == "states" and len(rows[i]) == 5:
+                    states = rows[i][4].split()
+                    kind = rng.randrange(3)
+                    if kind == 0:  # a path that hit the floor leaves it again
+                        states[-2:] = reversed(states[-2:])
+                    elif kind == 1:  # a state past int64, above the floor unless it is the last
+                        states[len(states) // 2] = str(2**63)
+                    else:  # a capped row without states
+                        rows[i][2], states = "", []
+                    rows[i][4] = " ".join(states)
+                elif edit == "cut":
+                    rows[i] = rows[i][:rng.randrange(len(rows[i]) + 1)]
+                elif edit == "lengthen":
+                    rows[i] = rows[i] + ["5"]
+                elif edit == "blank":
+                    rows[i] = []
+                elif edit == "repeat":
+                    rows.insert(i, list(rows[i]))
+            dumps.append(tmp_path / f"mutated{k}.csv")
+            dumps[-1].write_text("\n".join(",".join(row) for row in rows) + "\n")
+
+        def outcome(read, dump):
+            try:
+                columns = read(str(dump))
+            except cli.ConfigError as exc:
+                return "error", str(exc)
+            return "ok", [(getattr(columns, name).dtype.kind, getattr(columns, name).tolist())
+                          for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")]
+
+        def read_by_row(name):
+            with open(name, newline="", encoding="utf-8") as fh:
+                return cli._read_dump_rows(name, fh)
+
+        expected = [outcome(read_by_row, dump) for dump in dumps]
+        assert {kind for kind, _ in expected} == {"ok", "error"}
+        for chunk_chars in (cli._CHUNK_CHARS, 40, 1):
+            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+            assert [outcome(cli.read_trajectories_csv, dump) for dump in dumps] == expected
 
     def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)

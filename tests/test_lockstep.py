@@ -8,6 +8,8 @@ from markovup.lockstep import BLOCK, FallLaws, simulate_lockstep, step_lanes
 from markovup.process_core import StopReason, simulate_path
 from markovup.streams import path_stream
 
+from helpers import simulated_trajectories
+
 
 def _kernel(a, r, s, floor_n=5):
     return build_benchmark(BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n))
@@ -165,7 +167,7 @@ def test_runner_uses_lockstep_for_benchmark_kernel_only(
         return simulate_lockstep(kernel, *args)
 
     monkeypatch.setattr(mc_engine, "simulate_lockstep", spy)
-    for simulate in (mc_engine.simulate_records, mc_engine.simulate_trajectories):
+    for simulate in (mc_engine.simulate_records, simulated_trajectories):
         lockstep = simulate(benchmark_kernel, 20, 300, 9, task_index=2)
         # the subclass keeps the scalar engine
         scalar = simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2)

@@ -11,7 +11,6 @@ from markovup import (
     StopReason,
     Trajectory,
     cli,
-    estimate_segment_moments,
     estimate_tau_moments,
     make_bound_set,
     mc_engine,
@@ -26,10 +25,10 @@ from markovup.mc_engine import (
     fold_records,
     reduce_block,
     simulate_records,
-    simulate_trajectories,
 )
 from markovup.process_core import PathBlock, state_array
 
+from helpers import simulated_trajectories
 from oracles import record_oracle
 
 
@@ -187,15 +186,15 @@ class TestRecordFromTrajectory:
 
     @pytest.mark.parametrize("x0", [10, 20])
     def test_default_model_paths(self, benchmark_kernel, x0):
-        self.check(simulate_trajectories(benchmark_kernel, x0, 10_000, seed=13))
+        self.check(simulated_trajectories(benchmark_kernel, x0, 10_000, seed=13))
 
     def test_capped_model_paths(self, benchmark_kernel):
-        trajectories = simulate_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
+        trajectories = simulated_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
         assert any(t.stop_reason is StopReason.STEP_CAP for t in trajectories)
         self.check(trajectories)
 
     def test_deterministic_down_path(self):
-        self.check(simulate_trajectories(DeterministicDownKernel(floor_n=5), 12, 2, seed=0))
+        self.check(simulated_trajectories(DeterministicDownKernel(floor_n=5), 12, 2, seed=0))
 
 
 class TestBlockReducer:
@@ -235,10 +234,10 @@ class TestBlockReducer:
         n = BLOCK + 300
         records = simulate_records(benchmark_kernel, 7, n, seed=8)
         assert records.rise_path[-1] >= BLOCK and records.fall_path[-1] == n - 1
-        self.check(simulate_trajectories(benchmark_kernel, 7, n, seed=8), records)
+        self.check(simulated_trajectories(benchmark_kernel, 7, n, seed=8), records)
 
     def test_capped_paths_mid_block(self, benchmark_kernel):
-        trajectories = simulate_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
+        trajectories = simulated_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
         assert trajectories[0].tau is not None and any(t.tau is None for t in trajectories)
         self.check(trajectories, simulate_records(benchmark_kernel, 20, 300, seed=13, max_steps=30))
 
@@ -256,7 +255,7 @@ class TestBlockReducer:
     def test_start_beyond_int64_through_scalar_fallback(self, benchmark_kernel):
         # the lockstep engine re-runs such a block on the scalar engine
         records = simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40)
-        self.check(simulate_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), records)
+        self.check(simulated_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), records)
         assert records.max_state.dtype == object
 
     def test_columns_read_back_per_path(self):
@@ -297,11 +296,11 @@ class TestDeterministicDynamics:
 
     def test_no_rises_flagged(self):
         kernel = DeterministicDownKernel(floor_n=5)
-        out = estimate_segment_moments(kernel, 10, 1, n_traj=100, seed=0)
-        assert out["rise_length_m"].flag == "no-samples"
-        assert out["overshoot_m"].flag == "no-samples"
+        out = fold_records(simulate_records(kernel, 10, 100, seed=0), 10, [1]).estimates
+        assert out[("rise_length_m", 1)].flag == "no-samples"
+        assert out[("overshoot_m", 1)].flag == "no-samples"
         # the single fall per path succeeds, so its indicator zeroes it
-        assert out["fall_length_m"].mean == 0.0
+        assert out[("fall_length_m", 1)].mean == 0.0
 
 
 class TestTauMoments:
@@ -340,11 +339,11 @@ class TestSegmentMoments:
         n = 20_000
         for m in (1, 2):
             bs = make_bound_set(m, benchmark_spec.kappa, benchmark_spec.up_jump_s)
-            out = estimate_segment_moments(benchmark_kernel, 10, m, n_traj=n, seed=7)
+            out = fold_records(simulate_records(benchmark_kernel, 10, n, seed=7), 10, [m]).estimates
             cells = [
-                (out["rise_length_m"], bs.rise_bound.upper),
-                (out["fall_length_m"], bs.fall_bound.upper),
-                (out["overshoot_m"], bs.overshoot.upper),
+                (out[("rise_length_m", m)], bs.rise_bound.upper),
+                (out[("fall_length_m", m)], bs.fall_bound.upper),
+                (out[("overshoot_m", m)], bs.overshoot.upper),
             ]
             for est, bound in cells:
                 assert est.mean <= bound + 3 * est.std_error, (m, est.quantity)

@@ -7,7 +7,6 @@ from markovup import (
     FallWindow,
     KappaSpec,
     certify,
-    kappa_at,
     path_stream,
 )
 from markovup.model_zoo import InvalidParameterError
@@ -20,13 +19,13 @@ Q_BAR = 1.0 - KAPPA_INF
 class TestKappaSpec:
     def test_direct_values(self):
         spec = KappaSpec(a=0.5, r=0.5)
-        assert kappa_at(spec, 0) == 0.5
-        assert kappa_at(spec, 1) == 0.75
-        assert kappa_at(spec, 2) == 0.875
+        assert spec.at(0) == 0.5
+        assert spec.at(1) == 0.75
+        assert spec.at(2) == 0.875
 
     def test_monotone_toward_one(self):
         spec = KappaSpec(a=0.5, r=0.5)
-        values = [kappa_at(spec, i) for i in range(1001)]
+        values = [spec.at(i) for i in range(1001)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
         # strictly below 1 until the gap falls under float resolution
@@ -79,7 +78,7 @@ class TestBenchmarkKernel:
         x = 20
         values = tuple(range(x + ell, x - 1, -1))
         window = FallWindow(0, values)
-        kappa = kappa_at(benchmark_kernel.spec.kappa, ell)
+        kappa = benchmark_kernel.spec.kappa.at(ell)
         rng = path_stream(777, ell)
         draws = rng.random(n)
         dist = benchmark_kernel.next(window)
