@@ -269,19 +269,26 @@ def _dump_json(doc: dict[str, Any], path: Optional[str]) -> None:
         Path(path).write_text(text + "\n")
 
 
+# rows joined into one write: a slice of rows at a time keeps the lists
+# and text held small, also for a dump of long paths
+_ROWS_PER_WRITE = 1 << 10
+
+
 def write_paths_csv(path: str, records_by_x: dict[int, mc_engine.RecordColumns]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "tau", "attempts", "max_state", "capped"])
+        fh.write("path_id,tau,attempts,max_state,capped\r\n")
         for records in records_by_x.values():
-            capped = records.capped.tolist()
-            writer.writerows(zip(
-                range(len(records)),
-                ["" if c else steps for steps, c in zip(records.steps.tolist(), capped)],
-                records.attempts.tolist(),
-                records.max_state.tolist(),
-                map(int, capped),
-            ))
+            for lo in range(0, len(records), _ROWS_PER_WRITE):
+                part = slice(lo, lo + _ROWS_PER_WRITE)
+                fh.write("".join([
+                    f"{pid},,{attempts},{max_state},1\r\n" if capped
+                    else f"{pid},{steps},{attempts},{max_state},0\r\n"
+                    for pid, steps, attempts, max_state, capped in zip(
+                        range(lo, len(records)), records.steps[part].tolist(),
+                        records.attempts[part].tolist(), records.max_state[part].tolist(),
+                        records.capped[part].tolist(),
+                    )
+                ]))
 
 
 def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
@@ -301,14 +308,24 @@ _MAX_DIGITS = 18  # an integer of up to this many digits fits int64
 def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -> None:
     """Dump each start state's blocks of paths: one row per path, states space-separated."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DUMP_COLUMNS)
+        fh.write(",".join(_DUMP_COLUMNS) + "\r\n")
         for x0, blocks in blocks_by_x.items():
-            paths = ((block.floor_n, *path) for block in blocks for path in block.paths())
-            writer.writerows(
-                [x0, pid, "" if capped else steps, floor_n, " ".join(map(str, states))]
-                for pid, (floor_n, states, steps, capped) in enumerate(paths)
-            )
+            first = 0  # path id of the block's first path
+            for block in blocks:
+                states = block.states.tolist()
+                ends = np.cumsum(block.steps + 1)
+                for lo in range(0, ends.size, _ROWS_PER_WRITE):
+                    part = slice(lo, lo + _ROWS_PER_WRITE)
+                    fh.write("".join([
+                        f"{x0},{pid},{'' if capped else steps},{block.floor_n},"
+                        f"{' '.join(map(str, states[end - steps - 1:end]))}\r\n"
+                        for pid, steps, capped, end in zip(
+                            range(first + lo, first + ends.size), block.steps[part].tolist(),
+                            block.capped[part].tolist(), ends[part].tolist(),
+                        )
+                    ]))
+                states.clear()  # before the next block's states are listed
+                first += ends.size
 
 
 @dataclass(frozen=True, slots=True, eq=False)

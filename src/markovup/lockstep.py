@@ -14,9 +14,10 @@ every lane at once with numpy.  It reproduces the scalar engine
   one iff ``u < kappa``, otherwise up by
   ``int(log1p(-v) / log(1 - s))`` with ``v = (u - kappa) / (1 - kappa)``
   clamped as ``quantile`` clamps it.  The subtraction, division and clamp
-  are exact in numpy; the logarithms are taken with :mod:`math` on Python
-  floats, because ``np.log1p`` differs from ``math.log1p`` in the last
-  bit on some inputs;
+  are exact in numpy.  ``np.log1p`` differs from ``math.log1p`` in the
+  last bit on some inputs, which moves the truncated quotient only where
+  it lies next to an integer: :func:`_jumps` takes every quotient with
+  numpy and only those few again with :mod:`math`;
 * a lane leaves at the floor or at the step cap, and its states are
   regrouped path by path into a :class:`PathBlock`, whose
   :meth:`~PathBlock.trajectories` are the scalar engine's.
@@ -43,6 +44,7 @@ __all__ = ["BLOCK", "FallLaws", "simulate_lockstep", "step_lanes"]
 BLOCK = 4096
 _INT64_MAX = 2**63 - 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_MARGIN = 2.0**-40  # see _jumps
 
 
 class _LeavesInt64(Exception):
@@ -52,13 +54,16 @@ class _LeavesInt64(Exception):
 class FallLaws:
     """kappa and tail mass by fall length, read from the kernel's own step laws.
 
-    The table grows on demand, up to the longest fall a lane has reached,
-    so each law passes StepDistribution's construction checks before use.
+    The tables grow on demand, doubling in size up to ``max_steps``
+    entries, enough for every fall a path steps from before the cap; each
+    law is built by ``kernel.law``, so it passes StepDistribution's
+    construction checks before use.
     """
 
-    def __init__(self, kernel: BenchmarkKernel) -> None:
+    def __init__(self, kernel: BenchmarkKernel, max_steps: int) -> None:
         self._kernel = kernel
         self._x = kernel.floor_n + 1  # lowest state a lane steps from
+        self._cap = max_steps
         self.kappa = np.empty(0)
         self.tail_mass = np.empty(0)
         self.log_ratio = math.log(kernel.law(0, self._x).tail_ratio)
@@ -67,9 +72,33 @@ class FallLaws:
         have = self.kappa.size
         if ell_max < have:
             return
-        laws = [self._kernel.law(ell, self._x) for ell in range(have, ell_max + 1)]
+        size = max(min(2 * have, self._cap), ell_max + 1)
+        laws = [self._kernel.law(ell, self._x) for ell in range(have, size)]
         self.kappa = np.concatenate([self.kappa, [law.probs[0] for law in laws]])
         self.tail_mass = np.concatenate([self.tail_mass, [law.tail_mass for law in laws]])
+
+
+def _jumps(v: np.ndarray, log_ratio: float) -> np.ndarray:
+    """Quotients ``log1p(-v) / log_ratio`` that truncate as ``int(math.log1p(-v) / log_ratio)`` does.
+
+    ``np.log1p`` and ``math.log1p`` each lie within a few ulp of the exact
+    logarithm (they differ by one ulp on about 7% of uniform draws), and
+    the division rounds both alike, so the two quotients are within a
+    relative 2**-49 of each other.  Their truncations differ only if an
+    integer lies between them, hence only where q lies that close to an
+    integer.  Quotients within ``2**-40 * max(q, 1)`` of an integer, a
+    margin 500 times wider, are taken again with ``math.log1p``: exact
+    integers, such as every ``v = 1 - 2**-k`` at s = 1/2, and every q of
+    2**39 or more, where the margin exceeds 1/2.
+    """
+    q = np.log1p(-v)
+    q /= log_ratio
+    gap = np.rint(q)
+    gap -= q
+    near = np.flatnonzero(np.abs(gap, out=gap) <= _MARGIN * np.maximum(q, 1.0))
+    if near.size:
+        q[near] = [math.log1p(-vi) / log_ratio for vi in v[near].tolist()]
+    return q
 
 
 def step_lanes(
@@ -87,12 +116,12 @@ def step_lanes(
     if up.size:
         v = (u[up] - kappa[up]) / laws.tail_mass[ell[up]]
         np.clip(v, 0.0, _BELOW_ONE, out=v)
-        log_ratio = laws.log_ratio
-        jumps = [int(math.log1p(-vi) / log_ratio) for vi in v.tolist()]
+        q = _jumps(v, laws.log_ratio)
         x_up = x[up]
-        if max(jumps) > _INT64_MAX - int(x_up.max()):
+        # int() truncates the largest quotient as astype truncates each one
+        if int(q.max()) > _INT64_MAX - int(x_up.max()):
             raise _LeavesInt64
-        x_next[up] = x_up + np.array(jumps, dtype=np.int64)
+        x_next[up] = x_up + q.astype(np.int64)
     # a down-step extends the fall; an up or flat step starts a new window
     return x_next, np.where(down, ell + 1, 0)
 
@@ -112,7 +141,7 @@ def simulate_lockstep(
     if x0 < 0:
         raise ValueError("x0 must be non-negative")
     floor_n = kernel.floor_n
-    laws = FallLaws(kernel) if x0 > floor_n else None
+    laws = FallLaws(kernel, max_steps) if x0 > floor_n else None
     for lo in range(0, n_traj, BLOCK):
         hi = min(lo + BLOCK, n_traj)
         if laws is None:  # every path starts in the floor

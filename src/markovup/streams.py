@@ -74,31 +74,44 @@ def philox_block(seed: int, keys: np.ndarray, block) -> np.ndarray:
     ``path_stream(seed, pid, task)`` returns the words of counter blocks
     1, 2, 3, ... in order, four per block, so its j-th raw draw (from 0)
     is ``philox_block(seed, lane_keys(seed, [pid], task), j // 4 + 1)[j % 4, 0]``.
-    The 64x64->128-bit products are assembled from 32-bit halves.
+    The high 64 bits of each 64x64-bit product are assembled from 32-bit
+    halves, and the rounds run in buffers allocated once per call.
     """
     n = keys.shape[0]
     ctr = np.zeros((4, n), dtype=np.uint64)
     ctr[0] = block
+    nxt = np.empty_like(ctr)
     # key words k0 (the seed) and k1, XORed into output words 0 and 2
     key = np.empty((2, n), dtype=np.uint64)
     key[0] = seed
     key[1] = keys
+    # 32-bit halves of words 2 and 0, and two partial sums of their products
+    c_lo, c_hi, t, w = (np.empty((2, n), dtype=np.uint64) for _ in range(4))
     for r in range(_ROUNDS):
         if r:
             key += _BUMP
-        # words 2 and 0 times (M1, M0): full 128-bit products
+        # words 2 and 0 times (M1, M0): the high 64 bits of each product
+        # gathered in c_hi as Hacker's Delight's mulhu does, no sum overflowing
         c = ctr[2::-2]
-        c_lo = c & _MASK32
-        c_hi = c >> _SHIFT32
-        lh = _MUL_LO * c_hi
-        hl = _MUL_HI * c_lo
-        mid = (_MUL_LO * c_lo >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
-        hi = _MUL_HI * c_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-        lo = _MUL * c
-        nxt = np.empty_like(ctr)
-        nxt[0::2] = hi ^ ctr[1::2] ^ key
-        nxt[1::2] = lo
-        ctr = nxt
+        np.bitwise_and(c, _MASK32, out=c_lo)
+        np.right_shift(c, _SHIFT32, out=c_hi)
+        np.multiply(c_lo, _MUL_LO, out=t)
+        t >>= _SHIFT32
+        np.multiply(c_hi, _MUL_LO, out=w)
+        t += w
+        np.bitwise_and(t, _MASK32, out=w)
+        c_lo *= _MUL_HI
+        w += c_lo
+        c_hi *= _MUL_HI
+        t >>= _SHIFT32
+        c_hi += t
+        w >>= _SHIFT32
+        c_hi += w
+        out = nxt[0::2]
+        np.bitwise_xor(c_hi, ctr[1::2], out=out)
+        out ^= key
+        np.multiply(_MUL, c, out=nxt[1::2])
+        ctr, nxt = nxt, ctr
     return ctr
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -194,6 +195,36 @@ class TestSubcommands:
         cli.main(["--threads", "4", "verify", str(path)])
         second = (tmp_path / "report.json").read_bytes()
         assert first == second
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    # sha256 of every file simulate, report and verify write for one small
+    # config, so an engine or writer change that drifts a bit fails here.
+    # report.json echoes the output file names, so they are pinned too.
+    golden = {
+        "simulate": {
+            "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
+            "trajectories.csv": "e9da91480e09a697bfa45da7754908d60a00ab36f6fdcb064cc013a66f17c137",
+        },
+        "report": {
+            "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
+            "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
+        },
+        "verify": {
+            "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
+            "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
+            "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
+        },
+    }
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"n_traj": 3000, "seed": 5, "output": {"trajectories_csv": "trajectories.csv"}}
+    ))
+    for command, files in golden.items():
+        assert cli.main([command, str(config)]) == cli.EXIT_OK
+        for name, digest in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
 
 
 def assert_same_blocks(read, simulated):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from markovup import BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
-from markovup.lockstep import BLOCK, FallLaws, simulate_lockstep, step_lanes
+from markovup.lockstep import BLOCK, FallLaws, _jumps, simulate_lockstep, step_lanes
 from markovup.process_core import StopReason, simulate_path
 from markovup.streams import path_stream
 
@@ -86,11 +86,51 @@ def test_step_rule_is_the_law_quantile(a, r, s):
             crafted |= set(rng.random(20).tolist())
             lanes += [(x, ell, u) for u in sorted(crafted)]
     x, ell, u = (np.array(col) for col in zip(*lanes))
-    x_next, ell_next = step_lanes(FallLaws(kernel), x, ell, u)
+    x_next, ell_next = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
     for (x_i, ell_i, u_i), x_n, ell_n in zip(lanes, x_next.tolist(), ell_next.tolist()):
         expected = kernel.law(ell_i, x_i).quantile(u_i)
         assert x_n == expected, (x_i, ell_i, u_i)
         assert ell_n == (ell_i + 1 if expected < x_i else 0)
+
+
+def _with_neighbours(values):
+    """values and the floats next to them, below 1."""
+    out = []
+    for v in values:
+        out += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
+    return [v for v in out if v < 1.0]
+
+
+@pytest.mark.parametrize("s", [0.5, 0.3, 0.01, 1e-15])
+def test_jumps_truncate_as_math_log1p(s, monkeypatch):
+    # v whose quotient is an integer k in exact arithmetic, such as
+    # v = 1 - 2**-k at s = 1/2, and their neighbours straddle the integer
+    log_ratio = math.log(1.0 - s)
+    v = [0.0] + _with_neighbours(
+        [-math.expm1(k * log_ratio) for k in range(1, 201)] + [1.0 - 2.0**-k for k in range(1, 54)]
+    )
+    v += np.random.default_rng(3).random(10_000).tolist()
+    expected = [int(math.log1p(-vi) / log_ratio) for vi in v]
+    calls = []
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda x: calls.append(x) or log1p(x))
+    q = _jumps(np.array(v), log_ratio)
+    assert q.astype(np.int64).tolist() == expected
+    assert calls  # some quotients were taken again with math.log1p
+
+
+def test_fall_laws_grow_geometrically_to_the_step_cap():
+    kernel = _kernel(0.5, 1 - 1e-9, 0.5)
+    laws = FallLaws(kernel, max_steps=100)
+    sizes = []
+    for ell in range(100):
+        laws.cover(ell)
+        if laws.kappa.size not in sizes:
+            sizes.append(laws.kappa.size)
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 100]
+    x = kernel.floor_n + 1
+    assert laws.kappa.tolist() == [kernel.law(ell, x).probs[0] for ell in range(100)]
+    assert laws.tail_mass.tolist() == [kernel.law(ell, x).tail_mass for ell in range(100)]
 
 
 def test_more_than_one_block(benchmark_kernel):

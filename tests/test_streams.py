@@ -28,6 +28,16 @@ def test_words_and_uniforms_match_path_stream(seed, task):
             assert uniforms[row].tobytes() == expected.tobytes(), (seed, task, pid, k)
 
 
+@pytest.mark.parametrize("n", [1, 4096, 16385])
+def test_many_lanes_match_path_stream(n):
+    # one lane, a block of lanes, and more keys than the lockstep engine passes in one call
+    seed, task = 2**64 - 1, 5
+    words = _lockstep_words(seed, np.arange(n), task, 8)
+    for pid in range(n):
+        raw = path_stream(seed, pid, task).bit_generator.random_raw(8)
+        assert words[pid].tolist() == raw.tolist(), pid
+
+
 def test_block_is_per_lane():
     # a lane's words do not depend on which other lanes share the call
     keys = lane_keys(5, np.arange(64), 1)
