@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import bound_calc, mc_engine
+from .csv_io import read_plain_dump, write_paths_csv, write_trajectories_csv
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
 from .process_core import PathBlock, StopReason, Trajectory, state_array
 from .streams import MAX_PATHS
@@ -269,63 +269,12 @@ def _dump_json(doc: dict[str, Any], path: Optional[str]) -> None:
         Path(path).write_text(text + "\n")
 
 
-# rows joined into one write: a slice of rows at a time keeps the lists
-# and text held small, also for a dump of long paths
-_ROWS_PER_WRITE = 1 << 10
-
-
-def write_paths_csv(path: str, records_by_x: dict[int, mc_engine.RecordColumns]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("path_id,tau,attempts,max_state,capped\r\n")
-        for records in records_by_x.values():
-            for lo in range(0, len(records), _ROWS_PER_WRITE):
-                part = slice(lo, lo + _ROWS_PER_WRITE)
-                fh.write("".join([
-                    f"{pid},,{attempts},{max_state},1\r\n" if capped
-                    else f"{pid},{steps},{attempts},{max_state},0\r\n"
-                    for pid, steps, attempts, max_state, capped in zip(
-                        range(lo, len(records)), records.steps[part].tolist(),
-                        records.attempts[part].tolist(), records.max_state[part].tolist(),
-                        records.capped[part].tolist(),
-                    )
-                ]))
-
-
 def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
     rows = _verdict_rows(report)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-
-
-_DUMP_COLUMNS = ("x0", "path_id", "tau", "floor_n", "states")
-# states text parsed at a time, which bounds the tokens held as strings
-_CHUNK_CHARS = 1 << 16
-_MAX_DIGITS = 18  # an integer of up to this many digits fits int64
-
-
-def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -> None:
-    """Dump each start state's blocks of paths: one row per path, states space-separated."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_DUMP_COLUMNS) + "\r\n")
-        for x0, blocks in blocks_by_x.items():
-            first = 0  # path id of the block's first path
-            for block in blocks:
-                states = block.states.tolist()
-                ends = np.cumsum(block.steps + 1)
-                for lo in range(0, ends.size, _ROWS_PER_WRITE):
-                    part = slice(lo, lo + _ROWS_PER_WRITE)
-                    fh.write("".join([
-                        f"{x0},{pid},{'' if capped else steps},{block.floor_n},"
-                        f"{' '.join(map(str, states[end - steps - 1:end]))}\r\n"
-                        for pid, steps, capped, end in zip(
-                            range(first + lo, first + ends.size), block.steps[part].tolist(),
-                            block.capped[part].tolist(), ends[part].tolist(),
-                        )
-                    ]))
-                states.clear()  # before the next block's states are listed
-                first += ends.size
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -354,106 +303,24 @@ def read_trajectories_csv(path: str) -> TrajectoryDump:
     header, has a cell that is not an integer where one is due, or states
     that do not make the path its x0, tau and floor_n describe (the checks
     :class:`Trajectory` makes of one path).  The file is read in two passes.
-    The first (:func:`_read_plain_dump`) parses and checks the rows with
-    arrays, and only accepts.  When it declines, the second
-    (:func:`_read_dump_rows`) reads the file again a Trajectory per row,
-    and names the first malformed row's line.
+    The first (:func:`markovup.csv_io.read_plain_dump`) parses and checks
+    the bytes of a dump in the form simulate writes with arrays, and only
+    accepts.  When it declines, the second (:func:`_read_dump_rows`) reads
+    the file again a Trajectory per row, and names the first malformed
+    row's line.
     """
     limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
     try:
+        with open(path, "rb") as raw:
+            columns = read_plain_dump(raw)
+        if columns is not None:
+            return TrajectoryDump(*columns)
         with open(path, newline="", encoding="utf-8") as fh:
-            dump = _read_plain_dump(fh)
-            if dump is None:
-                fh.seek(0)
-                dump = _read_dump_rows(path, fh)
+            return _read_dump_rows(path, fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
-    return dump
-
-
-def _read_plain_dump(fh: Any) -> Optional[TrajectoryDump]:
-    """A dump's columns, or None unless every row is a well-formed path in plain form.
-
-    Plain form: each row has the header's width, and its states are plain
-    digits between spaces; every value fits int64.  The small cells become
-    ints in the row loop; the states are parsed, and the rows checked as
-    :class:`Trajectory` checks a path, _CHUNK_CHARS of states text at a
-    time, so the tokens of the whole file are never held as strings.  A
-    declined row is not explained: :func:`_read_dump_rows` does that.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    where = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
-    if not where.keys() >= set(_DUMP_COLUMNS):
-        return None
-    cells_of = operator.itemgetter(*(where[name] for name in _DUMP_COLUMNS))
-    width = len(header)
-    parts = []  # TrajectoryDump's columns, chunk by chunk
-    ints: list[int] = []  # x0, path_id, tau and floor_n of each row not yet in parts
-    capped: list[bool] = []
-    cells: list[str] = []
-    chars = 0
-    try:  # a file the row-by-row read cannot decode or split is left to it as well
-        for row in filter(None, reader):  # a blank line holds no row
-            if len(row) != width:
-                return None
-            x0, path_id, tau, floor_n, cell = cells_of(row)
-            ints += (int(x0), int(path_id), int(tau or 0), int(floor_n))
-            capped.append(tau == "")
-            cells.append(cell)
-            chars += len(cell)
-            if chars >= _CHUNK_CHARS:
-                parts.append(_plain_chunk(ints, capped, cells))
-                ints, capped, cells, chars = [], [], [], 0
-        if cells:
-            parts.append(_plain_chunk(ints, capped, cells))
-    except (ValueError, OverflowError, csv.Error):
-        return None
-    if not parts:  # a dump without rows
-        return None
-    return TrajectoryDump(*(np.concatenate(column) for column in zip(*parts)))
-
-
-def _plain_chunk(ints: list[int], capped: list[bool], cells: list[str]) -> tuple[np.ndarray, ...]:
-    """TrajectoryDump's columns of some rows; ValueError or OverflowError unless each is a well-formed, plain path."""
-    states, counts = _parse_int_cells(cells)
-    x0, path_id, tau, floor_n = np.array(ints, dtype=np.int64).reshape(-1, 4).T
-    live = ~np.array(capped, dtype=bool)
-    if not counts.all():
-        raise ValueError("a row without states")
-    starts = np.cumsum(counts) - counts
-    in_floor = np.add.reduceat(states <= np.repeat(floor_n, counts), starts, dtype=np.int64)
-    last = states[starts + counts - 1]
-    # plain states are non-negative; a live path first enters the floor at
-    # its last state, tau steps in, and a capped one never does
-    if ((states[starts] != x0) | (in_floor != live) | (live & ((counts != tau + 1) | (last > floor_n)))).any():
-        raise ValueError("a malformed row")
-    return x0, path_id, floor_n, counts - 1, ~live, states
-
-
-def _parse_int_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The space-separated integers of the cells, flat, and each cell's count, parsed in one pass.
-
-    Anything but plain digits between spaces, or a token of more than
-    _MAX_DIGITS digits, raises ValueError.
-    """
-    text = "\n".join(cells)
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    newline = b == ord("\n")
-    breaks = np.flatnonzero(newline)
-    padded = np.concatenate(([False], digit, [False]))
-    first = np.flatnonzero(padded[1:] & ~padded[:-1])  # where each token starts
-    end = np.flatnonzero(padded[:-1] & ~padded[1:])
-    plain = (digit | newline | (b == ord(" "))).all() and (end - first <= _MAX_DIGITS).all()
-    if not plain or breaks.size != len(cells) - 1:  # a newline in a cell would shift later cells' counts
-        raise ValueError("not plain digits between spaces")
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    if values.size != first.size:  # text without a token reads as one 0
-        raise ValueError("not plain digits between spaces")
-    return values, np.bincount(np.searchsorted(breaks, first), minlength=len(cells))
 
 
 def _read_dump_rows(path: str, fh: Any) -> TrajectoryDump:

@@ -82,11 +82,16 @@ class BenchmarkModelSpec:
             raise InvalidParameterError(f"floor_n must be non-negative, got {self.floor_n}")
 
 
+# step laws a BenchmarkKernel keeps: a long path from a far start meets a new
+# (fall length, state) pair on most steps, so the cache is emptied when full
+_CACHE_LIMIT = 1 << 16
+
+
 class BenchmarkKernel(KernelContract):
     """Window-pure kernel realizing :class:`BenchmarkModelSpec` exactly.
 
     Distributions depend only on (fall length, current state) and are
-    cached, so equal windows return the identical object.
+    cached, up to _CACHE_LIMIT of them, so equal windows return equal laws.
     """
 
     def __init__(self, spec: BenchmarkModelSpec) -> None:
@@ -117,6 +122,8 @@ class BenchmarkKernel(KernelContract):
                 dist = StepDistribution(
                     (x - 1,), (kappa,), tail_start=x, tail_mass=1.0 - kappa, tail_ratio=1.0 - s
                 )
+            if len(self._cache) >= _CACHE_LIMIT:
+                self._cache.clear()
             self._cache[key] = dist
         return dist
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from markovup import cli, mc_engine, model_zoo, process_core, tau_of
+from markovup import cli, csv_io, mc_engine, model_zoo, process_core, tau_of
 from markovup.lockstep import BLOCK
 
 
@@ -227,6 +227,22 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
 
 
+def read_outcome(read, dump):
+    """A dump read's columns, with their dtype kinds, or its ConfigError's message."""
+    try:
+        columns = read(str(dump))
+    except cli.ConfigError as exc:
+        return "error", str(exc)
+    return "ok", [(getattr(columns, name).dtype.kind, getattr(columns, name).tolist())
+                  for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")]
+
+
+def read_by_row(name):
+    """A dump's columns from the row-by-row parse alone."""
+    with open(name, newline="", encoding="utf-8") as fh:
+        return cli._read_dump_rows(name, fh)
+
+
 def assert_same_blocks(read, simulated):
     assert len(read) == len(simulated)
     for a, b in zip(read, simulated):
@@ -253,15 +269,28 @@ class TestTrajectoryRoundTrip:
             for stop, steps, capped, floor_n in zip(stops, dump.steps, dump.capped, dump.floor_n):
                 states = dump.states[stop - steps - 1:stop].tolist()
                 assert tau_of(states, floor_n) == (None if capped else steps)
-            # the reader's blocks are the ones simulate laid out
+            # the reader's blocks are the ones simulate laid out, and the dump's rows
+            # are their str-joined values, from 2**63 too
             config = cli.load_config(str(path))
             kernel = model_zoo.build_benchmark(config.model_spec())
             blocks_by_x = cli._blocks_from_dump(config, dump)
+            rows = []
             for task_index, x0 in enumerate(config.x_grid):
-                simulated = mc_engine.simulate_blocks(
+                simulated = list(mc_engine.simulate_blocks(
                     kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
-                )
-                assert_same_blocks(blocks_by_x[x0], list(simulated))
+                ))
+                assert_same_blocks(blocks_by_x[x0], simulated)
+                states = np.concatenate([block.states for block in simulated]).tolist()
+                steps = np.concatenate([block.steps for block in simulated]).tolist()
+                capped = np.concatenate([block.capped for block in simulated]).tolist()
+                stops = np.cumsum(np.array(steps) + 1).tolist()
+                rows += [
+                    f"{x0},{pid},{'' if capped[pid] else steps[pid]},{config.floor_n},"
+                    f"{' '.join(map(str, states[stop - steps[pid] - 1:stop]))}\r\n"
+                    for pid, stop in enumerate(stops)
+                ]
+            with open(traj_csv, newline="") as fh:
+                assert fh.readlines()[1:] == rows
             # report rebuilds verdicts from the dump alone
             assert cli.main(["report", str(path)]) == code
             replayed = (tmp_path / "report.json").read_bytes()
@@ -276,7 +305,7 @@ class TestTrajectoryRoundTrip:
         # shuffled rows, across x0 too, are gathered into path order; a small chunk
         # size parses the states cells in many chunks
         if chunk_chars is not None:
-            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
         path, traj_csv, rows = self.simulate_dump(tmp_path)
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
         ordered = [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")]
@@ -398,7 +427,7 @@ class TestTrajectoryRoundTrip:
     @pytest.mark.parametrize("fault", MALFORMED_ROWS)
     def test_report_rejects_malformed_row_after_passed_chunks(self, tmp_path, monkeypatch, capsys, fault):
         # at 40 characters a chunk, the rows before the malformed one pass the array checks
-        monkeypatch.setattr(cli, "_CHUNK_CHARS", 40)
+        monkeypatch.setattr(csv_io, "_CHUNK_CHARS", 40)
         self.test_report_rejects_malformed_row(tmp_path, capsys, fault)
 
     @pytest.mark.parametrize("chunk_chars", [None, 40])
@@ -412,7 +441,7 @@ class TestTrajectoryRoundTrip:
         self, tmp_path, monkeypatch, capsys, chunk_chars, fault, message
     ):
         if chunk_chars is not None:
-            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
         lines = traj_csv.read_text().splitlines()
         if fault == "no_states_column":
@@ -432,7 +461,7 @@ class TestTrajectoryRoundTrip:
         # line 9 cannot be read at all, line 8 has a token int() rejects, and line 7's
         # path enters the floor before its tau: line 7 comes first
         if chunk_chars is not None:
-            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
         lines = traj_csv.read_text().splitlines()
         lines[6] = "7,5,2,5,7 5 5"
@@ -479,25 +508,62 @@ class TestTrajectoryRoundTrip:
                 elif edit == "repeat":
                     rows.insert(i, list(rows[i]))
             dumps.append(tmp_path / f"mutated{k}.csv")
-            dumps[-1].write_text("\n".join(",".join(row) for row in rows) + "\n")
+            line_end = "\r\n" if k % 2 else "\n"  # half the corpus as simulate writes its line ends
+            dumps[-1].write_bytes((line_end.join(",".join(row) for row in rows) + line_end).encode())
 
-        def outcome(read, dump):
-            try:
-                columns = read(str(dump))
-            except cli.ConfigError as exc:
-                return "error", str(exc)
-            return "ok", [(getattr(columns, name).dtype.kind, getattr(columns, name).tolist())
-                          for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")]
-
-        def read_by_row(name):
-            with open(name, newline="", encoding="utf-8") as fh:
-                return cli._read_dump_rows(name, fh)
-
-        expected = [outcome(read_by_row, dump) for dump in dumps]
+        expected = [read_outcome(read_by_row, dump) for dump in dumps]
         assert {kind for kind, _ in expected} == {"ok", "error"}
-        for chunk_chars in (cli._CHUNK_CHARS, 40, 1):
-            monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
-            assert [outcome(cli.read_trajectories_csv, dump) for dump in dumps] == expected
+        for chunk_chars in (csv_io._CHUNK_CHARS, 40, 1):
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
+            assert [read_outcome(cli.read_trajectories_csv, dump) for dump in dumps] == expected
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_simulate_format_takes_the_array_pass(self, tmp_path, monkeypatch, line_end):
+        # a dump as simulate writes it, or with LF line ends, is read without the
+        # row-by-row parse, to the columns that parse gives
+        path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        traj_csv.write_bytes(traj_csv.read_bytes().replace(b"\r\n", line_end.encode()))
+        expected = read_outcome(read_by_row, traj_csv)
+        calls = []
+        monkeypatch.setattr(cli, "_read_dump_rows", lambda *args: calls.append(args))
+        assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
+        assert calls == []
+
+    CELL_EDITS = {
+        "quoted_cell": (1, lambda cell: f'"{cell}"'),
+        "plus_sign": (1, lambda cell: "+" + cell),
+        "past_int64": (1, lambda cell: str(2**63)),  # a path id past int64: object columns
+        "past_int64_floor": (3, lambda cell: str(2**63)),  # a floor past int64: a malformed row
+        "tab": (4, lambda cell: cell.replace(" ", "\t ", 1)),
+        "cr_in_cell": (4, lambda cell: cell.replace(" ", "\r", 1)),
+    }
+
+    @pytest.mark.parametrize("form", [*CELL_EDITS, "reordered_header", "no_final_line_end", "lone_cr", "space_in_cell"])
+    def test_forms_outside_the_array_pass(self, tmp_path, monkeypatch, form):
+        # each form is declined by the array pass and read row by row, to that
+        # parse's columns or its error
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        lines = traj_csv.read_bytes().decode().splitlines(keepends=True)  # CRLF kept
+        if form in self.CELL_EDITS:
+            column, edit = self.CELL_EDITS[form]
+            cells = lines[2].split(",")
+            cells[column] = edit(cells[column])
+            lines[2] = ",".join(cells)
+        elif form == "no_final_line_end":
+            lines[-1] = lines[-1].rstrip("\r\n")
+        elif form == "lone_cr":
+            lines[2] = lines[2].replace("\r\n", "\r")
+        elif form == "space_in_cell":  # a well-formed path if the space did not split "9 0"
+            lines[2] = "9 0,2,5,7,8 4\r\n"
+        with open(traj_csv, "w", newline="") as fh:
+            fh.write("".join(lines))
+        if form == "reordered_header":
+            self.rewrite_dump(traj_csv, [dict(reversed(row.items())) for row in rows])
+        expected = read_outcome(read_by_row, traj_csv)
+        by_row, calls = cli._read_dump_rows, []
+        monkeypatch.setattr(cli, "_read_dump_rows", lambda *args: calls.append(args) or by_row(*args))
+        assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
+        assert len(calls) == 1
 
     def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from markovup import (
+    BenchmarkKernel,
     BenchmarkModelSpec,
     FallWindow,
     KappaSpec,
     certify,
     path_stream,
 )
+from markovup import mc_engine, model_zoo
 from markovup.model_zoo import InvalidParameterError
 
 # frozen by brute-force product of (1 - 0.5**j), j >= 1, to below 1e-14
@@ -85,6 +87,33 @@ class TestBenchmarkKernel:
         downs = sum(1 for u in draws if dist.quantile(u) == x - 1)
         se = math.sqrt(kappa * (1.0 - kappa) / n)
         assert abs(downs / n - kappa) < 3 * se
+
+    def test_law_cache_is_bounded(self, benchmark_spec, monkeypatch):
+        # 60 paths from x0 = 1000 meet about 13,000 (fall length, state) pairs;
+        # a cache emptied at 64 entries gives the same paths
+        class CacheWatchingKernel(BenchmarkKernel):
+            """The benchmark law under another type, so the scalar engine steps it; notes the cache's largest size."""
+
+            largest = 0
+
+            def next(self, window):
+                dist = super().next(window)
+                self.largest = max(self.largest, len(self._cache))
+                return dist
+
+        def paths(kernel):
+            return [
+                (block.states.tolist(), block.steps.tolist(), block.capped.tolist())
+                for block in mc_engine.simulate_blocks(kernel, 1000, 60, seed=7)
+            ]
+
+        unbounded = CacheWatchingKernel(benchmark_spec)
+        expected = paths(unbounded)
+        assert unbounded.largest > 10_000
+        monkeypatch.setattr(model_zoo, "_CACHE_LIMIT", 64)
+        bounded = CacheWatchingKernel(benchmark_spec)
+        assert paths(bounded) == expected
+        assert 0 < bounded.largest <= 64
 
 
 class TestCertify:
