@@ -29,10 +29,10 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from . import bound_calc, mc_engine
-from .csv_io import read_plain_dump, write_paths_csv, write_trajectories_csv
+from . import bound_calc, csv_io, mc_engine
+from .csv_io import TrajectoryDump, write_paths_csv, write_trajectories_csv
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
-from .process_core import PathBlock, StopReason, Trajectory, state_array
+from .process_core import PathBlock, state_array
 from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
@@ -277,84 +277,17 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
         writer.writerows(rows)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TrajectoryDump:
-    """A trajectory dump's rows as columns, in file order.
-
-    Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
-    has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
-    capped iff ``capped[i]``.  The integer columns are laid out as
-    :func:`state_array` lays out states: int64, or Python ints when one does
-    not fit.
-    """
-
-    x0: np.ndarray
-    path_id: np.ndarray
-    floor_n: np.ndarray
-    steps: np.ndarray
-    capped: np.ndarray
-    states: np.ndarray
-
-
 def read_trajectories_csv(path: str) -> TrajectoryDump:
     """Parse a trajectory dump into columns; an unreadable file or a malformed row raises ConfigError.
 
-    A row is malformed when it lacks a column, has more cells than the
-    header, has a cell that is not an integer where one is due, or states
-    that do not make the path its x0, tau and floor_n describe (the checks
-    :class:`Trajectory` makes of one path).  The file is read in two passes.
-    The first (:func:`markovup.csv_io.read_plain_dump`) parses and checks
-    the bytes of a dump in the form simulate writes with arrays, and only
-    accepts.  When it declines, the second (:func:`_read_dump_rows`) reads
-    the file again a Trajectory per row, and names the first malformed
-    row's line.
+    :func:`markovup.csv_io.read_trajectories_csv` reads the file.
     """
-    limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
     try:
-        with open(path, "rb") as raw:
-            columns = read_plain_dump(raw)
-        if columns is not None:
-            return TrajectoryDump(*columns)
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _read_dump_rows(path, fh)
+        return csv_io.read_trajectories_csv(path)
+    except csv_io.MalformedDump as exc:
+        raise ConfigError(str(exc)) from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
-    finally:
-        csv.field_size_limit(limit)
-
-
-def _read_dump_rows(path: str, fh: Any) -> TrajectoryDump:
-    """A dump's columns, read a :class:`Trajectory` per row; the first malformed row raises ConfigError."""
-    reader = csv.DictReader(fh, restval="")
-    x0s, path_ids, floors, steps, capped, states = [], [], [], [], [], []
-    for row in reader:
-        try:
-            # a missing column is met first, in the order the cells are read
-            cell, tau_cell, x0, floor_n, path_id = (row[name] for name in ("states", "tau", "x0", "floor_n", "path_id"))
-            if None in row:  # the cells past the header's
-                width = len(reader.fieldnames)
-                raise ValueError(f"{width + len(row[None])} cells under a header of {width}")
-            path_states = tuple(int(tok) for tok in cell.split())
-            tau = None if tau_cell == "" else int(tau_cell)
-            traj = Trajectory(
-                x0=int(x0),
-                states=path_states,
-                floor_n=int(floor_n),
-                stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
-                tau=tau,
-            )
-            path_ids.append(int(path_id))
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
-        x0s.append(traj.x0)
-        floors.append(traj.floor_n)
-        steps.append(len(path_states) - 1)
-        capped.append(tau is None)
-        states.extend(path_states)
-    return TrajectoryDump(
-        state_array(x0s), state_array(path_ids), state_array(floors),
-        np.array(steps, dtype=np.int64), np.array(capped, dtype=bool), state_array(states),
-    )
 
 
 # ------------------------------------------------------------- subcommands

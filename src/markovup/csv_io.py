@@ -4,22 +4,26 @@ paths.csv has a row per path: ``path_id,tau,attempts,max_state,capped``.
 The trajectory dump has a row per path too: ``x0,path_id,tau,floor_n,states``,
 the states space-separated.  A capped path's tau is empty; every line ends
 in CRLF.  Both writers format int64 columns with one lookup-table formatter
-(:func:`_ascii`), a bounded number of tokens at a time.  :func:`read_plain_dump`
-parses a dump in the form the writer gives, and only accepts: the caller
-reads any other form row by row.
+(:func:`_ascii`), a bounded number of tokens at a time.
+:func:`read_trajectories_csv` reads a dump back into a
+:class:`TrajectoryDump`: with arrays when it is in the form the writer
+gives, row by row otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
-from typing import Any, BinaryIO, Iterator, Optional
+import sys
+from dataclasses import dataclass
+from typing import Any, BinaryIO, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .mc_engine import RecordColumns
-from .process_core import PathBlock
+from .process_core import PathBlock, StopReason, Trajectory, state_array
 
-__all__ = ["read_plain_dump", "write_paths_csv", "write_trajectories_csv"]
+__all__ = ["MalformedDump", "TrajectoryDump", "read_trajectories_csv", "write_paths_csv", "write_trajectories_csv"]
 
 # Tokens formatted into one write.  The arrays a write builds take about 40
 # bytes a token, so a write holds well under 1 MB, also for a dump of long paths.
@@ -95,9 +99,10 @@ def write_paths_csv(path: str, records_by_x: dict[int, RecordColumns]) -> None:
             for lo in range(0, len(records), rows):
                 part = slice(lo, lo + rows)
                 capped = records.capped[part]
+                # the flag as int64: stacked with an object max_state, a bool would be formatted "True"
                 fh.write(_ascii(np.stack([
                     np.arange(lo, lo + capped.size), np.where(capped, -1, records.steps[part]),
-                    records.attempts[part], records.max_state[part], capped,
+                    records.attempts[part], records.max_state[part], capped.astype(np.int64),
                 ], axis=1), _PATHS_SEPS))
 
 
@@ -149,18 +154,58 @@ def _dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
         yield _ascii(tokens, seps)
 
 
-def read_plain_dump(fh: BinaryIO) -> Optional[tuple[np.ndarray, ...]]:
-    """A dump's columns, or None unless it has rows and each is a well-formed path in plain form.
+class MalformedDump(ValueError):
+    """A dump row that is not a well-formed path; the message names its file and line."""
 
-    The columns are those of :class:`markovup.cli.TrajectoryDump`: x0,
-    path_id, floor_n, steps, capped and the states of every row, all int64
-    but capped.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TrajectoryDump:
+    """A trajectory dump's rows as columns, in file order.
+
+    Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
+    has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
+    capped iff ``capped[i]``.  The integer columns are laid out as
+    :func:`state_array` lays out states: int64, or Python ints when one does
+    not fit.
+    """
+
+    x0: np.ndarray
+    path_id: np.ndarray
+    floor_n: np.ndarray
+    steps: np.ndarray
+    capped: np.ndarray
+    states: np.ndarray
+
+
+def read_trajectories_csv(path: str) -> TrajectoryDump:
+    """Parse a trajectory dump into columns; the first malformed row raises MalformedDump.
+
+    A row is malformed when it lacks a column, has more cells than the
+    header, has a cell that is not an integer where one is due, or states
+    that do not make the path its x0, tau and floor_n describe (the checks
+    :class:`Trajectory` makes of one path).  The file is read in two passes.
+    The first (:func:`_read_plain_dump`) parses and checks the bytes of a
+    dump in plain form with arrays, and only accepts.  When it declines, the
+    second (:func:`_read_dump_rows`) reads the file again a Trajectory per
+    row, and names the first malformed row's line.  An unreadable file
+    raises OSError, UnicodeDecodeError or csv.Error.
+    """
+    with open(path, "rb") as raw:
+        dump = _read_plain_dump(raw)
+    if dump is not None:
+        return dump
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _read_dump_rows(path, fh)
+
+
+def _read_plain_dump(fh: BinaryIO) -> Optional[TrajectoryDump]:
+    """A dump's columns, all int64, or None unless it has rows and each is a well-formed path in plain form.
 
     Plain form is the form simulate writes: the header line
     ``x0,path_id,tau,floor_n,states``, then rows of five cells, each line
-    ending in LF or CRLF, the last one too.  Every cell is one plain
-    integer of at most _MAX_DIGITS digits, but tau, which a capped row
-    leaves empty, and states, which holds one or more between single
+    ending in LF or CRLF (the last line may end without).  Every cell is
+    one plain integer of at most _MAX_DIGITS digits, but tau, which a capped
+    row leaves empty, and states, which holds one or more between single
     spaces.  The bytes are parsed, and the rows checked as
     :class:`~markovup.process_core.Trajectory` checks a path, _CHUNK_CHARS
     at a time, cut at a line end.  A declined dump is not explained: the
@@ -170,17 +215,18 @@ def read_plain_dump(fh: BinaryIO) -> Optional[tuple[np.ndarray, ...]]:
         return None
     parts = []  # the columns, chunk by chunk
     while chunk := fh.read(_CHUNK_CHARS):
+        chunk += fh.readline()  # to the end of the line the read cut
         try:
-            parts.append(_plain_chunk(chunk + fh.readline()))  # to the end of the line the read cut
+            parts.append(_plain_chunk(chunk if chunk.endswith(b"\n") else chunk + b"\n"))
         except ValueError:
             return None
     if not parts:  # a dump without rows
         return None
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return TrajectoryDump(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def _plain_chunk(raw: bytes) -> tuple[np.ndarray, ...]:
-    """The dump columns of whole dump lines; ValueError unless each is a well-formed path in plain form."""
+    """The TrajectoryDump columns of whole dump lines; ValueError unless each is a well-formed path in plain form."""
     b = np.frombuffer(raw, dtype=np.uint8)
     digit = (b - np.uint8(ord("0"))) < 10  # the bytes below "0" wrap past "9"
     cr = b == ord("\r")
@@ -237,3 +283,43 @@ def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:
     if digit[at].any():
         raise ValueError("a token past int64")
     return values
+
+
+def _read_dump_rows(path: str, fh: TextIO) -> TrajectoryDump:
+    """A dump's columns, read a :class:`Trajectory` per row; the first malformed row raises MalformedDump."""
+    limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
+    try:
+        reader = csv.DictReader(fh, restval="")
+        x0s, path_ids, floors, steps, capped, states = [], [], [], [], [], []
+        for row in reader:
+            try:
+                # a missing column is met first, in the order the cells are read
+                cell, tau_cell, x0, floor_n, path_id = (
+                    row[name] for name in ("states", "tau", "x0", "floor_n", "path_id")
+                )
+                if None in row:  # the cells past the header's
+                    width = len(reader.fieldnames)
+                    raise ValueError(f"{width + len(row[None])} cells under a header of {width}")
+                path_states = tuple(int(tok) for tok in cell.split())
+                tau = None if tau_cell == "" else int(tau_cell)
+                traj = Trajectory(
+                    x0=int(x0),
+                    states=path_states,
+                    floor_n=int(floor_n),
+                    stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
+                    tau=tau,
+                )
+                path_ids.append(int(path_id))
+            except (ValueError, KeyError) as exc:
+                raise MalformedDump(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
+            x0s.append(traj.x0)
+            floors.append(traj.floor_n)
+            steps.append(len(path_states) - 1)
+            capped.append(tau is None)
+            states.extend(path_states)
+    finally:
+        csv.field_size_limit(limit)
+    return TrajectoryDump(
+        state_array(x0s), state_array(path_ids), state_array(floors),
+        np.array(steps, dtype=np.int64), np.array(capped, dtype=bool), state_array(states),
+    )

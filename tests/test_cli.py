@@ -172,6 +172,9 @@ class TestSubcommands:
         assert report["timing"]["capped_paths"] == 3
         assert report["verdicts"]
         assert all(v["method"] == "not-issued" for v in report["verdicts"])
+        # paths.csv rows from an object-array block: an empty tau, and the capped flag as 1
+        rows = (tmp_path / "paths.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1::3] for row in rows] == [["", "1"]] * 3
 
     def test_low_sample_warning(self, tmp_path):
         path = write_config(tmp_path, n_traj=10)
@@ -228,10 +231,10 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 def read_outcome(read, dump):
-    """A dump read's columns, with their dtype kinds, or its ConfigError's message."""
+    """A dump read's columns, with their dtype kinds, or its error's message."""
     try:
         columns = read(str(dump))
-    except cli.ConfigError as exc:
+    except (cli.ConfigError, csv_io.MalformedDump) as exc:
         return "error", str(exc)
     return "ok", [(getattr(columns, name).dtype.kind, getattr(columns, name).tolist())
                   for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")]
@@ -240,7 +243,7 @@ def read_outcome(read, dump):
 def read_by_row(name):
     """A dump's columns from the row-by-row parse alone."""
     with open(name, newline="", encoding="utf-8") as fh:
-        return cli._read_dump_rows(name, fh)
+        return csv_io._read_dump_rows(name, fh)
 
 
 def assert_same_blocks(read, simulated):
@@ -509,7 +512,8 @@ class TestTrajectoryRoundTrip:
                     rows.insert(i, list(rows[i]))
             dumps.append(tmp_path / f"mutated{k}.csv")
             line_end = "\r\n" if k % 2 else "\n"  # half the corpus as simulate writes its line ends
-            dumps[-1].write_bytes((line_end.join(",".join(row) for row in rows) + line_end).encode())
+            final = "" if k % 3 == 2 else line_end  # a third without the final line end
+            dumps[-1].write_bytes((line_end.join(",".join(row) for row in rows) + final).encode())
 
         expected = [read_outcome(read_by_row, dump) for dump in dumps]
         assert {kind for kind, _ in expected} == {"ok", "error"}
@@ -517,15 +521,17 @@ class TestTrajectoryRoundTrip:
             monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
             assert [read_outcome(cli.read_trajectories_csv, dump) for dump in dumps] == expected
 
+    @pytest.mark.parametrize("final_line_end", [True, False])
     @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
-    def test_simulate_format_takes_the_array_pass(self, tmp_path, monkeypatch, line_end):
-        # a dump as simulate writes it, or with LF line ends, is read without the
-        # row-by-row parse, to the columns that parse gives
+    def test_simulate_format_takes_the_array_pass(self, tmp_path, monkeypatch, line_end, final_line_end):
+        # a dump as simulate writes it, or with LF line ends, or without its final
+        # line end, is read without the row-by-row parse, to the columns that parse gives
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
-        traj_csv.write_bytes(traj_csv.read_bytes().replace(b"\r\n", line_end.encode()))
+        text = traj_csv.read_bytes().replace(b"\r\n", line_end.encode())
+        traj_csv.write_bytes(text if final_line_end else text.removesuffix(line_end.encode()))
         expected = read_outcome(read_by_row, traj_csv)
         calls = []
-        monkeypatch.setattr(cli, "_read_dump_rows", lambda *args: calls.append(args))
+        monkeypatch.setattr(csv_io, "_read_dump_rows", lambda *args: calls.append(args))
         assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
         assert calls == []
 
@@ -538,7 +544,7 @@ class TestTrajectoryRoundTrip:
         "cr_in_cell": (4, lambda cell: cell.replace(" ", "\r", 1)),
     }
 
-    @pytest.mark.parametrize("form", [*CELL_EDITS, "reordered_header", "no_final_line_end", "lone_cr", "space_in_cell"])
+    @pytest.mark.parametrize("form", [*CELL_EDITS, "reordered_header", "lone_cr", "space_in_cell"])
     def test_forms_outside_the_array_pass(self, tmp_path, monkeypatch, form):
         # each form is declined by the array pass and read row by row, to that
         # parse's columns or its error
@@ -549,8 +555,6 @@ class TestTrajectoryRoundTrip:
             cells = lines[2].split(",")
             cells[column] = edit(cells[column])
             lines[2] = ",".join(cells)
-        elif form == "no_final_line_end":
-            lines[-1] = lines[-1].rstrip("\r\n")
         elif form == "lone_cr":
             lines[2] = lines[2].replace("\r\n", "\r")
         elif form == "space_in_cell":  # a well-formed path if the space did not split "9 0"
@@ -560,8 +564,8 @@ class TestTrajectoryRoundTrip:
         if form == "reordered_header":
             self.rewrite_dump(traj_csv, [dict(reversed(row.items())) for row in rows])
         expected = read_outcome(read_by_row, traj_csv)
-        by_row, calls = cli._read_dump_rows, []
-        monkeypatch.setattr(cli, "_read_dump_rows", lambda *args: calls.append(args) or by_row(*args))
+        by_row, calls = csv_io._read_dump_rows, []
+        monkeypatch.setattr(csv_io, "_read_dump_rows", lambda *args: calls.append(args) or by_row(*args))
         assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
         assert len(calls) == 1
 

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from markovup import cli, csv_io
-from markovup.process_core import PathBlock
+from markovup import cli, csv_io, mc_engine
+from markovup.process_core import PathBlock, state_array
 
 EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 10**8 - 1, 10**8, 2**63 - 1]
 
@@ -31,6 +31,28 @@ def test_formatter_writes_paths_rows():
         b"3,,2,100000000,1\r\n10000,9999,1,7,0\r\n0,0,0,0,0\r\n"
     )
     assert bytes(csv_io._ascii(rows[:0], csv_io._PATHS_SEPS)) == b""
+
+
+def test_paths_rows_with_object_max_state(tmp_path):
+    # a start state of 2**63 gives an object max_state column; its rows, and an
+    # int64 start state's after them, are the str-formatted ones, the flag 1 or 0
+    wide = PathBlock(5, state_array([2**63, 2**63 + 1, 2**63 + 2, 2**63, 4]),
+                     np.array([2, 1]), np.array([True, False]))
+    narrow = PathBlock(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
+    records_by_x = {2**63: mc_engine.records_of([wide]), 6: mc_engine.records_of([narrow])}
+    assert records_by_x[2**63].max_state.dtype == object
+    path = tmp_path / "paths.csv"
+    csv_io.write_paths_csv(str(path), records_by_x)
+    rows = [
+        f"{pid},,{attempts},{max_state},1\r\n" if capped else f"{pid},{steps},{attempts},{max_state},0\r\n"
+        for records in records_by_x.values()
+        for pid, steps, attempts, max_state, capped in zip(
+            range(len(records)), records.steps.tolist(), records.attempts.tolist(),
+            records.max_state.tolist(), records.capped.tolist(),
+        )
+    ]
+    assert rows[:2] == [f"0,,0,{2**63 + 2},1\r\n", f"1,1,1,{2**63},0\r\n"]
+    assert path.read_bytes() == ("path_id,tau,attempts,max_state,capped\r\n" + "".join(rows)).encode()
 
 
 @pytest.mark.parametrize("budget", [1, 7])
