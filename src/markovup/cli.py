@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import bound_calc, csv_io, mc_engine
-from .csv_io import TrajectoryDump, write_paths_csv, write_trajectories_csv
+from .csv_io import TrajectoryDump, first_failure, write_paths_csv, write_trajectories_csv
 from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
 from .process_core import PathBlock, state_array
 from .streams import MAX_PATHS
@@ -278,15 +278,15 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
 
 
 def read_trajectories_csv(path: str) -> TrajectoryDump:
-    """Parse a trajectory dump into columns; an unreadable file or a malformed row raises ConfigError.
+    """Parse a trajectory dump into columns; an unreadable file or a malformed line raises ConfigError.
 
     :func:`markovup.csv_io.read_trajectories_csv` reads the file.
     """
     try:
         return csv_io.read_trajectories_csv(path)
     except csv_io.MalformedDump as exc:
-        raise ConfigError(str(exc)) from exc
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"config field 'output.trajectories_csv': {exc}") from exc
+    except OSError as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': cannot read {path}: {exc}") from exc
 
 
@@ -354,15 +354,6 @@ def cmd_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
 
 
-def _first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
-    """The first row any mask marks, and the message of the first mask that marks it."""
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    return row, next(message for mask, message in checks if mask[row])
-
-
 def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, list[PathBlock]]:
     """Each start state's dumped paths, in x_grid and path order, in the blocks simulate_blocks yields.
 
@@ -381,7 +372,7 @@ def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[in
     order = np.argsort(key, kind="stable")
     repeat = np.zeros(rows, dtype=bool)
     repeat[order[1:]] = key[order[1:]] == key[order[:-1]]  # a later row of a key seen before
-    failure = _first_failure((
+    failure = first_failure((
         (dump.floor_n != config.floor_n, f"has floor_n={{floor_n}}, config floor_n={config.floor_n}"),
         (task < 0, f"starts outside config x_grid {list(config.x_grid)}"),
         (~known | repeat, f"is duplicated or outside path ids 0..{n_traj - 1}"),
@@ -410,15 +401,10 @@ def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[in
             states = dump.states[np.repeat(row_stops[at] - size - bounds[:-1], size) + np.arange(bounds[-1])]
         edges = [*range(0, n_traj, mc_engine.BLOCK), n_traj]
         blocks_by_x[x0] = [
-            PathBlock(config.floor_n, _fit(states[bounds[lo]:bounds[hi]]), steps[lo:hi], capped[lo:hi])
+            PathBlock(config.floor_n, state_array(states[bounds[lo]:bounds[hi]]), steps[lo:hi], capped[lo:hi])
             for lo, hi in zip(edges, edges[1:])
         ]
     return blocks_by_x
-
-
-def _fit(states: np.ndarray) -> np.ndarray:
-    """A block's states as int64 when they fit, as simulate_blocks lays them out."""
-    return state_array(states.tolist()) if states.dtype == object else states
 
 
 def cmd_report(config: ExperimentConfig) -> int:

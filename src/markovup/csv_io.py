@@ -5,25 +5,25 @@ The trajectory dump has a row per path too: ``x0,path_id,tau,floor_n,states``,
 the states space-separated.  A capped path's tau is empty; every line ends
 in CRLF.  Both writers format int64 columns with one lookup-table formatter
 (:func:`_ascii`), a bounded number of tokens at a time.
-:func:`read_trajectories_csv` reads a dump back into a
-:class:`TrajectoryDump`: with arrays when it is in the form the writer
-gives, row by row otherwise.
+:func:`read_trajectories_csv` reads a dump in that form back into a
+:class:`TrajectoryDump` with arrays, and names the first line that is not.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import sys
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Iterator, Optional, TextIO
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .mc_engine import RecordColumns
-from .process_core import PathBlock, StopReason, Trajectory, state_array
+from .process_core import PathBlock, state_array
 
-__all__ = ["MalformedDump", "TrajectoryDump", "read_trajectories_csv", "write_paths_csv", "write_trajectories_csv"]
+__all__ = [
+    "MalformedDump", "TrajectoryDump", "first_failure", "read_trajectories_csv",
+    "write_paths_csv", "write_trajectories_csv",
+]
 
 # Tokens formatted into one write.  The arrays a write builds take about 40
 # bytes a token, so a write holds well under 1 MB, also for a dump of long paths.
@@ -155,7 +155,10 @@ def _dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
 
 
 class MalformedDump(ValueError):
-    """A dump row that is not a well-formed path; the message names its file and line."""
+    """A dump line that is not the header or a well-formed path in plain form.
+
+    The message names the file and the line.
+    """
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -177,81 +180,90 @@ class TrajectoryDump:
     states: np.ndarray
 
 
+def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
+    """The first row any mask marks, and the message of the first mask that marks it."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(message for mask, message in checks if mask[row])
+
+
 def read_trajectories_csv(path: str) -> TrajectoryDump:
-    """Parse a trajectory dump into columns; the first malformed row raises MalformedDump.
+    """Parse a trajectory dump into columns; the first malformed line raises MalformedDump.
 
-    A row is malformed when it lacks a column, has more cells than the
-    header, has a cell that is not an integer where one is due, or states
-    that do not make the path its x0, tau and floor_n describe (the checks
-    :class:`Trajectory` makes of one path).  The file is read in two passes.
-    The first (:func:`_read_plain_dump`) parses and checks the bytes of a
-    dump in plain form with arrays, and only accepts.  When it declines, the
-    second (:func:`_read_dump_rows`) reads the file again a Trajectory per
-    row, and names the first malformed row's line.  An unreadable file
-    raises OSError, UnicodeDecodeError or csv.Error.
+    A dump is read in the form simulate writes: the header line
+    ``x0,path_id,tau,floor_n,states``, then one or more rows of five cells,
+    each line ending in LF or CRLF (the last may end without).  Every cell
+    is one integer in plain digits, but tau, which a capped row leaves
+    empty, and states, which holds one or more between single spaces.  The
+    states must make the path its x0, tau and floor_n describe, as
+    :class:`~markovup.process_core.Trajectory` checks a path.  The bytes are
+    parsed _CHUNK_CHARS at a time, cut at a line end; a chunk that fails is
+    parsed again a line at a time, and the first line that fails is named
+    with the check it fails.  An unreadable file raises OSError.
     """
-    with open(path, "rb") as raw:
-        dump = _read_plain_dump(raw)
-    if dump is not None:
-        return dump
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _read_dump_rows(path, fh)
-
-
-def _read_plain_dump(fh: BinaryIO) -> Optional[TrajectoryDump]:
-    """A dump's columns, all int64, or None unless it has rows and each is a well-formed path in plain form.
-
-    Plain form is the form simulate writes: the header line
-    ``x0,path_id,tau,floor_n,states``, then rows of five cells, each line
-    ending in LF or CRLF (the last line may end without).  Every cell is
-    one plain integer of at most _MAX_DIGITS digits, but tau, which a capped
-    row leaves empty, and states, which holds one or more between single
-    spaces.  The bytes are parsed, and the rows checked as
-    :class:`~markovup.process_core.Trajectory` checks a path, _CHUNK_CHARS
-    at a time, cut at a line end.  A declined dump is not explained: the
-    row-by-row reader does that.
-    """
-    if fh.readline() not in (_DUMP_HEADER + b"\n", _DUMP_HEADER + b"\r\n"):
-        return None
     parts = []  # the columns, chunk by chunk
-    while chunk := fh.read(_CHUNK_CHARS):
-        chunk += fh.readline()  # to the end of the line the read cut
-        try:
-            parts.append(_plain_chunk(chunk if chunk.endswith(b"\n") else chunk + b"\n"))
-        except ValueError:
-            return None
-    if not parts:  # a dump without rows
-        return None
-    return TrajectoryDump(*(np.concatenate(column) for column in zip(*parts)))
+    with open(path, "rb") as fh:
+        if fh.readline().removesuffix(b"\n").removesuffix(b"\r") != _DUMP_HEADER:
+            raise MalformedDump(f"{path}:1: malformed dump row: the header is not {_DUMP_HEADER.decode()}")
+        line = 2  # the chunk's first line
+        while chunk := fh.read(_CHUNK_CHARS):
+            chunk += fh.readline()  # to the end of the line the read cut
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            try:
+                parts.append(_plain_chunk(chunk))
+            except ValueError:  # the same parse a line at a time, to name the first line that fails
+                for text in chunk.split(b"\n")[:-1]:
+                    try:
+                        parts.append(_plain_chunk(text + b"\n"))
+                    except ValueError as exc:
+                        raise MalformedDump(f"{path}:{line}: malformed dump row: {exc}") from exc
+                    line += 1
+            else:
+                line += parts[-1][0].size  # a row a line: cheaper than counting the chunk's line ends
+    if not parts:
+        raise MalformedDump(f"{path}:2: malformed dump row: no row after the header")
+    x0, path_id, floor_n, steps, capped, states = (np.concatenate(column) for column in zip(*parts))
+    return TrajectoryDump(
+        state_array(x0), state_array(path_id), state_array(floor_n), steps, capped, state_array(states)
+    )
 
 
 def _plain_chunk(raw: bytes) -> tuple[np.ndarray, ...]:
-    """The TrajectoryDump columns of whole dump lines; ValueError unless each is a well-formed path in plain form."""
+    """The TrajectoryDump columns of whole dump lines, each ending in LF.
+
+    ValueError, with the reason, unless each line is a well-formed path in
+    plain form.
+    """
     b = np.frombuffer(raw, dtype=np.uint8)
     digit = (b - np.uint8(ord("0"))) < 10  # the bytes below "0" wrap past "9"
     cr = b == ord("\r")
     stops = np.flatnonzero((b == ord(",")) | (b == ord("\n")))  # where each cell ends
+    n_space = np.count_nonzero(b == ord(" "))
     if (
-        b[-1] != ord("\n") or (cr[:-1] & (b[1:] != ord("\n"))).any()  # a CR only before LF
-        or np.count_nonzero(digit) + np.count_nonzero(cr) + stops.size + np.count_nonzero(b == ord(" ")) != b.size
-        or stops.size % _CELLS or (b[stops].reshape(-1, _CELLS) != _ROW_STOPS).any()
+        (cr[:-1] & (b[1:] != ord("\n"))).any()  # a CR only before LF
+        or np.count_nonzero(digit) + np.count_nonzero(cr) + stops.size + n_space != b.size
     ):
-        raise ValueError("not lines of five cells of digits and spaces")
+        raise ValueError("a byte that is not a digit, a comma, a space or a line end")
+    if stops.size % _CELLS or (b[stops].reshape(-1, _CELLS) != _ROW_STOPS).any():
+        raise ValueError("not five cells")
     width = (np.diff(stops, prepend=-1) - 1).reshape(-1, _CELLS)
     live = width[:, 2] > 0
     past = np.flatnonzero(digit[:-1] & ~digit[1:]) + 1  # where each token's digits end
     end = b[past]  # the byte that ends each token
     spaced, last = end == ord(" "), (end == ord("\n")) | (end == ord("\r"))
-    row_last = np.flatnonzero(last)  # each row's last token
-    # every cell has digits but a capped row's tau; a space lies between two
-    # tokens of a states cell: it ends a token, and no cell end follows it
-    # before the line end
-    if not (
-        (width[:, [0, 1, 3, 4]] > 0).all() and row_last.size == live.size
-        and np.count_nonzero(spaced) == np.count_nonzero(b == ord(" "))
-        and not (spaced[:-1] & (end[1:] == ord(","))).any()
+    # a space lies between two digits, and no cell end follows the token
+    # after it before the line end: it splits a states cell
+    if (
+        np.count_nonzero((b[1:-1] == ord(" ")) & digit[:-2] & digit[2:]) != n_space
+        or (spaced[:-1] & (end[1:] == ord(","))).any()
     ):
-        raise ValueError("an empty cell or a misplaced space")
+        raise ValueError("a space that is not between two states")
+    row_last = np.flatnonzero(last)  # each row's last token
+    if not (width[:, [0, 1, 3]] > 0).all() or row_last.size != live.size:
+        raise ValueError("an empty cell")
     values = _decimal(b, digit, past)
     row_first = np.concatenate(([0], row_last[:-1] + 1))
     counts = row_last - row_first - 2 - live  # the tokens past x0, path_id, tau and floor_n
@@ -260,15 +272,26 @@ def _plain_chunk(raw: bytes) -> tuple[np.ndarray, ...]:
     states = values[spaced | last]
     starts = np.cumsum(counts) - counts
     in_floor = np.add.reduceat(states <= np.repeat(floor_n, counts), starts, dtype=np.int64)
-    # plain states are non-negative; a live path first enters the floor at
-    # its last state, tau steps in, and a capped one never does
-    if ((states[starts] != x0) | (in_floor != live) | (live & ((counts != tau + 1) | (values[row_last] > floor_n)))).any():
-        raise ValueError("a malformed row")
+    # a live path first enters the floor at its last state, tau steps in
+    failure = first_failure((
+        (states[starts] != x0, "states must start at x0"),
+        (live & (counts != tau + 1), "a path that hit the floor at tau={tau} must end there"),
+        (live & ((in_floor != 1) | (values[row_last] > floor_n)),
+         "a path that hit the floor at tau={tau} must first enter it there"),
+        (~live & (in_floor > 0), "a capped path must never enter the floor"),
+    ))
+    if failure is not None:
+        row, message = failure
+        raise ValueError(message.format(tau=tau[row]))
     return x0, path_id, floor_n, counts - 1, ~live, states
 
 
 def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:
-    """The int64 value of each run of digits of ``b`` that ends before ``past``; ValueError past _MAX_DIGITS digits."""
+    """The value of each run of digits of ``b`` that ends before ``past``.
+
+    The values are int64, or Python ints in an object array when a run is
+    longer than _MAX_DIGITS digits.
+    """
     values = (b[past - 1] - np.uint8(ord("0"))).astype(np.int64)
     # the tokens with a digit left of the ones read, and where; -1 reads the
     # last byte, a line end
@@ -280,46 +303,10 @@ def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:
             return values
         values[tokens] += (b[at] - np.uint8(ord("0"))) * np.int64(10) ** k
         at -= 1
-    if digit[at].any():
-        raise ValueError("a token past int64")
+    wide = tokens[digit[at]]  # the tokens of more digits than int64 is sure to hold: read by int
+    if not wide.size:
+        return values
+    start = np.flatnonzero(digit & np.diff(digit, prepend=False))[wide]  # where each wide token begins
+    text, values = b.tobytes(), values.astype(object)
+    values[wide] = [int(text[i:j]) for i, j in zip(start.tolist(), past[wide].tolist())]
     return values
-
-
-def _read_dump_rows(path: str, fh: TextIO) -> TrajectoryDump:
-    """A dump's columns, read a :class:`Trajectory` per row; the first malformed row raises MalformedDump."""
-    limit = csv.field_size_limit(sys.maxsize)  # a states cell is as long as its path; restored below
-    try:
-        reader = csv.DictReader(fh, restval="")
-        x0s, path_ids, floors, steps, capped, states = [], [], [], [], [], []
-        for row in reader:
-            try:
-                # a missing column is met first, in the order the cells are read
-                cell, tau_cell, x0, floor_n, path_id = (
-                    row[name] for name in ("states", "tau", "x0", "floor_n", "path_id")
-                )
-                if None in row:  # the cells past the header's
-                    width = len(reader.fieldnames)
-                    raise ValueError(f"{width + len(row[None])} cells under a header of {width}")
-                path_states = tuple(int(tok) for tok in cell.split())
-                tau = None if tau_cell == "" else int(tau_cell)
-                traj = Trajectory(
-                    x0=int(x0),
-                    states=path_states,
-                    floor_n=int(floor_n),
-                    stop_reason=StopReason.HIT_FLOOR if tau is not None else StopReason.STEP_CAP,
-                    tau=tau,
-                )
-                path_ids.append(int(path_id))
-            except (ValueError, KeyError) as exc:
-                raise MalformedDump(f"{path}:{reader.line_num}: malformed dump row: {exc!r}") from exc
-            x0s.append(traj.x0)
-            floors.append(traj.floor_n)
-            steps.append(len(path_states) - 1)
-            capped.append(tau is None)
-            states.extend(path_states)
-    finally:
-        csv.field_size_limit(limit)
-    return TrajectoryDump(
-        state_array(x0s), state_array(path_ids), state_array(floors),
-        np.array(steps, dtype=np.int64), np.array(capped, dtype=bool), state_array(states),
-    )

@@ -248,11 +248,14 @@ class Trajectory:
 
 
 def state_array(states: Sequence[int]) -> np.ndarray:
-    """States as int64, or as Python ints in an object array when one does not fit int64."""
+    """States as int64, or as Python ints in an object array when one does not fit int64.
+
+    An array already laid out so is returned as it is, not copied.
+    """
     try:
-        return np.array(states, dtype=np.int64)
+        return np.asarray(states, dtype=np.int64)
     except OverflowError:
-        return np.array(states, dtype=object)
+        return np.asarray(states, dtype=object)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

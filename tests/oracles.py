@@ -5,6 +5,10 @@ Each function translates its defining expression as directly as possible
 with the library is a meaningful check rather than a tautology.
 """
 
+import re
+
+from markovup.process_core import StopReason, Trajectory
+
 UNTERMINATED = "unterminated"
 
 
@@ -97,3 +101,51 @@ def record_oracle(states, floor_n):
         "fall_lengths": tuple(falls),
         "overshoots": tuple(overshoots),
     }
+
+
+DUMP_HEADER = "x0,path_id,tau,floor_n,states"
+# a dump row in plain form: five cells of digits, tau empty in a capped row,
+# states one or more integers between single spaces
+PLAIN_ROW = re.compile(r"([0-9]+),([0-9]+),([0-9]*),([0-9]+),([0-9]+(?: [0-9]+)*)")
+
+
+def dump_oracle(data):
+    """A trajectory dump's bytes read a line at a time, a Trajectory per row.
+
+    A line ends at LF, and a CR before it is part of the line end; the last
+    line may have none.  Returns ("ok", columns), the lists x0, path_id,
+    floor_n, steps, capped and states, or ("error", line, reason) for the
+    first line that is not the header, not a row PLAIN_ROW matches (reason
+    None), or not a path Trajectory accepts (its message); a dump without
+    rows fails at line 2.
+    """
+    lines = data.decode("latin-1").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    lines = [line.removesuffix("\r") for line in lines]
+    if not lines or lines[0] != DUMP_HEADER:
+        return "error", 1, None
+    if len(lines) == 1:
+        return "error", 2, None
+    columns = {name: [] for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")}
+    for number, line in enumerate(lines[1:], start=2):
+        match = PLAIN_ROW.fullmatch(line)
+        if match is None:
+            return "error", number, None
+        x0, path_id, tau, floor_n, states = match.groups()
+        states = tuple(int(s) for s in states.split(" "))
+        tau = int(tau) if tau else None
+        try:
+            Trajectory(
+                x0=int(x0), states=states, floor_n=int(floor_n), tau=tau,
+                stop_reason=StopReason.STEP_CAP if tau is None else StopReason.HIT_FLOOR,
+            )
+        except ValueError as exc:
+            return "error", number, str(exc)
+        columns["x0"].append(int(x0))
+        columns["path_id"].append(int(path_id))
+        columns["floor_n"].append(int(floor_n))
+        columns["steps"].append(len(states) - 1)
+        columns["capped"].append(tau is None)
+        columns["states"].extend(states)
+    return "ok", columns

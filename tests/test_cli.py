@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from markovup import cli, csv_io, mc_engine, model_zoo, process_core, tau_of
 from markovup.lockstep import BLOCK
+from oracles import dump_oracle
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -230,20 +232,32 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
 
 
-def read_outcome(read, dump):
-    """A dump read's columns, with their dtype kinds, or its error's message."""
+DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
+
+
+def read_outcome(dump):
+    """cli.read_trajectories_csv's columns, with their dtype kinds, or the line and reason its error names."""
     try:
-        columns = read(str(dump))
-    except (cli.ConfigError, csv_io.MalformedDump) as exc:
-        return "error", str(exc)
+        columns = cli.read_trajectories_csv(str(dump))
+    except cli.ConfigError as exc:
+        line, reason = re.fullmatch(
+            r"config field 'output\.trajectories_csv': .*:(\d+): malformed dump row: (.*)", str(exc)
+        ).groups()
+        return "error", int(line), reason
     return "ok", [(getattr(columns, name).dtype.kind, getattr(columns, name).tolist())
-                  for name in ("x0", "path_id", "floor_n", "steps", "capped", "states")]
+                  for name in DUMP_COLUMNS]
 
 
-def read_by_row(name):
-    """A dump's columns from the row-by-row parse alone."""
-    with open(name, newline="", encoding="utf-8") as fh:
-        return csv_io._read_dump_rows(name, fh)
+def oracle_outcome(dump):
+    """dump_oracle's outcome in read_outcome's form; a line it rejects by its regex has the reason None."""
+    outcome = dump_oracle(dump.read_bytes())
+    if outcome[0] == "error":
+        return outcome
+    columns = outcome[1]
+    kinds = {"steps": "i", "capped": "b"}  # the others are int64 unless a value is past it
+    return "ok", [
+        (kinds.get(name, "i" if max(columns[name]) < 2**63 else "O"), columns[name]) for name in DUMP_COLUMNS
+    ]
 
 
 def assert_same_blocks(read, simulated):
@@ -258,11 +272,14 @@ class TestTrajectoryRoundTrip:
     def test_dump_and_report(self, tmp_path):
         traj_csv = str(tmp_path / "trajectories.csv")
         # the second config's paths span two blocks; the third's, from 2**63, are laid
-        # out in object-array blocks and end capped
+        # out in object-array blocks and end capped; the last two write states of 19
+        # and 31 digits, read back as int64 and as Python ints
         for overrides, n_rows, code in (
             ({}, 2 * 400, cli.EXIT_OK),
             ({"x_grid": [6], "n_traj": BLOCK + 100}, BLOCK + 100, cli.EXIT_OK),
             ({"x_grid": [2**63, 6], "n_traj": 3, "max_steps": 50}, 2 * 3, cli.EXIT_VERDICT_FAIL),
+            ({"x_grid": [10**18], "n_traj": 3, "max_steps": 50}, 3, cli.EXIT_VERDICT_FAIL),
+            ({"x_grid": [10**30, 6], "n_traj": 3, "max_steps": 50}, 2 * 3, cli.EXIT_VERDICT_FAIL),
         ):
             path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
             assert cli.main(["simulate", str(path)]) == 0
@@ -317,14 +334,23 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
         assert [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")] == ordered
 
-    def test_report_reads_cells_past_the_one_pass_parse(self, tmp_path):
-        # tokens int() reads that are not plain digits between single spaces: they
-        # are read token by token, to the same states
+    def test_report_rejects_cells_past_the_plain_form(self, tmp_path, capsys):
+        # cells int() would read but that are not plain digits between single
+        # spaces: the first such line is named
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        rows[3]["states"] = "+" + rows[3]["states"].replace(" ", " \t")
+        rows[4]["states"] = " " + rows[4]["states"]
+        self.rewrite_dump(traj_csv, rows)
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "trajectories.csv:5: malformed dump row: a byte that is not a digit" in capsys.readouterr().err
+
+    def test_report_reads_zero_padded_states(self, tmp_path):
+        # states of 19 digits, 18 of them leading zeros, are read by int() to the
+        # same report
         path, traj_csv, rows = self.simulate_dump(tmp_path)
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
         expected = (tmp_path / "report.json").read_bytes()
-        rows[3]["states"] = "+" + rows[3]["states"].replace(" ", " \t")
-        rows[4]["states"] = " " + rows[4]["states"].replace(" ", " 000000000000000000")
+        rows[4]["states"] = rows[4]["states"].replace(" ", " 000000000000000000")
         self.rewrite_dump(traj_csv, rows)
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
         assert (tmp_path / "report.json").read_bytes() == expected
@@ -435,10 +461,10 @@ class TestTrajectoryRoundTrip:
 
     @pytest.mark.parametrize("chunk_chars", [None, 40])
     @pytest.mark.parametrize("fault, message", [
-        # a missing column is named before the width of the first row
-        ("no_states_column", ":2: malformed dump row: KeyError('states')"),
-        # line 4 is well formed but not plain, so the array pass stops before line 6
-        ("after_plus_token", ":6: malformed dump row: ValueError('a path that hit the floor at tau=2 must first enter"),
+        # a header without the states column is named before the width of the first row
+        ("no_states_column", ":1: malformed dump row: the header is not x0,path_id,tau,floor_n,states"),
+        # line 4, a path int() would read, is named before the malformed path of line 6
+        ("after_plus_token", ":4: malformed dump row: a byte that is not a digit"),
     ])
     def test_report_names_malformed_row_after_declined_one(
         self, tmp_path, monkeypatch, capsys, chunk_chars, fault, message
@@ -461,8 +487,8 @@ class TestTrajectoryRoundTrip:
 
     @pytest.mark.parametrize("chunk_chars", [None, 40])
     def test_report_names_first_malformed_row(self, tmp_path, monkeypatch, capsys, chunk_chars):
-        # line 9 cannot be read at all, line 8 has a token int() rejects, and line 7's
-        # path enters the floor before its tau: line 7 comes first
+        # line 9 has two cells, line 8 a token that is not digits, and line 7's path
+        # enters the floor before its tau: line 7 comes first
         if chunk_chars is not None:
             monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
@@ -472,13 +498,13 @@ class TestTrajectoryRoundTrip:
         lines[8] = "7,5"
         traj_csv.write_text("\n".join(lines) + "\n")
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
-        assert "trajectories.csv:7: malformed dump row: ValueError('a path that hit the floor at tau=2" in (
-            capsys.readouterr().err
-        )
+        assert ("trajectories.csv:7: malformed dump row: "
+                "a path that hit the floor at tau=2 must first enter it there") in capsys.readouterr().err
 
     def test_reader_matches_row_by_row_parse_on_mutated_dumps(self, tmp_path, monkeypatch):
-        # seeded corruptions of a small dump: at every chunk size, the two-pass reader
-        # gives the columns, or the error, of the Trajectory-per-row parse alone
+        # seeded corruptions of a small dump: at every chunk size, the reader gives
+        # the columns, or the first bad line, of a regex and a Trajectory per line;
+        # where the Trajectory rejects the line, the reason too
         traj_csv = tmp_path / "trajectories.csv"
         path = write_config(tmp_path, n_traj=12, output_trajectories_csv=str(traj_csv))
         assert cli.main(["simulate", str(path)]) == 0
@@ -515,25 +541,26 @@ class TestTrajectoryRoundTrip:
             final = "" if k % 3 == 2 else line_end  # a third without the final line end
             dumps[-1].write_bytes((line_end.join(",".join(row) for row in rows) + final).encode())
 
-        expected = [read_outcome(read_by_row, dump) for dump in dumps]
-        assert {kind for kind, _ in expected} == {"ok", "error"}
+        expected = [oracle_outcome(dump) for dump in dumps]
+        assert {kind for kind, *_ in expected} == {"ok", "error"}
+        assert any(outcome[0] == "error" and outcome[2] for outcome in expected)
         for chunk_chars in (csv_io._CHUNK_CHARS, 40, 1):
             monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
-            assert [read_outcome(cli.read_trajectories_csv, dump) for dump in dumps] == expected
+            got = [read_outcome(dump) for dump in dumps]
+            # where the regex rejects a line, the reader gives a reason of its own
+            assert [g[:2] + (None,) if e[2:] == (None,) else g for g, e in zip(got, expected)] == expected
 
     @pytest.mark.parametrize("final_line_end", [True, False])
     @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
-    def test_simulate_format_takes_the_array_pass(self, tmp_path, monkeypatch, line_end, final_line_end):
-        # a dump as simulate writes it, or with LF line ends, or without its final
-        # line end, is read without the row-by-row parse, to the columns that parse gives
+    def test_simulate_format_takes_the_array_pass(self, tmp_path, line_end, final_line_end):
+        # a dump with LF line ends, or without its final line end, is read to the
+        # columns of the dump as simulate writes it
         path, traj_csv, _rows = self.simulate_dump(tmp_path)
+        expected = read_outcome(traj_csv)
+        assert expected[0] == "ok"
         text = traj_csv.read_bytes().replace(b"\r\n", line_end.encode())
         traj_csv.write_bytes(text if final_line_end else text.removesuffix(line_end.encode()))
-        expected = read_outcome(read_by_row, traj_csv)
-        calls = []
-        monkeypatch.setattr(csv_io, "_read_dump_rows", lambda *args: calls.append(args))
-        assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
-        assert calls == []
+        assert read_outcome(traj_csv) == expected
 
     CELL_EDITS = {
         "quoted_cell": (1, lambda cell: f'"{cell}"'),
@@ -545,10 +572,11 @@ class TestTrajectoryRoundTrip:
     }
 
     @pytest.mark.parametrize("form", [*CELL_EDITS, "reordered_header", "lone_cr", "space_in_cell"])
-    def test_forms_outside_the_array_pass(self, tmp_path, monkeypatch, form):
-        # each form is declined by the array pass and read row by row, to that
-        # parse's columns or its error
+    def test_forms_outside_the_array_pass(self, tmp_path, form):
+        # each form but a wide path id is rejected, naming line 3, or line 1 for
+        # the header
         path, traj_csv, rows = self.simulate_dump(tmp_path)
+        plain = read_outcome(traj_csv)
         lines = traj_csv.read_bytes().decode().splitlines(keepends=True)  # CRLF kept
         if form in self.CELL_EDITS:
             column, edit = self.CELL_EDITS[form]
@@ -563,11 +591,15 @@ class TestTrajectoryRoundTrip:
             fh.write("".join(lines))
         if form == "reordered_header":
             self.rewrite_dump(traj_csv, [dict(reversed(row.items())) for row in rows])
-        expected = read_outcome(read_by_row, traj_csv)
-        by_row, calls = csv_io._read_dump_rows, []
-        monkeypatch.setattr(csv_io, "_read_dump_rows", lambda *args: calls.append(args) or by_row(*args))
-        assert read_outcome(cli.read_trajectories_csv, traj_csv) == expected
-        assert len(calls) == 1
+        outcome = read_outcome(traj_csv)
+        if form == "past_int64":
+            x0, (_kind, path_id), *rest = plain[1]
+            path_id[1] = 2**63
+            assert outcome == ("ok", [x0, ("O", path_id), *rest])
+        else:
+            assert outcome[:2] == ("error", 1 if form == "reordered_header" else 3)
+        if form == "past_int64_floor":  # every state is in the floor
+            assert re.fullmatch(r"a path that hit the floor at tau=\d+ must first enter it there", outcome[2])
 
     def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)
@@ -578,7 +610,9 @@ class TestTrajectoryRoundTrip:
         err = capsys.readouterr().err
         assert "(x0=10, path_id=3)" in err and "max_steps" in err
 
-    @pytest.mark.parametrize("content", [None, b"x0,path_id,tau,floor_n,states\n\xff\xfe\x80,0\n"])
+    @pytest.mark.parametrize("content", [
+        None, b"x0,path_id,tau,floor_n,states\n\xff\xfe\x80,0\n", b"x0,path_id,tau,floor_n,states\r\n",
+    ])
     def test_report_rejects_unreadable_dump(self, tmp_path, capsys, content):
         traj_csv = tmp_path / "trajectories.csv"
         if content is not None:
