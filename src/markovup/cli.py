@@ -358,9 +358,10 @@ def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[in
     """Each start state's dumped paths, in x_grid and path order, in the blocks simulate_blocks yields.
 
     Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's
-    floor_n, and a capped row must have run the config's max_steps; the first
-    row that does not names its x0 and path id.  A start state whose rows
-    come in path order, as simulate writes them, shares the dump's states.
+    floor_n, and a row must have run the config's max_steps if capped and at
+    most that many steps if not; the first row that does not names its x0
+    and path id.  A start state whose rows come in path order, as simulate
+    writes them, shares the dump's states.
     """
     n_traj, rows = config.n_traj, dump.steps.size
     task = np.full(rows, -1)
@@ -378,6 +379,8 @@ def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[in
         (~known | repeat, f"is duplicated or outside path ids 0..{n_traj - 1}"),
         (dump.capped & (dump.steps != config.max_steps),
          f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
+        (~dump.capped & (dump.steps > config.max_steps),
+         f"hits the floor after {{steps}} steps, past config max_steps={config.max_steps}"),
     ))
     if failure is not None:
         r, message = failure

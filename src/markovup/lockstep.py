@@ -1,9 +1,9 @@
-"""Lockstep simulation of the benchmark kernel: the paths of one start state together.
+"""Lockstep simulation of the benchmark kernel: a block of paths from one start state together.
 
 All paths from one start state take their t-th step at the same time t, so
-this engine keeps one array entry ("lane") per live path and advances
-every lane at once with numpy.  It reproduces the scalar engine
-(:func:`~markovup.process_core.simulate_path` on
+:func:`run_block` keeps one array entry ("lane") per live path of a block
+and advances every lane at once with numpy.  It reproduces the scalar
+engine (:func:`~markovup.process_core.simulate_path` on
 :func:`~markovup.streams.path_stream`) bit for bit:
 
 * each lane's t-th uniform is word (t-1) % 4 of Philox counter block
@@ -22,32 +22,32 @@ every lane at once with numpy.  It reproduces the scalar engine
   regrouped path by path into a :class:`PathBlock`, whose
   :meth:`~PathBlock.trajectories` are the scalar engine's.
 
-Paths run in blocks of ``BLOCK`` lanes, which bounds the memory of the
-recorded states.  States are held as int64: a block whose start state or
-later states would leave that range is simulated again by the scalar
-engine, whose Python integers do not wrap, and laid out as Python ints.
+States are held as int64: a block whose start state or later states would
+leave that range raises :class:`LeavesInt64`.  The block loop, the
+argument checks, the zero-step block of a start in the floor and the
+scalar engine's rerun of a block that leaves int64 all live in
+:func:`~markovup.mc_engine.simulate_blocks`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from .model_zoo import BenchmarkKernel
-from .process_core import PathBlock, simulate_path, state_array
-from .streams import block_uniforms, lane_keys, path_stream, philox_block
+from .process_core import PathBlock
+from .streams import block_uniforms, lane_keys, philox_block
 
-__all__ = ["BLOCK", "FallLaws", "simulate_lockstep", "step_lanes"]
+__all__ = ["BLOCK", "FallLaws", "LeavesInt64", "run_block", "step_lanes"]
 
-BLOCK = 4096
+BLOCK = 4096  # paths a block holds: bounds the memory of its recorded states
 _INT64_MAX = 2**63 - 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _MARGIN = 2.0**-40  # see _jumps
 
 
-class _LeavesInt64(Exception):
+class LeavesInt64(Exception):
     """A state of the block would not fit in int64."""
 
 
@@ -120,52 +120,27 @@ def step_lanes(
         x_up = x[up]
         # int() truncates the largest quotient as astype truncates each one
         if int(q.max()) > _INT64_MAX - int(x_up.max()):
-            raise _LeavesInt64
+            raise LeavesInt64
         x_next[up] = x_up + q.astype(np.int64)
     # a down-step extends the fall; an up or flat step starts a new window
     return x_next, np.where(down, ell + 1, 0)
 
 
-def simulate_lockstep(
-    kernel: BenchmarkKernel, x0: int, n_traj: int, seed: int, max_steps: int, task_index: int
-) -> Iterator[PathBlock]:
-    """Yield the paths 0..n_traj-1 from x0 in blocks of up to ``BLOCK``, in path order.
-
-    Path ``pid`` equals ``simulate_path(kernel, x0, max_steps,
-    path_stream(seed, pid, task_index))``, and invalid arguments raise the
-    same errors, checked in the same order.
-    """
-    lane_keys(seed, np.array([0, n_traj - 1]), task_index)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if x0 < 0:
-        raise ValueError("x0 must be non-negative")
-    floor_n = kernel.floor_n
-    laws = FallLaws(kernel, max_steps) if x0 > floor_n else None
-    for lo in range(0, n_traj, BLOCK):
-        hi = min(lo + BLOCK, n_traj)
-        if laws is None:  # every path starts in the floor
-            steps = np.zeros(hi - lo, dtype=np.int64)
-            yield PathBlock(floor_n, state_array([x0] * (hi - lo)), steps, steps.astype(bool))
-            continue
-        try:
-            yield _run_block(laws, x0, floor_n, lo, hi, seed, max_steps, task_index)
-        except _LeavesInt64:
-            yield PathBlock.of([
-                simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
-                for pid in range(lo, hi)
-            ])
-
-
-def _run_block(
-    laws: FallLaws, x0: int, floor_n: int, lo: int, hi: int,
-    seed: int, max_steps: int, task_index: int,
+def run_block(
+    kernel: BenchmarkKernel, x0: int, pids: np.ndarray, seed: int, max_steps: int, task_index: int
 ) -> PathBlock:
-    """Paths lo..hi-1, all lanes stepped together."""
+    """The paths ``pids`` from x0 > kernel.floor_n, in that order, all lanes stepped together.
+
+    Path ``pids[i]`` equals ``simulate_path(kernel, x0, max_steps,
+    path_stream(seed, pids[i], task_index))``; ``pids`` may be any ids, in
+    any order.  Raises :class:`LeavesInt64` if a state would not fit int64.
+    """
     if x0 > _INT64_MAX:
-        raise _LeavesInt64
-    n = hi - lo
-    keys = lane_keys(seed, np.arange(lo, hi), task_index)
+        raise LeavesInt64
+    floor_n = kernel.floor_n
+    laws = FallLaws(kernel, max_steps)
+    n = pids.size
+    keys = lane_keys(seed, pids, task_index)
     lane = np.arange(n)  # block-local index of each live lane
     x = np.full(n, x0, dtype=np.int64)
     ell = np.zeros(n, dtype=np.int64)

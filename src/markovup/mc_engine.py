@@ -1,10 +1,11 @@
 """Deterministic Monte Carlo estimation and one-sided bound verification.
 
 Each path owns a counter-based substream keyed by (seed, path index), and
-every engine runs on one thread.  The benchmark kernel's paths are stepped
-together by the lockstep engine (:mod:`markovup.lockstep`), which
-reproduces the scalar engine bit for bit; any other kernel runs on the
-scalar engine, path by path.  Both hand over blocks of paths in one flat
+every engine runs on one thread.  :func:`simulate_blocks` is the one loop
+that simulates paths, a block at a time.  The benchmark kernel's paths
+are stepped together by the lockstep engine (:mod:`markovup.lockstep`),
+which reproduces the scalar engine bit for bit; any other kernel runs on
+the scalar engine, path by path.  Both hand over blocks of paths in one flat
 layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
@@ -29,7 +30,6 @@ Two comparison rules are used, matching how sharp each inequality is:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -39,10 +39,10 @@ from scipy.special import betaincinv
 
 from . import bound_calc
 from .bound_calc import BoundSet
-from .lockstep import BLOCK, simulate_lockstep
+from .lockstep import BLOCK, LeavesInt64, run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .process_core import KernelContract, PathBlock, Trajectory, simulate_path
-from .streams import path_stream
+from .process_core import KernelContract, PathBlock, simulate_path, state_array
+from .streams import lane_keys, path_stream
 
 __all__ = [
     "AllCappedError",
@@ -51,7 +51,6 @@ __all__ = [
     "RecordColumns",
     "RecordFold",
     "VerificationVerdict",
-    "blocks_of",
     "certify_bounds",
     "estimate_tau_moments",
     "fold_records",
@@ -277,26 +276,39 @@ def simulate_blocks(
 ) -> Iterator[PathBlock]:
     """Yield paths 0..n_traj-1 from x0 in blocks of up to ``BLOCK``, in path order.
 
-    A :class:`BenchmarkKernel` (not a subclass, which may change the law)
-    runs on the lockstep engine; any other kernel on the scalar engine,
-    whose paths are laid out in the same blocks.  Each path's stream is
-    keyed by its index, so both give the same paths.
+    This is the one loop that simulates paths.  The arguments are checked
+    once, as the scalar engine checks them: the stream keys, then
+    max_steps, then x0.  A start in the floor gives zero-step blocks on
+    every kernel.  A :class:`BenchmarkKernel` (not a subclass, which may
+    change the law) runs each block on the lockstep engine,
+    :func:`~markovup.lockstep.run_block`; any other kernel, and a block
+    whose states leave int64, on the scalar engine, path by path, laid out
+    in the same block.  Each path's stream is keyed by its index, so both
+    give the same paths.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if type(kernel) is BenchmarkKernel:
-        yield from simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
-        return
-    yield from blocks_of(
-        simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)) for pid in range(n_traj)
-    )
-
-
-def blocks_of(trajectories: Iterable[Trajectory]) -> Iterator[PathBlock]:
-    """Consecutive blocks of up to ``BLOCK`` paths, laid out from a stream of trajectories."""
-    stream = iter(trajectories)
-    while batch := list(itertools.islice(stream, BLOCK)):
-        yield PathBlock.of(batch)
+    lane_keys(seed, np.array([0, n_traj - 1]), task_index)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if x0 < 0:
+        raise ValueError("x0 must be non-negative")
+    floor_n = kernel.floor_n
+    for lo in range(0, n_traj, BLOCK):
+        pids = np.arange(lo, min(lo + BLOCK, n_traj))
+        if x0 <= floor_n:
+            steps = np.zeros(pids.size, dtype=np.int64)
+            yield PathBlock(floor_n, state_array([x0] * pids.size), steps, steps.astype(bool))
+            continue
+        if type(kernel) is BenchmarkKernel:
+            try:
+                yield run_block(kernel, x0, pids, seed, max_steps, task_index)
+                continue
+            except LeavesInt64:  # the scalar engine's Python ints do not wrap
+                pass
+        yield PathBlock.of([
+            simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)) for pid in pids.tolist()
+        ])
 
 
 def records_of(blocks: Iterable[PathBlock]) -> RecordColumns:

@@ -610,6 +610,18 @@ class TestTrajectoryRoundTrip:
         err = capsys.readouterr().err
         assert "(x0=10, path_id=3)" in err and "max_steps" in err
 
+    def test_report_rejects_row_past_max_steps(self, tmp_path, capsys):
+        # a dump simulated under a higher step cap: its longest paths could not
+        # have run under the config's max_steps, which verify would cap
+        path, traj_csv, rows = self.simulate_dump(tmp_path)
+        taus = [int(r["tau"]) for r in rows]
+        row = rows[taus.index(max(taus))]
+        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv), max_steps=max(taus) - 1)
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"(x0={row['x0']}, path_id={row['path_id']}) hits the floor after {max(taus)} steps" in err
+        assert f"max_steps={max(taus) - 1}" in err
+
     @pytest.mark.parametrize("content", [
         None, b"x0,path_id,tau,floor_n,states\n\xff\xfe\x80,0\n", b"x0,path_id,tau,floor_n,states\r\n",
     ])
@@ -621,18 +633,16 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "output.trajectories_csv" in capsys.readouterr().err
 
-    def test_report_reads_paths_longer_than_csv_field_limit(self, tmp_path):
-        # two pure falls from 30,000, each a states cell longer than csv's default field limit
+    def test_report_reads_paths_longer_than_a_read_chunk(self, tmp_path):
+        # two pure falls from 30,000, each a line longer than the chunk the reader reads at once
         states = " ".join(map(str, range(30_000, 4, -1)))
         traj_csv = tmp_path / "trajectories.csv"
         traj_csv.write_text(
             "x0,path_id,tau,floor_n,states\n" + "".join(f"30000,{pid},29995,5,{states}\n" for pid in (0, 1))
         )
         path = write_config(tmp_path, x_grid=[30_000], n_traj=2, output_trajectories_csv=str(traj_csv))
-        limit = csv.field_size_limit()
-        assert len(states) > limit
+        assert len(states) > csv_io._CHUNK_CHARS
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
-        assert csv.field_size_limit() == limit  # the process-wide setting is put back
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["timing"]["steps_simulated"] == 2 * 29_995
 

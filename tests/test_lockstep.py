@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from markovup import BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
-from markovup.lockstep import BLOCK, FallLaws, _jumps, simulate_lockstep, step_lanes
+from markovup.lockstep import BLOCK, FallLaws, _jumps, run_block, step_lanes
 from markovup.process_core import StopReason, simulate_path
 from markovup.streams import path_stream
 
@@ -16,8 +16,8 @@ def _kernel(a, r, s, floor_n=5):
 
 
 def _lockstep(kernel, x0, n_traj, seed, max_steps, task_index):
-    """The lockstep engine's trajectories, block after block."""
-    blocks = simulate_lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
+    """The lockstep engine's trajectories, block after block, as simulate_blocks runs it."""
+    blocks = mc_engine.simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
     return [traj for block in blocks for traj in block.trajectories()]
 
 
@@ -133,6 +133,15 @@ def test_fall_laws_grow_geometrically_to_the_step_cap():
     assert laws.tail_mass.tolist() == [kernel.law(ell, x).tail_mass for ell in range(100)]
 
 
+def test_run_block_takes_any_path_ids(benchmark_kernel):
+    # ids out of order, apart, and past the first block: paths in the order given
+    pids = np.array([9000, 0, 4097, 5])
+    block = run_block(benchmark_kernel, 20, pids, seed=11, max_steps=10**6, task_index=2)
+    assert block.trajectories() == [
+        simulate_path(benchmark_kernel, 20, 10**6, path_stream(11, pid, 2)) for pid in pids.tolist()
+    ]
+
+
 def test_more_than_one_block(benchmark_kernel):
     lockstep, scalar = _both(benchmark_kernel, 7, BLOCK + 37, seed=8)
     assert lockstep == scalar
@@ -186,7 +195,7 @@ def test_invalid_arguments_raise_as_scalar_engine(kernel_args, x0, max_steps, se
     scalar = _error(
         lambda: simulate_path(kernel, x0, max_steps, path_stream(seed, 0, task_index))
     )
-    lockstep = _error(lambda: list(simulate_lockstep(kernel, x0, 3, seed, max_steps, task_index)))
+    lockstep = _error(lambda: list(mc_engine.simulate_blocks(kernel, x0, 3, seed, max_steps, task_index)))
     assert lockstep == scalar
 
 
@@ -204,9 +213,9 @@ def test_runner_uses_lockstep_for_benchmark_kernel_only(
 
     def spy(kernel, *args):
         kernels_seen.append(kernel)
-        return simulate_lockstep(kernel, *args)
+        return run_block(kernel, *args)
 
-    monkeypatch.setattr(mc_engine, "simulate_lockstep", spy)
+    monkeypatch.setattr(mc_engine, "run_block", spy)
     for simulate in (mc_engine.simulate_records, simulated_trajectories):
         lockstep = simulate(benchmark_kernel, 20, 300, 9, task_index=2)
         # the subclass keeps the scalar engine

@@ -302,6 +302,19 @@ class TestDeterministicDynamics:
         # the single fall per path succeeds, so its indicator zeroes it
         assert out[("fall_length_m", 1)].mean == 0.0
 
+    def test_start_in_floor_builds_no_stream(self, monkeypatch):
+        # a start in the floor takes no step, so no path's stream is built
+        kernel = DeterministicDownKernel(floor_n=5)
+        streams = []
+        monkeypatch.setattr(mc_engine, "path_stream", lambda *key: streams.append(key))
+        blocks = list(mc_engine.simulate_blocks(kernel, 3, BLOCK + 3, seed=0))
+        assert streams == []
+        assert [block.steps.size for block in blocks] == [BLOCK, 3]
+        for block in blocks:
+            assert block.floor_n == 5
+            assert block.states.tolist() == [3] * block.steps.size
+            assert not block.steps.any() and not block.capped.any()
+
 
 class TestTauMoments:
     def test_start_inside_floor_gives_zero(self, benchmark_kernel):
