@@ -8,6 +8,11 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
     verify     full pipeline: report.json + paths.csv + verdicts.csv
     report     rebuild report.json/verdicts.csv from a trajectory dump
 
+simulate and verify reduce each block of paths, write its rows and fold
+its records as it comes, then drop it: no command holds a start state's
+records.  verify opens paths.csv only after the config, the certificate
+and the bounds pass, so a rejected run writes nothing.
+
 Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict failure.
 
 --threads is accepted and validated but has no effect: every engine runs
@@ -23,15 +28,16 @@ import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import bound_calc, csv_io, mc_engine
-from .csv_io import TrajectoryDump, first_failure, write_paths_csv, write_trajectories_csv
-from .model_zoo import BenchmarkModelSpec, KappaSpec, build_benchmark, certify
+from .csv_io import TrajectoryDump, first_failure
+from .model_zoo import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, certify
 from .process_core import PathBlock, state_array
 from .streams import MAX_PATHS
 
@@ -313,20 +319,33 @@ def cmd_bounds(config: ExperimentConfig, out: Optional[str]) -> int:
     return EXIT_OK
 
 
+def _records(config: ExperimentConfig, kernel: BenchmarkKernel, task_index: int, paths: BinaryIO,
+             dump: Optional[BinaryIO] = None) -> Iterator[mc_engine.RecordColumns]:
+    """Simulate one start state's paths a block at a time; write each block's rows, then yield its records.
+
+    The rows go to paths.csv and, if given, the dump, each path numbered on from the block before.
+    """
+    x0, first = config.x_grid[task_index], 0  # path id of the block's first path
+    blocks = mc_engine.simulate_blocks(kernel, x0, config.n_traj, config.seed, config.max_steps, task_index)
+    for block in blocks:
+        records = mc_engine.reduce_block(block)
+        paths.writelines(csv_io.paths_rows(first, records))
+        if dump is not None:
+            dump.writelines(csv_io.dump_rows(x0, first, block))
+        first += len(records)
+        yield records
+
+
 def cmd_simulate(config: ExperimentConfig) -> int:
     kernel = build_benchmark(config.model_spec())
-    records_by_x: dict[int, mc_engine.RecordColumns] = {}
-    blocks_by_x: dict[int, list[PathBlock]] = {}
-    for task_index, x0 in enumerate(config.x_grid):
-        blocks = mc_engine.simulate_blocks(
-            kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
-        )
-        if config.trajectories_csv is not None:
-            blocks = blocks_by_x[x0] = list(blocks)
-        records_by_x[x0] = mc_engine.records_of(blocks)
-    write_paths_csv(config.paths_csv, records_by_x)
-    if config.trajectories_csv is not None:
-        write_trajectories_csv(config.trajectories_csv, blocks_by_x)
+    dump_path = config.trajectories_csv
+    with open(config.paths_csv, "wb") as paths, (open(dump_path, "wb") if dump_path else nullcontext()) as dump:
+        paths.write(csv_io.PATHS_HEADER)
+        if dump is not None:
+            dump.write(csv_io.DUMP_HEADER)
+        for task_index in range(len(config.x_grid)):
+            for _ in _records(config, kernel, task_index, paths, dump):
+                pass  # the rows are written as each block's records come
     print(f"wrote {config.paths_csv}", file=sys.stderr)
     return EXIT_OK
 
@@ -336,13 +355,15 @@ def cmd_verify(config: ExperimentConfig) -> int:
     start = time.perf_counter()
     spec = config.model_spec()
     kernel = build_benchmark(spec)
-    report = mc_engine.verify(
-        kernel, spec, config.x_grid, config.m_list, config.n_traj,
-        config.seed, config.max_steps, config.epsilon,
-    )
-    doc = build_report(config, report)
-    _dump_json(doc, config.report_json)
-    write_paths_csv(config.paths_csv, report.records_by_x)
+    cert, bound_sets = mc_engine.certify_bounds(spec, config.m_list, config.x_grid, config.epsilon)
+    with open(config.paths_csv, "wb") as paths:
+        paths.write(csv_io.PATHS_HEADER)
+        folds = [
+            mc_engine.fold_records(_records(config, kernel, task_index, paths), x0, config.m_list)
+            for task_index, x0 in enumerate(config.x_grid)
+        ]
+    report = mc_engine.report_from_folds(cert, bound_sets, folds, config.m_list)
+    _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)
     elapsed = time.perf_counter() - start
     n_pass = sum(1 for v in report.verdicts if v.passed)
@@ -417,11 +438,14 @@ def cmd_report(config: ExperimentConfig) -> int:
     cert, bound_sets = mc_engine.certify_bounds(
         config.model_spec(), config.m_list, config.x_grid, config.epsilon
     )
-    # records in x_grid and path order, as verify builds them; the dump and its
-    # blocks are dropped before the fold
+    # blocks in x_grid and path order, as verify folds them; each start state's
+    # blocks are dropped once folded
     blocks_by_x = _blocks_from_dump(config, read_trajectories_csv(config.trajectories_csv))
-    records_by_x = {x0: mc_engine.records_of(blocks_by_x.pop(x0)) for x0 in config.x_grid}
-    report = mc_engine.report_from_records(cert, bound_sets, records_by_x, config.m_list)
+    folds = [
+        mc_engine.fold_records(map(mc_engine.reduce_block, blocks_by_x.pop(x0)), x0, config.m_list)
+        for x0 in config.x_grid
+    ]
+    report = mc_engine.report_from_folds(cert, bound_sets, folds, config.m_list)
     _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL

@@ -3,8 +3,10 @@
 paths.csv has a row per path: ``path_id,tau,attempts,max_state,capped``.
 The trajectory dump has a row per path too: ``x0,path_id,tau,floor_n,states``,
 the states space-separated.  A capped path's tau is empty; every line ends
-in CRLF.  Both writers format int64 columns with one lookup-table formatter
-(:func:`_ascii`), a bounded number of tokens at a time.
+in CRLF.  After its header, a file is written a block at a time, by
+:func:`paths_rows` and :func:`dump_rows`; both format int64 columns with
+one lookup-table formatter (:func:`_ascii`), a bounded number of tokens at
+a time.
 :func:`read_trajectories_csv` reads a dump in that form back into a
 :class:`TrajectoryDump` with arrays, and names the first line that is not.
 """
@@ -21,8 +23,8 @@ from .mc_engine import RecordColumns
 from .process_core import PathBlock, state_array
 
 __all__ = [
-    "MalformedDump", "TrajectoryDump", "first_failure", "read_trajectories_csv",
-    "write_paths_csv", "write_trajectories_csv",
+    "DUMP_HEADER", "MalformedDump", "PATHS_HEADER", "TrajectoryDump", "dump_rows", "first_failure",
+    "paths_rows", "read_trajectories_csv",
 ]
 
 # Tokens formatted into one write.  The arrays a write builds take about 40
@@ -90,24 +92,24 @@ def _ascii(tokens: np.ndarray, seps: np.ndarray) -> Any:
     return text[text != 0]
 
 
-def write_paths_csv(path: str, records_by_x: dict[int, RecordColumns]) -> None:
-    """One row per path, each start state's paths numbered from 0; a capped path has no tau."""
+PATHS_HEADER = b"path_id,tau,attempts,max_state,capped\r\n"
+
+
+def paths_rows(first: int, records: RecordColumns) -> Iterator[Any]:
+    """A block's paths.csv rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a capped path has no tau."""
     rows = max(1, _TOKENS_PER_WRITE // _PATHS_SEPS.size)
-    with open(path, "wb") as fh:
-        fh.write(b"path_id,tau,attempts,max_state,capped\r\n")
-        for records in records_by_x.values():
-            for lo in range(0, len(records), rows):
-                part = slice(lo, lo + rows)
-                capped = records.capped[part]
-                # the flag as int64: stacked with an object max_state, a bool would be formatted "True"
-                fh.write(_ascii(np.stack([
-                    np.arange(lo, lo + capped.size), np.where(capped, -1, records.steps[part]),
-                    records.attempts[part], records.max_state[part], capped.astype(np.int64),
-                ], axis=1), _PATHS_SEPS))
+    for lo in range(0, len(records), rows):
+        part = slice(lo, lo + rows)
+        capped = records.capped[part]
+        # the flag as int64: stacked with an object max_state, a bool would be formatted "True"
+        yield _ascii(np.stack([
+            np.arange(first + lo, first + lo + capped.size), np.where(capped, -1, records.steps[part]),
+            records.attempts[part], records.max_state[part], capped.astype(np.int64),
+        ], axis=1), _PATHS_SEPS)
 
 
 _DUMP_COLUMNS = ("x0", "path_id", "tau", "floor_n", "states")
-_DUMP_HEADER = ",".join(_DUMP_COLUMNS).encode()
+DUMP_HEADER = ",".join(_DUMP_COLUMNS).encode() + b"\r\n"
 # dump bytes parsed at a time, with the rest of the line they cut: bounds the
 # arrays the parse holds
 _CHUNK_CHARS = 1 << 16
@@ -116,20 +118,8 @@ _CELLS = len(_DUMP_COLUMNS)
 _ROW_STOPS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # the bytes that end a row's cells
 
 
-def write_trajectories_csv(path: str, blocks_by_x: dict[int, list[PathBlock]]) -> None:
-    """Dump each start state's blocks of paths: one row per path, states space-separated."""
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_HEADER + b"\r\n")
-        for x0, blocks in blocks_by_x.items():
-            first = 0  # path id of the block's first path
-            for block in blocks:
-                for text in _dump_rows(x0, first, block):
-                    fh.write(text)
-                first += block.steps.size
-
-
-def _dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
-    """A block's dump rows, _TOKENS_PER_WRITE tokens at a time; a cut may fall inside a row."""
+def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
+    """A block's dump rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a cut may fall inside a row."""
     n = block.steps.size
     heads = np.empty((n, 4), dtype=block.states.dtype)  # x0, path_id, tau and floor_n of each row
     heads[:, 0], heads[:, 1], heads[:, 3] = x0, np.arange(first, first + n), block.floor_n
@@ -205,8 +195,8 @@ def read_trajectories_csv(path: str) -> TrajectoryDump:
     """
     parts = []  # the columns, chunk by chunk
     with open(path, "rb") as fh:
-        if fh.readline().removesuffix(b"\n").removesuffix(b"\r") != _DUMP_HEADER:
-            raise MalformedDump(f"{path}:1: malformed dump row: the header is not {_DUMP_HEADER.decode()}")
+        if fh.readline().removesuffix(b"\n").removesuffix(b"\r") + b"\r\n" != DUMP_HEADER:
+            raise MalformedDump(f"{path}:1: malformed dump row: the header is not {DUMP_HEADER.decode().rstrip()}")
         line = 2  # the chunk's first line
         while chunk := fh.read(_CHUNK_CHARS):
             chunk += fh.readline()  # to the end of the line the read cut

@@ -9,10 +9,11 @@ the scalar engine, path by path.  Both hand over blocks of paths in one flat
 layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
-operations.  Every folded sample is an integer, so the fold keeps exact
-integer power sums over a histogram of values and rounds each reported
-number once: it does not depend on the order of the records.  Results
-are therefore bit-identical for a fixed seed.
+operations.  Every folded sample is an integer, so the fold counts each
+block's samples into a histogram of values, keeps exact integer power
+sums over it and rounds each reported number once: neither the order of
+the records nor how they are cut into blocks changes it.  Results are
+therefore bit-identical for a fixed seed.
 
 Two comparison rules are used, matching how sharp each inequality is:
 
@@ -31,6 +32,7 @@ Two comparison rules are used, matching how sharp each inequality is:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -54,9 +56,8 @@ __all__ = [
     "certify_bounds",
     "estimate_tau_moments",
     "fold_records",
-    "records_of",
     "reduce_block",
-    "report_from_records",
+    "report_from_folds",
     "simulate_blocks",
     "simulate_records",
     "verify",
@@ -143,7 +144,7 @@ _COLUMNS = (
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RecordColumns:
-    """The records of one start state's paths 0..n-1, as columns: the only form a record takes.
+    """The records of one block's paths, numbered 0..n-1 in the block, as columns: the only form a record takes.
 
     Per path: ``steps``, ``capped``, ``attempts`` and ``max_state``; a live
     path's tau is its step count.  Per segment, grouped by path in path
@@ -174,21 +175,6 @@ class RecordColumns:
         if not isinstance(other, RecordColumns):
             return NotImplemented
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
-
-    @classmethod
-    def concat(cls, parts: Sequence[RecordColumns]) -> RecordColumns:
-        """The columns of consecutive runs of paths, path ids shifted to follow on."""
-        if len(parts) == 1:
-            return parts[0]
-        firsts = np.cumsum([0] + [len(p) for p in parts[:-1]])
-
-        def joined(name: str) -> np.ndarray:
-            columns = [getattr(p, name) for p in parts]
-            if name in ("rise_path", "fall_path"):
-                columns = [c + first for c, first in zip(columns, firsts)]
-            return np.concatenate(columns)
-
-        return cls(**{name: joined(name) for name in _COLUMNS})
 
 
 def reduce_block(block: PathBlock) -> RecordColumns:
@@ -311,11 +297,6 @@ def simulate_blocks(
         ])
 
 
-def records_of(blocks: Iterable[PathBlock]) -> RecordColumns:
-    """The records of one start state's paths, given in consecutive blocks, reduced block by block."""
-    return RecordColumns.concat([reduce_block(block) for block in blocks])
-
-
 def simulate_records(
     kernel: KernelContract,
     x0: int,
@@ -323,9 +304,9 @@ def simulate_records(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     task_index: int = 0,
-) -> RecordColumns:
-    """Simulate n_traj paths, each block reduced to its records as soon as it ends."""
-    return records_of(simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index))
+) -> Iterator[RecordColumns]:
+    """Simulate n_traj paths, and yield each block's records as soon as the block ends."""
+    return map(reduce_block, simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index))
 
 
 def _ratio(num: int, den: int) -> float:
@@ -389,50 +370,57 @@ class RecordFold:
     diagnostics: dict
 
 
-def _index_means(values: np.ndarray, path: np.ndarray, live: np.ndarray) -> dict:
-    """Count and mean of the j-th value of each live path that has one, j <= ATTEMPT_TAIL_MAX.
+def _add_index_sums(sums: dict[int, tuple[int, int]], values: np.ndarray, path: np.ndarray, live: np.ndarray) -> None:
+    """Add the count and integer sum of the j-th value of each live path that has one to sums[j], j <= ATTEMPT_TAIL_MAX.
 
     ``path`` tags each value with its path, in path order.
     """
     counts = np.bincount(path, minlength=live.size)
     index = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)  # j - 1
-    out = {}
     for j in range(1, ATTEMPT_TAIL_MAX + 1):
         vals = values[live[path] & (index == j - 1)]
         if vals.size:
-            out[str(j)] = {"n": vals.size, "mean": int(vals.sum()) / vals.size}
-    return out
+            n, total = sums.get(j, (0, 0))
+            sums[j] = (n + vals.size, total + int(vals.sum()))
 
 
-def fold_records(records: RecordColumns, x0: int, m_list: Sequence[int]) -> RecordFold:
-    """Fold one start state's records into estimates, attempt hits, counters and diagnostics.
+def fold_records(parts: Iterable[RecordColumns], x0: int, m_list: Sequence[int]) -> RecordFold:
+    """Fold one start state's records, block by block, into estimates, attempt hits, counters and diagnostics.
 
-    This is the only place records become statistics.  Each quantity's
-    samples become one histogram of values, and every number is derived
-    from exact integer sums over it, so any order of the paths gives the
-    same fold.  The diagnostics break the pooled samples down by segment
-    index (first rise, second rise, ...), which makes index-dependent
-    drift visible without affecting any verdict.
+    This is the only place records become statistics.  Each block's
+    samples of a quantity are counted into one histogram of values, and
+    the block is dropped; every number is derived from exact integer sums,
+    so neither the order of the paths nor how they are cut into blocks
+    changes the fold.  The diagnostics break the pooled samples down by
+    segment index (first rise, second rise, ...), which makes
+    index-dependent drift visible without affecting any verdict.
     """
-    live = ~records.capped
-    n_live = int(live.sum())
-    capped = len(records) - n_live
-    live_rise, live_fall = live[records.rise_path], live[records.fall_path]
-    hists = {
-        "tau_m": _histogram(records.steps[live]),
-        "rise_length_m": _histogram(records.rise_lengths[live_rise]),
-        "fall_length_m": _histogram(records.fall_lengths[live_fall]),
-        "overshoot_m": _histogram(records.overshoots[live_rise]),
-    }
+    hists = {quantity: Counter() for quantity in ("tau_m", "rise_length_m", "fall_length_m", "overshoot_m")}
+    attempt_hist: Counter = Counter()
+    by_index: dict[str, dict[int, tuple[int, int]]] = {"rise_length_by_index": {}, "fall_length_by_index": {}}
+    n = n_live = steps = 0
+    for records in parts:
+        live = ~records.capped
+        live_rise, live_fall = live[records.rise_path], live[records.fall_path]
+        hists["tau_m"].update(_histogram(records.steps[live]))
+        hists["rise_length_m"].update(_histogram(records.rise_lengths[live_rise]))
+        hists["fall_length_m"].update(_histogram(records.fall_lengths[live_fall]))
+        hists["overshoot_m"].update(_histogram(records.overshoots[live_rise]))
+        # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
+        attempt_hist.update(_histogram(np.minimum(records.attempts[live], ATTEMPT_TAIL_MAX + 1)))
+        _add_index_sums(by_index["rise_length_by_index"], records.rise_lengths, records.rise_path, live)
+        _add_index_sums(by_index["fall_length_by_index"], records.fall_lengths, records.fall_path, live)
+        n += len(records)
+        n_live += int(live.sum())
+        steps += int(records.steps.sum())
+    capped = n - n_live
     estimates = {
         (quantity, m): _moment_estimate(quantity, m, x0, hist, capped)
         for m in m_list
         for quantity, hist in hists.items()
     }
-    # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
-    attempt_hist = _histogram(np.minimum(records.attempts[live], ATTEMPT_TAIL_MAX + 1))
     hits = tuple(
-        sum(n for a, n in attempt_hist.items() if a >= i) for i in range(1, ATTEMPT_TAIL_MAX + 1)
+        sum(c for a, c in attempt_hist.items() if a >= i) for i in range(1, ATTEMPT_TAIL_MAX + 1)
     )
     for i, hit in enumerate(hits, start=1):
         mean = hit / n_live if n_live else 0.0
@@ -448,13 +436,13 @@ def fold_records(records: RecordColumns, x0: int, m_list: Sequence[int]) -> Reco
             flag=None if n_live >= 2 else "no-samples",
         )
     diagnostics = {
-        "rise_length_by_index": _index_means(records.rise_lengths, records.rise_path, live),
-        "fall_length_by_index": _index_means(records.fall_lengths, records.fall_path, live),
-        "attempt_count_hist": {
-            str(a) if a <= ATTEMPT_TAIL_MAX else f"{a}+": n for a, n in sorted(attempt_hist.items())
-        },
+        name: {str(j): {"n": c, "mean": total / c} for j, (c, total) in sorted(sums.items())}
+        for name, sums in by_index.items()
     }
-    return RecordFold(x0, estimates, hits, n_live, capped, int(records.steps.sum()), diagnostics)
+    diagnostics["attempt_count_hist"] = {
+        str(a) if a <= ATTEMPT_TAIL_MAX else f"{a}+": c for a, c in sorted(attempt_hist.items())
+    }
+    return RecordFold(x0, estimates, hits, n_live, capped, steps, diagnostics)
 
 
 def estimate_tau_moments(
@@ -551,7 +539,6 @@ class VerificationReport:
     verdicts: tuple[VerificationVerdict, ...]
     certificate: AssumptionCertificate
     bound_sets: dict[int, BoundSet]
-    records_by_x: dict[int, RecordColumns]
     folds: dict[int, RecordFold]
     warnings: tuple[str, ...] = field(default=())
 
@@ -579,21 +566,19 @@ def certify_bounds(
     return cert, bound_sets
 
 
-def report_from_records(
+def report_from_folds(
     certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
-    records_by_x: dict[int, RecordColumns], m_list: Sequence[int],
+    folds: Iterable[RecordFold], m_list: Sequence[int],
 ) -> VerificationReport:
-    """Fold each start state's records once into verdicts and warnings."""
-    folds = {x0: fold_records(records, x0, m_list) for x0, records in records_by_x.items()}
+    """Turn each start state's fold, in the order given, into verdicts and warnings."""
+    folds_by_x = {fold.x0: fold for fold in folds}
     verdicts: list[VerificationVerdict] = []
     warnings: list[str] = []
-    for fold in folds.values():
+    for fold in folds_by_x.values():
         vs, ws = verdicts_for_records(fold, m_list, bound_sets)
         verdicts.extend(vs)
         warnings.extend(ws)
-    return VerificationReport(
-        tuple(verdicts), certificate, bound_sets, records_by_x, folds, tuple(warnings)
-    )
+    return VerificationReport(tuple(verdicts), certificate, bound_sets, folds_by_x, tuple(warnings))
 
 
 def verify(
@@ -622,8 +607,8 @@ def verify(
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
     cert, bound_sets = certify_bounds(spec, m_list, x_grid, eps)
-    records_by_x = {
-        x0: simulate_records(kernel, x0, n_traj, seed, max_steps, task_index)
+    folds = (
+        fold_records(simulate_records(kernel, x0, n_traj, seed, max_steps, task_index), x0, m_list)
         for task_index, x0 in enumerate(x_grid)
-    }
-    return report_from_records(cert, bound_sets, records_by_x, m_list)
+    )
+    return report_from_folds(cert, bound_sets, folds, m_list)

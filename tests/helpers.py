@@ -1,5 +1,11 @@
 """Shared test helpers built on the library's public engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import markovup
 from markovup.mc_engine import DEFAULT_MAX_STEPS, simulate_blocks
 
 
@@ -7,3 +13,35 @@ def simulated_trajectories(kernel, x0, n_traj, seed, max_steps=DEFAULT_MAX_STEPS
     """The paths simulate_blocks yields, as Trajectory objects in path order."""
     blocks = simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
     return [traj for block in blocks for traj in block.trajectories()]
+
+
+def cli_env():
+    """The environment for a ``python -m markovup.cli`` child in any directory.
+
+    The child is handed the absolute directory of the imported package on
+    PYTHONPATH: it then runs the same code as this process, installed or not.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(markovup.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH", "")) if p)
+    return env
+
+
+def cli_peak_rss_mb(args, cwd):
+    """Run ``python -m markovup.cli ARGS`` in a child in cwd; the child's peak RSS in MiB.
+
+    The peak is the child's own ``ru_maxrss``, from ``os.wait4``:
+    ``RUSAGE_CHILDREN`` would give the largest peak of any child this
+    process ever waited for.  A non-zero exit raises AssertionError with
+    the child's stderr.
+    """
+    err_path = Path(cwd) / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "markovup.cli", *args],
+            cwd=cwd, env=cli_env(), stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert proc.returncode == 0, f"markovup {' '.join(args)} exited {proc.returncode}:\n{err_path.read_text()}"
+    return usage.ru_maxrss / 1024  # Linux reports KiB

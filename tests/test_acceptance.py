@@ -7,16 +7,13 @@ the criteria that consume it.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import markovup
 from markovup import (
     DeterministicDownKernel,
     decompose_attempts,
@@ -32,6 +29,7 @@ from markovup import (
 from markovup.path_analysis import UnterminatedRunError
 from markovup.process_core import StopReason
 
+from helpers import cli_env
 from oracles import (
     UNTERMINATED,
     chi_oracle,
@@ -69,15 +67,10 @@ def grid_runs(tmp_path_factory):
     Uses the built-in default configuration: benchmark model a=r=s=0.5,
     floor 5, x in {6, 10, 20}, m in {1, 2, 3}, 10**5 paths, seed 7.
 
-    Each run works in its own temporary directory, so the child is handed
-    the absolute directory of the imported package on PYTHONPATH: it then
-    runs the same code as this process, installed or not.
+    Each run works in its own temporary directory, with the environment
+    of :func:`helpers.cli_env`.
     """
-    env = dict(os.environ)
-    package_root = str(Path(markovup.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH", "")) if p
-    )
+    env = cli_env()
     runs = {}
     for threads in (1, 4, 8):
         workdir = tmp_path_factory.mktemp(f"grid_t{threads}")

@@ -10,6 +10,7 @@ import pytest
 
 from markovup import cli, csv_io, mc_engine, model_zoo, process_core, tau_of
 from markovup.lockstep import BLOCK
+from helpers import cli_peak_rss_mb
 from oracles import dump_oracle
 
 
@@ -689,6 +690,7 @@ def test_moment_order_beyond_float_range_exit_usage(tmp_path, capsys, command, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'m_list'" in err
     assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "paths.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
@@ -701,12 +703,14 @@ def test_start_beyond_float_range_names_x_grid(tmp_path, monkeypatch, capsys, co
     assert cli.main([command, str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'x_grid'") and f"x={10**400}" in err
+    assert not (tmp_path / "paths.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_failed_assumptions_exit_usage(tmp_path, monkeypatch, capsys, command):
     path = write_config(tmp_path, output_trajectories_csv=str(tmp_path / "trajectories.csv"))
     assert cli.main(["simulate", str(path)]) == 0
+    simulated = (tmp_path / "paths.csv").read_bytes()
 
     class FakeCert:
         theorem_ready = False
@@ -714,6 +718,24 @@ def test_failed_assumptions_exit_usage(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setattr(mc_engine, "certify", lambda spec, m_max: FakeCert())
     assert cli.main([command, str(path)]) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+    assert (tmp_path / "paths.csv").read_bytes() == simulated  # a rejected run writes nothing
+
+
+@pytest.mark.parametrize("command, output", [
+    ("verify", {}), ("simulate", {"trajectories_csv": "trajectories.csv"}),
+])
+def test_peak_rss_flat_in_n_traj(tmp_path, command, output):
+    # each block is written and folded, then dropped, so ten times the paths on
+    # the default grid raise the command's peak RSS by less than 8 MB; when
+    # every start state's records (and, for the dump, blocks) were held to the
+    # end, the peak rose by about 60 MB for verify and 107 MB for simulate
+    peaks = []
+    for n_traj in (20_000, 200_000):
+        workdir = tmp_path / str(n_traj)
+        workdir.mkdir()
+        (workdir / "config.json").write_text(json.dumps({"n_traj": n_traj, "output": output}))
+        peaks.append(cli_peak_rss_mb([command, "config.json"], workdir))
+    assert peaks[1] - peaks[0] < 8, peaks
 
 
 def test_run_entry_point(tmp_path):

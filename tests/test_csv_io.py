@@ -33,26 +33,16 @@ def test_formatter_writes_paths_rows():
     assert bytes(csv_io._ascii(rows[:0], csv_io._PATHS_SEPS)) == b""
 
 
-def test_paths_rows_with_object_max_state(tmp_path):
+def test_paths_rows_with_object_max_state():
     # a start state of 2**63 gives an object max_state column; its rows, and an
-    # int64 start state's after them, are the str-formatted ones, the flag 1 or 0
+    # int64 block's numbered on after them, are the str-formatted ones, the flag 1 or 0
     wide = PathBlock(5, state_array([2**63, 2**63 + 1, 2**63 + 2, 2**63, 4]),
                      np.array([2, 1]), np.array([True, False]))
     narrow = PathBlock(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
-    records_by_x = {2**63: mc_engine.records_of([wide]), 6: mc_engine.records_of([narrow])}
-    assert records_by_x[2**63].max_state.dtype == object
-    path = tmp_path / "paths.csv"
-    csv_io.write_paths_csv(str(path), records_by_x)
-    rows = [
-        f"{pid},,{attempts},{max_state},1\r\n" if capped else f"{pid},{steps},{attempts},{max_state},0\r\n"
-        for records in records_by_x.values()
-        for pid, steps, attempts, max_state, capped in zip(
-            range(len(records)), records.steps.tolist(), records.attempts.tolist(),
-            records.max_state.tolist(), records.capped.tolist(),
-        )
-    ]
-    assert rows[:2] == [f"0,,0,{2**63 + 2},1\r\n", f"1,1,1,{2**63},0\r\n"]
-    assert path.read_bytes() == ("path_id,tau,attempts,max_state,capped\r\n" + "".join(rows)).encode()
+    parts = [mc_engine.reduce_block(wide), mc_engine.reduce_block(narrow)]
+    assert parts[0].max_state.dtype == object
+    text = b"".join(bytes(t) for first, records in zip((0, 2), parts) for t in csv_io.paths_rows(first, records))
+    assert text == f"0,,0,{2**63 + 2},1\r\n1,1,1,{2**63},0\r\n2,,0,8,1\r\n3,1,1,6,0\r\n".encode()
 
 
 @pytest.mark.parametrize("budget", [1, 7])
@@ -74,36 +64,16 @@ def test_output_bytes_hold_at_any_write_budget(tmp_path, monkeypatch, budget):
     }
 
 
-def test_long_row_is_split_across_writes(tmp_path, monkeypatch):
+def test_long_row_is_split_across_writes():
     # a pure fall of 30,000 states, and a short capped path after it: no
     # write holds more than the budget's tokens, each ended by its separator
     states = np.concatenate([np.arange(30_004, 4, -1), [6, 7]])
     block = PathBlock(5, states, np.array([29_999, 1]), np.array([False, True]))
-    writes = []
-
-    class Recorder:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, data):
-            writes.append(bytes(data))
-            return self.fh.write(data)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    monkeypatch.setattr(csv_io, "open", lambda *args: Recorder(open(*args)), raising=False)
-    path = tmp_path / "trajectories.csv"
-    csv_io.write_trajectories_csv(str(path), {30_004: [block]})
+    writes = [bytes(text) for text in csv_io.dump_rows(30_004, 0, block)]
     expected = (
-        "x0,path_id,tau,floor_n,states\r\n"
         f"30004,0,29999,5,{' '.join(map(str, range(30_004, 4, -1)))}\r\n"
         "30004,1,,5,6 7\r\n"
     )
-    assert path.read_bytes() == b"".join(writes) == expected.encode()
-    row_writes = writes[1:]
-    assert len(row_writes) > 1
-    assert all(sum(w.count(sep) for sep in (b",", b" ", b"\n")) <= csv_io._TOKENS_PER_WRITE for w in row_writes)
+    assert b"".join(writes) == expected.encode()
+    assert len(writes) > 1
+    assert all(sum(w.count(sep) for sep in (b",", b" ", b"\n")) <= csv_io._TOKENS_PER_WRITE for w in writes)

@@ -217,8 +217,8 @@ def test_runner_uses_lockstep_for_benchmark_kernel_only(
 
     monkeypatch.setattr(mc_engine, "run_block", spy)
     for simulate in (mc_engine.simulate_records, simulated_trajectories):
-        lockstep = simulate(benchmark_kernel, 20, 300, 9, task_index=2)
+        lockstep = list(simulate(benchmark_kernel, 20, 300, 9, task_index=2))
         # the subclass keeps the scalar engine
-        scalar = simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2)
+        scalar = list(simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2))
         assert lockstep == scalar
     assert kernels_seen == [benchmark_kernel, benchmark_kernel]

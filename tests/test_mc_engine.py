@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import statistics
 from dataclasses import replace
@@ -100,7 +101,7 @@ class TestFoldRecords:
     )
 
     def test_capped_record_only_counted(self):
-        fold = fold_records(_columns(self.RECORDS), 10, [1])
+        fold = fold_records([_columns(self.RECORDS)], 10, [1])
         assert (fold.capped, fold.n_live, fold.steps) == (1, 3, 132)
         assert fold.estimates[("tau_m", 1)].n_samples == 3
         assert fold.estimates[("fall_length_m", 1)].n_samples == 10
@@ -110,7 +111,7 @@ class TestFoldRecords:
         assert fold.diagnostics["rise_length_by_index"]["1"] == {"n": 2, "mean": 2.0}
 
     def test_long_attempt_run_in_top_bucket_and_every_hit(self):
-        fold = fold_records(_columns(self.RECORDS), 10, [1])
+        fold = fold_records([_columns(self.RECORDS)], 10, [1])
         assert fold.hits == (3, 2, 1, 1, 1)
         assert fold.diagnostics["attempt_count_hist"] == {"1": 1, "2": 1, "6+": 1}
         assert fold.diagnostics["fall_length_by_index"]["5"] == {"n": 1, "mean": 1.0}
@@ -124,7 +125,7 @@ class TestFoldRecords:
             "fall_length_m": [v for r in live for v in r["fall_lengths"]],
             "overshoot_m": [v for r in live for v in r["overshoots"]],
         }
-        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
+        fold = fold_records([_columns(self.RECORDS)], 10, [1, 2, 3])
         for m in (1, 2, 3):
             for quantity, values in pooled.items():
                 powers = [float(v) ** m for v in values]
@@ -137,22 +138,25 @@ class TestFoldRecords:
     def test_mean_is_exact_power_sum_ratio(self):
         live = [r for r in self.RECORDS if not r["capped"]]
         overshoots = [v for r in live for v in r["overshoots"]]
-        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
+        fold = fold_records([_columns(self.RECORDS)], 10, [1, 2, 3])
         for m in (1, 2, 3):
             assert fold.estimates[("tau_m", m)].mean == sum(r["tau"]**m for r in live) / len(live)
             est = fold.estimates[("overshoot_m", m)]
             assert est.mean == sum(v**m for v in overshoots) / len(overshoots)
 
     def test_fold_independent_of_record_order(self):
-        fold = fold_records(_columns(self.RECORDS), 10, [1, 2, 3])
+        # nor of how the records are cut into blocks: of 1, of 3 and of all records
+        fold = fold_records([_columns(self.RECORDS)], 10, [1, 2, 3])
         for perm in itertools.permutations(self.RECORDS):
-            assert fold_records(_columns(perm), 10, [1, 2, 3]) == fold
+            for size in (1, 3, len(perm)):
+                parts = [perm[lo:lo + size] for lo in range(0, len(perm), size)]
+                assert fold_records([_columns(part) for part in parts], 10, [1, 2, 3]) == fold, size
 
     def test_moment_beyond_float_range_reads_inf(self):
         records = [
             _record(tau, capped=False, attempts=1, max_state=6, fall_lengths=(0,)) for tau in (0, 10**160)
         ]
-        est = fold_records(_columns(records), 6, [1]).estimates[("tau_m", 1)]
+        est = fold_records([_columns(records)], 6, [1]).estimates[("tau_m", 1)]
         assert est.mean == 5e159
         assert est.std_error == math.inf
 
@@ -201,8 +205,9 @@ class TestBlockReducer:
     """reduce_block on whole blocks equals the literal-definition reducer path by path."""
 
     @staticmethod
-    def check(trajectories, records):
-        records = _per_path(records)
+    def check(trajectories, parts):
+        """parts: the records of consecutive blocks, each block's paths numbered from 0."""
+        records = [record for part in parts for record in _per_path(part)]
         assert len(records) == len(trajectories)
         for traj, record in zip(trajectories, records):
             assert record == record_oracle(traj.states, traj.floor_n), traj.states
@@ -224,17 +229,37 @@ class TestBlockReducer:
         ]
         block = PathBlock.of(trajectories)
         assert block.states.dtype == np.int64
-        self.check(trajectories, reduce_block(block))
+        self.check(trajectories, [reduce_block(block)])
         assert block.trajectories() == trajectories
 
     def test_start_in_floor(self, benchmark_kernel):
         self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
 
-    def test_path_ids_offset_across_blocks(self, benchmark_kernel):
-        n = BLOCK + 300
-        records = simulate_records(benchmark_kernel, 7, n, seed=8)
-        assert records.rise_path[-1] >= BLOCK and records.fall_path[-1] == n - 1
-        self.check(simulated_trajectories(benchmark_kernel, 7, n, seed=8), records)
+    def test_path_ids_offset_across_blocks(self, scalar_benchmark_kernel, tmp_path):
+        # paths.csv numbers each start state's rows 0..n-1 across its blocks, and
+        # each row is the record of the scalar engine's path of that id
+        n, x_grid = BLOCK + 300, [7, 20]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "x_grid": x_grid, "m_list": [1], "n_traj": n, "seed": 8,
+            "output": {
+                "report_json": str(tmp_path / "report.json"),
+                "paths_csv": str(tmp_path / "paths.csv"),
+                "verdicts_csv": str(tmp_path / "verdicts.csv"),
+            },
+        }))
+        assert cli.main(["verify", str(config)]) == cli.EXIT_OK
+        lines = (tmp_path / "paths.csv").read_text().splitlines()[1:]
+        assert len(lines) == n * len(x_grid)
+        for task_index, x0 in enumerate(x_grid):
+            trajectories = simulated_trajectories(scalar_benchmark_kernel, x0, n, seed=8, task_index=task_index)
+            for pid, (line, traj) in enumerate(zip(lines[task_index * n:], trajectories)):
+                path_id, tau, attempts, max_state, capped = line.split(",")
+                oracle = record_oracle(traj.states, traj.floor_n)
+                assert int(path_id) == pid
+                assert (int(tau) if tau else None, int(attempts), int(max_state), capped == "1") == (
+                    oracle["tau"], oracle["attempts"], oracle["max_state"], oracle["capped"]
+                ), (x0, pid)
 
     def test_capped_paths_mid_block(self, benchmark_kernel):
         trajectories = simulated_trajectories(benchmark_kernel, 20, 300, seed=13, max_steps=30)
@@ -250,13 +275,13 @@ class TestBlockReducer:
         ]
         block = PathBlock.of(trajectories)
         assert block.states.dtype == object
-        self.check(trajectories, reduce_block(block))
+        self.check(trajectories, [reduce_block(block)])
 
     def test_start_beyond_int64_through_scalar_fallback(self, benchmark_kernel):
         # the lockstep engine re-runs such a block on the scalar engine
-        records = simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40)
-        self.check(simulated_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), records)
-        assert records.max_state.dtype == object
+        parts = list(simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40))
+        self.check(simulated_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), parts)
+        assert parts[0].max_state.dtype == object
 
     def test_columns_read_back_per_path(self):
         records = TestFoldRecords.RECORDS
@@ -339,10 +364,10 @@ class TestTauMoments:
 
 class TestDeterminism:
     def test_records_keyed_by_path_and_task(self, benchmark_kernel):
-        a = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0)
-        b = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=1)
+        a = list(simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0))
+        b = list(simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=1))
         assert a != b
-        again = simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0)
+        again = list(simulate_records(benchmark_kernel, 10, 50, seed=42, task_index=0))
         assert a == again
 
 
@@ -362,7 +387,8 @@ class TestSegmentMoments:
                 assert est.mean <= bound + 3 * est.std_error, (m, est.quantity)
 
     def test_segment_sample_structure(self, benchmark_kernel):
-        records = _per_path(simulate_records(benchmark_kernel, 10, 2000, seed=3))
+        (part,) = simulate_records(benchmark_kernel, 10, 2000, seed=3)
+        records = _per_path(part)
         # rises are actual rises; overshoots pair with them one to one
         assert all(v >= 1 for r in records for v in r["rise_lengths"])
         assert all(len(r["rise_lengths"]) == len(r["overshoots"]) for r in records)
@@ -449,21 +475,25 @@ class TestVerify:
             verify(benchmark_kernel, benchmark_spec, x_grid=[6], m_list=[1, 1], n_traj=10, seed=0)
 
     def test_same_report_from_both_engines(
-        self, benchmark_kernel, scalar_benchmark_kernel, benchmark_spec, tmp_path
+        self, benchmark_kernel, scalar_benchmark_kernel, benchmark_spec, monkeypatch
     ):
         # the subclass takes the scalar engine; both engines' paths go through one reducer
-        reports, paths_csv = [], []
-        for name, kernel in (("lockstep", benchmark_kernel), ("scalar", scalar_benchmark_kernel)):
+        reports, records = [], []
+
+        def spy(block):
+            records[-1].append(reduce_block(block))
+            return records[-1][-1]
+
+        monkeypatch.setattr(mc_engine, "reduce_block", spy)
+        for kernel in (benchmark_kernel, scalar_benchmark_kernel):
+            records.append([])
             reports.append(verify(
                 kernel, benchmark_spec, x_grid=[5, 6, 20], m_list=[1, 2], n_traj=BLOCK + 100, seed=17,
                 max_steps=60,
             ))
-            cli.write_paths_csv(str(tmp_path / name), reports[-1].records_by_x)
-            paths_csv.append((tmp_path / name).read_bytes())
         lockstep, scalar = reports
         assert lockstep.folds == scalar.folds
-        assert lockstep.records_by_x == scalar.records_by_x
-        assert paths_csv[0] == paths_csv[1]
+        assert len(records[0]) == 6 and records[0] == records[1]  # two blocks per start state
         assert lockstep.folds[20].capped and lockstep.folds[20].n_live
 
     def test_capped_paths_block_verdicts(self, benchmark_kernel, benchmark_spec):
