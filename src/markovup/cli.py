@@ -9,9 +9,11 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
     report     rebuild report.json/verdicts.csv from a trajectory dump
 
 simulate and verify reduce each block of paths, write its rows and fold
-its records as it comes, then drop it: no command holds a start state's
-records.  verify opens paths.csv only after the config, the certificate
-and the bounds pass, so a rejected run writes nothing.
+its records as it comes, then drop it; report reads the dump a chunk of
+rows at a time, in the order simulate writes it, and checks, folds and
+drops each chunk's blocks in the same way: no command holds a start
+state's records.  verify opens paths.csv only after the config, the
+certificate and the bounds pass, so a rejected run writes nothing.
 
 Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict failure.
 
@@ -25,13 +27,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,13 +287,13 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
         writer.writerows(rows)
 
 
-def read_trajectories_csv(path: str) -> TrajectoryDump:
-    """Parse a trajectory dump into columns; an unreadable file or a malformed line raises ConfigError.
+def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
+    """Parse a trajectory dump a chunk of rows at a time; an unreadable file or a malformed line raises ConfigError.
 
     :func:`markovup.csv_io.read_trajectories_csv` reads the file.
     """
     try:
-        return csv_io.read_trajectories_csv(path)
+        yield from csv_io.read_trajectories_csv(path)
     except csv_io.MalformedDump as exc:
         raise ConfigError(f"config field 'output.trajectories_csv': {exc}") from exc
     except OSError as exc:
@@ -375,60 +379,47 @@ def cmd_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
 
 
-def _blocks_from_dump(config: ExperimentConfig, dump: TrajectoryDump) -> dict[int, list[PathBlock]]:
-    """Each start state's dumped paths, in x_grid and path order, in the blocks simulate_blocks yields.
+def _blocks_from_dump(
+    config: ExperimentConfig, chunks: Iterable[TrajectoryDump]
+) -> Iterator[tuple[int, PathBlock]]:
+    """The dumped paths as (task index, block), in file order, each chunk checked against the config as it comes.
 
-    Each x0 of the grid must have exactly path ids 0..n_traj-1, at the config's
-    floor_n, and a row must have run the config's max_steps if capped and at
-    most that many steps if not; the first row that does not names its x0
-    and path id.  A start state whose rows come in path order, as simulate
-    writes them, shares the dump's states.
+    Rows must come in the one order simulate writes: each x0 of the grid in
+    turn, with path ids 0..n_traj-1 in order, so row i is path
+    i % n_traj from x_grid[i // n_traj].  Each row must also be at the
+    config's floor_n, and must have run the config's max_steps if capped
+    and at most that many steps if not; the first row that does not names
+    its x0 and path id.  A chunk is cut into blocks where its x0 changes.
     """
-    n_traj, rows = config.n_traj, dump.steps.size
-    task = np.full(rows, -1)
-    for i, x0 in enumerate(config.x_grid):
-        task[dump.x0 == x0] = i
-    known = (task >= 0) & (dump.path_id >= 0) & (dump.path_id < n_traj)
-    pid = np.where(known, dump.path_id, 0).astype(np.int64)
-    key = np.where(known, task * n_traj + pid, -1 - np.arange(rows))  # only known rows can repeat a key
-    order = np.argsort(key, kind="stable")
-    repeat = np.zeros(rows, dtype=bool)
-    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]  # a later row of a key seen before
-    failure = first_failure((
-        (dump.floor_n != config.floor_n, f"has floor_n={{floor_n}}, config floor_n={config.floor_n}"),
-        (task < 0, f"starts outside config x_grid {list(config.x_grid)}"),
-        (~known | repeat, f"is duplicated or outside path ids 0..{n_traj - 1}"),
-        (dump.capped & (dump.steps != config.max_steps),
-         f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
-        (~dump.capped & (dump.steps > config.max_steps),
-         f"hits the floor after {{steps}} steps, past config max_steps={config.max_steps}"),
-    ))
-    if failure is not None:
-        r, message = failure
-        detail = message.format(floor_n=dump.floor_n[r], steps=dump.steps[r])
-        raise ConfigError(f"trajectory dump row (x0={dump.x0[r]}, path_id={dump.path_id[r]}) {detail}")
-
-    row_stops = np.cumsum(dump.steps + 1)  # where each row's states end in dump.states
-    blocks_by_x: dict[int, list[PathBlock]] = {}
-    for i, x0 in enumerate(config.x_grid):
-        at = np.flatnonzero(task == i)
-        at = at[np.argsort(pid[at])]  # the rows in path order
-        if at.size != n_traj:
-            gap = np.flatnonzero(pid[at] != np.arange(at.size))
-            raise ConfigError(f"trajectory dump has no row (x0={x0}, path_id={gap[0] if gap.size else at.size})")
-        steps, capped = dump.steps[at], dump.capped[at]
-        size = steps + 1
-        bounds = np.concatenate([[0], np.cumsum(size)])  # path p's states are states[bounds[p]:bounds[p + 1]]
-        if (np.diff(at) == 1).all():  # in file order too: a slice of the dump's states
-            states = dump.states[row_stops[at[-1]] - bounds[-1]:row_stops[at[-1]]]
-        else:
-            states = dump.states[np.repeat(row_stops[at] - size - bounds[:-1], size) + np.arange(bounds[-1])]
-        edges = [*range(0, n_traj, mc_engine.BLOCK), n_traj]
-        blocks_by_x[x0] = [
-            PathBlock(config.floor_n, state_array(states[bounds[lo]:bounds[hi]]), steps[lo:hi], capped[lo:hi])
-            for lo, hi in zip(edges, edges[1:])
-        ]
-    return blocks_by_x
+    n_traj, grid = config.n_traj, state_array(config.x_grid)
+    first = 0  # the index of the chunk's first row
+    for dump in chunks:
+        row = np.arange(first, first + dump.steps.size)
+        task = np.minimum(row // n_traj, grid.size - 1)
+        failure = first_failure((
+            (row >= grid.size * n_traj, f"is past the last path (x0={grid[-1]}, path_id={n_traj - 1})"),
+            ((dump.x0 != grid[task]) | (dump.path_id != row % n_traj),
+             "stands where simulate writes (x0={x0}, path_id={path_id})"),
+            (dump.floor_n != config.floor_n, f"has floor_n={{floor_n}}, config floor_n={config.floor_n}"),
+            (dump.capped & (dump.steps != config.max_steps),
+             f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
+            (~dump.capped & (dump.steps > config.max_steps),
+             f"hits the floor after {{steps}} steps, past config max_steps={config.max_steps}"),
+        ))
+        if failure is not None:
+            r, message = failure
+            detail = message.format(
+                x0=grid[task[r]], path_id=row[r] % n_traj, floor_n=dump.floor_n[r], steps=dump.steps[r]
+            )
+            raise ConfigError(f"trajectory dump row (x0={dump.x0[r]}, path_id={dump.path_id[r]}) {detail}")
+        bounds = np.concatenate([[0], np.cumsum(dump.steps + 1)])  # row i's states are states[bounds[i]:bounds[i + 1]]
+        cuts = [0, *(np.flatnonzero(np.diff(task)) + 1).tolist(), task.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            states = state_array(dump.states[bounds[lo]:bounds[hi]])
+            yield int(task[lo]), PathBlock(config.floor_n, states, dump.steps[lo:hi], dump.capped[lo:hi])
+        first += dump.steps.size
+    if first < grid.size * n_traj:
+        raise ConfigError(f"trajectory dump has no row (x0={grid[first // n_traj]}, path_id={first % n_traj})")
 
 
 def cmd_report(config: ExperimentConfig) -> int:
@@ -438,12 +429,14 @@ def cmd_report(config: ExperimentConfig) -> int:
     cert, bound_sets = mc_engine.certify_bounds(
         config.model_spec(), config.m_list, config.x_grid, config.epsilon
     )
-    # blocks in x_grid and path order, as verify folds them; each start state's
-    # blocks are dropped once folded
-    blocks_by_x = _blocks_from_dump(config, read_trajectories_csv(config.trajectories_csv))
+    # blocks in x_grid and path order, as verify folds them; each is folded
+    # and dropped as the dump is read
+    blocks = _blocks_from_dump(config, read_trajectories_csv(config.trajectories_csv))
     folds = [
-        mc_engine.fold_records(map(mc_engine.reduce_block, blocks_by_x.pop(x0)), x0, config.m_list)
-        for x0 in config.x_grid
+        mc_engine.fold_records(
+            map(mc_engine.reduce_block, map(itemgetter(1), group)), config.x_grid[task], config.m_list
+        )
+        for task, group in itertools.groupby(blocks, key=itemgetter(0))
     ]
     report = mc_engine.report_from_folds(cert, bound_sets, folds, config.m_list)
     _dump_json(build_report(config, report), config.report_json)

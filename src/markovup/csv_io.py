@@ -7,8 +7,9 @@ in CRLF.  After its header, a file is written a block at a time, by
 :func:`paths_rows` and :func:`dump_rows`; both format int64 columns with
 one lookup-table formatter (:func:`_ascii`), a bounded number of tokens at
 a time.
-:func:`read_trajectories_csv` reads a dump in that form back into a
-:class:`TrajectoryDump` with arrays, and names the first line that is not.
+:func:`read_trajectories_csv` reads a dump in that form back, a chunk of
+rows at a time, each a :class:`TrajectoryDump` with arrays, and names the
+first line that is not.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class MalformedDump(ValueError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TrajectoryDump:
-    """A trajectory dump's rows as columns, in file order.
+    """A chunk of a trajectory dump's rows as columns, in file order.
 
     Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
     has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
@@ -179,8 +180,8 @@ def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[in
     return row, next(message for mask, message in checks if mask[row])
 
 
-def read_trajectories_csv(path: str) -> TrajectoryDump:
-    """Parse a trajectory dump into columns; the first malformed line raises MalformedDump.
+def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
+    """Parse a trajectory dump a chunk of rows at a time; the first malformed line raises MalformedDump.
 
     A dump is read in the form simulate writes: the header line
     ``x0,path_id,tau,floor_n,states``, then one or more rows of five cells,
@@ -189,11 +190,13 @@ def read_trajectories_csv(path: str) -> TrajectoryDump:
     empty, and states, which holds one or more between single spaces.  The
     states must make the path its x0, tau and floor_n describe, as
     :class:`~markovup.process_core.Trajectory` checks a path.  The bytes are
-    parsed _CHUNK_CHARS at a time, cut at a line end; a chunk that fails is
-    parsed again a line at a time, and the first line that fails is named
-    with the check it fails.  An unreadable file raises OSError.
+    parsed _CHUNK_CHARS at a time, cut at a line end, and each chunk's
+    columns are yielded before the next is read; a chunk that fails is
+    parsed again, and yielded, a line at a time, and the first line that
+    fails is named with the check it fails.  So a consumer that checks each
+    row as it comes meets every row before the first malformed line.  An
+    unreadable file raises OSError.
     """
-    parts = []  # the columns, chunk by chunk
     with open(path, "rb") as fh:
         if fh.readline().removesuffix(b"\n").removesuffix(b"\r") + b"\r\n" != DUMP_HEADER:
             raise MalformedDump(f"{path}:1: malformed dump row: the header is not {DUMP_HEADER.decode().rstrip()}")
@@ -203,26 +206,24 @@ def read_trajectories_csv(path: str) -> TrajectoryDump:
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
             try:
-                parts.append(_plain_chunk(chunk))
+                dump = _plain_chunk(chunk)
             except ValueError:  # the same parse a line at a time, to name the first line that fails
                 for text in chunk.split(b"\n")[:-1]:
                     try:
-                        parts.append(_plain_chunk(text + b"\n"))
+                        dump = _plain_chunk(text + b"\n")
                     except ValueError as exc:
                         raise MalformedDump(f"{path}:{line}: malformed dump row: {exc}") from exc
                     line += 1
+                    yield dump
             else:
-                line += parts[-1][0].size  # a row a line: cheaper than counting the chunk's line ends
-    if not parts:
+                line += dump.steps.size  # a row a line: cheaper than counting the chunk's line ends
+                yield dump
+    if line == 2:
         raise MalformedDump(f"{path}:2: malformed dump row: no row after the header")
-    x0, path_id, floor_n, steps, capped, states = (np.concatenate(column) for column in zip(*parts))
-    return TrajectoryDump(
-        state_array(x0), state_array(path_id), state_array(floor_n), steps, capped, state_array(states)
-    )
 
 
-def _plain_chunk(raw: bytes) -> tuple[np.ndarray, ...]:
-    """The TrajectoryDump columns of whole dump lines, each ending in LF.
+def _plain_chunk(raw: bytes) -> TrajectoryDump:
+    """The columns of whole dump lines, each ending in LF.
 
     ValueError, with the reason, unless each line is a well-formed path in
     plain form.
@@ -273,7 +274,9 @@ def _plain_chunk(raw: bytes) -> tuple[np.ndarray, ...]:
     if failure is not None:
         row, message = failure
         raise ValueError(message.format(tau=tau[row]))
-    return x0, path_id, floor_n, counts - 1, ~live, states
+    return TrajectoryDump(
+        state_array(x0), state_array(path_id), state_array(floor_n), counts - 1, ~live, state_array(states)
+    )
 
 
 def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -236,10 +237,20 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
 DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
 
 
+def dump_columns(dump):
+    """The chunks cli.read_trajectories_csv yields, joined into one TrajectoryDump."""
+    chunks = list(cli.read_trajectories_csv(str(dump)))
+    joined = {name: np.concatenate([getattr(chunk, name) for chunk in chunks]) for name in DUMP_COLUMNS}
+    return csv_io.TrajectoryDump(**{
+        name: column if name in ("steps", "capped") else process_core.state_array(column)
+        for name, column in joined.items()
+    })
+
+
 def read_outcome(dump):
-    """cli.read_trajectories_csv's columns, with their dtype kinds, or the line and reason its error names."""
+    """dump_columns' columns, with their dtype kinds, or the line and reason the reader's error names."""
     try:
-        columns = cli.read_trajectories_csv(str(dump))
+        columns = dump_columns(dump)
     except cli.ConfigError as exc:
         line, reason = re.fullmatch(
             r"config field 'output\.trajectories_csv': .*:(\d+): malformed dump row: (.*)", str(exc)
@@ -261,12 +272,12 @@ def oracle_outcome(dump):
     ]
 
 
-def assert_same_blocks(read, simulated):
-    assert len(read) == len(simulated)
-    for a, b in zip(read, simulated):
-        assert a.floor_n == b.floor_n and a.states.dtype == b.states.dtype
-        for name in ("states", "steps", "capped"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+def assert_same_paths(read, simulated):
+    """Two lists of blocks hold the same paths at the same floor, in the same order and states dtype."""
+    assert {block.floor_n for block in read} == {block.floor_n for block in simulated}
+    for name in ("states", "steps", "capped"):
+        a, b = (np.concatenate([getattr(block, name) for block in blocks]) for blocks in (read, simulated))
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestTrajectoryRoundTrip:
@@ -284,23 +295,27 @@ class TestTrajectoryRoundTrip:
         ):
             path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
             assert cli.main(["simulate", str(path)]) == 0
-            dump = cli.read_trajectories_csv(traj_csv)
+            dump = dump_columns(traj_csv)
             assert dump.steps.size == n_rows
             stops = np.cumsum(dump.steps + 1)
             for stop, steps, capped, floor_n in zip(stops, dump.steps, dump.capped, dump.floor_n):
                 states = dump.states[stop - steps - 1:stop].tolist()
                 assert tau_of(states, floor_n) == (None if capped else steps)
-            # the reader's blocks are the ones simulate laid out, and the dump's rows
-            # are their str-joined values, from 2**63 too
+            # the blocks the reader cuts hold each start state's paths as simulate
+            # laid them out, and the dump's rows are their str-joined values, from
+            # 2**63 too
             config = cli.load_config(str(path))
             kernel = model_zoo.build_benchmark(config.model_spec())
-            blocks_by_x = cli._blocks_from_dump(config, dump)
+            read = {}
+            for task_index, block in cli._blocks_from_dump(config, cli.read_trajectories_csv(traj_csv)):
+                read.setdefault(task_index, []).append(block)
+            assert list(read) == list(range(len(config.x_grid)))
             rows = []
             for task_index, x0 in enumerate(config.x_grid):
                 simulated = list(mc_engine.simulate_blocks(
                     kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
                 ))
-                assert_same_blocks(blocks_by_x[x0], simulated)
+                assert_same_paths(read[task_index], simulated)
                 states = np.concatenate([block.states for block in simulated]).tolist()
                 steps = np.concatenate([block.steps for block in simulated]).tolist()
                 capped = np.concatenate([block.capped for block in simulated]).tolist()
@@ -322,18 +337,27 @@ class TestTrajectoryRoundTrip:
             assert (tmp_path / "report.json").read_bytes() == replayed
 
     @pytest.mark.parametrize("chunk_chars", [None, 40])
-    def test_report_reads_rows_in_any_order(self, tmp_path, monkeypatch, chunk_chars):
-        # shuffled rows, across x0 too, are gathered into path order; a small chunk
-        # size parses the states cells in many chunks
+    def test_report_rejects_rows_out_of_order(self, tmp_path, monkeypatch, capsys, chunk_chars):
+        # simulate writes each x0 of the grid in turn, its path ids in order, and
+        # report reads rows in that order only; a small chunk size parses the
+        # states cells in many chunks
         if chunk_chars is not None:
             monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
-        path, traj_csv, rows = self.simulate_dump(tmp_path)
-        assert cli.main(["report", str(path)]) == cli.EXIT_OK
-        ordered = [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")]
-        random.Random(3).shuffle(rows)
+        path, traj_csv, rows = self.simulate_dump(tmp_path, x_grid=[6, 10, 20])
+        simulated = traj_csv.read_bytes()
+        # two rows of one x0 swapped: the first displaced row is named, with the row expected there
+        i = next(i for i, r in enumerate(rows) if r["x0"] == "10" and r["path_id"] == "3")
+        rows[i], rows[i + 2] = rows[i + 2], rows[i]
         self.rewrite_dump(traj_csv, rows)
-        assert cli.main(["report", str(path)]) == cli.EXIT_OK
-        assert [(tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")] == ordered
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "row (x0=10, path_id=5) stands where simulate writes (x0=10, path_id=3)" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        # the same starts in another grid order: the task index keys each start's
+        # random streams, so verify of this config simulates other paths
+        traj_csv.write_bytes(simulated)
+        path = write_config(tmp_path, x_grid=[10, 6, 20], output_trajectories_csv=str(traj_csv))
+        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+        assert "row (x0=6, path_id=0) stands where simulate writes (x0=10, path_id=0)" in capsys.readouterr().err
 
     def test_report_rejects_cells_past_the_plain_form(self, tmp_path, capsys):
         # cells int() would read but that are not plain digits between single
@@ -377,10 +401,10 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
 
     @staticmethod
-    def simulate_dump(tmp_path):
+    def simulate_dump(tmp_path, **overrides):
         """Config with a trajectory dump, the dump's path, and its rows."""
         traj_csv = tmp_path / "trajectories.csv"
-        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv))
+        path = write_config(tmp_path, output_trajectories_csv=str(traj_csv), **overrides)
         assert cli.main(["simulate", str(path)]) == 0
         with open(traj_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -393,18 +417,27 @@ class TestTrajectoryRoundTrip:
             writer.writeheader()
             writer.writerows(rows)
 
-    def test_report_rejects_floor_mismatch(self, tmp_path, capsys):
-        path, traj_csv, rows = self.simulate_dump(tmp_path)
-        row = next(r for r in rows if r["x0"] == "10" and r["path_id"] == "3")
-        # a consistent row at another floor: it first enters that floor at
-        # tau and ends there
-        states = row["states"].split()
-        tau = tau_of(tuple(int(s) for s in states), 6)
-        row["floor_n"], row["tau"], row["states"] = "6", str(tau), " ".join(states[:tau + 1])
-        self.rewrite_dump(traj_csv, rows)
-        assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "(x0=10, path_id=3)" in err and "floor_n" in err
+    def test_report_rejects_floor_mismatch(self, tmp_path, monkeypatch, capsys):
+        # a consistent row at another floor: it first enters that floor at tau and
+        # ends there.  With the line after it malformed too, at either chunk size,
+        # the floor row is still named: it comes first in the file
+        for bad_next_line, chunk_chars in itertools.product((False, True), (csv_io._CHUNK_CHARS, 40)):
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
+            workdir = tmp_path / f"{bad_next_line}-{chunk_chars}"
+            workdir.mkdir()
+            path, traj_csv, rows = self.simulate_dump(workdir)
+            i = next(i for i, r in enumerate(rows) if r["x0"] == "10" and r["path_id"] == "3")
+            states = rows[i]["states"].split()
+            tau = tau_of(tuple(int(s) for s in states), 6)
+            rows[i]["floor_n"], rows[i]["tau"], rows[i]["states"] = "6", str(tau), " ".join(states[:tau + 1])
+            self.rewrite_dump(traj_csv, rows)
+            if bad_next_line:
+                lines = traj_csv.read_bytes().split(b"\r\n")
+                lines[i + 2] = b"7,5"  # the line after the header and rows[:i + 1]
+                traj_csv.write_bytes(b"\r\n".join(lines))
+            assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "(x0=10, path_id=3) has floor_n=6" in err, (bad_next_line, chunk_chars)
 
     def test_report_rejects_start_outside_grid(self, tmp_path, capsys):
         path, _traj_csv, _rows = self.simulate_dump(tmp_path)
@@ -723,17 +756,22 @@ def test_failed_assumptions_exit_usage(tmp_path, monkeypatch, capsys, command):
 
 @pytest.mark.parametrize("command, output", [
     ("verify", {}), ("simulate", {"trajectories_csv": "trajectories.csv"}),
+    ("report", {"trajectories_csv": "trajectories.csv"}),
 ])
 def test_peak_rss_flat_in_n_traj(tmp_path, command, output):
-    # each block is written and folded, then dropped, so ten times the paths on
-    # the default grid raise the command's peak RSS by less than 8 MB; when
-    # every start state's records (and, for the dump, blocks) were held to the
-    # end, the peak rose by about 60 MB for verify and 107 MB for simulate
+    # each block is written and folded, then dropped, and report reads its dump
+    # (simulated first) a chunk at a time, so ten times the paths on the default
+    # grid raise the command's peak RSS by less than 8 MB; when every start
+    # state's records (and, for the dump, blocks) were held to the end, the peak
+    # rose by about 60 MB for verify and 107 MB for simulate, and when report
+    # held the whole dump, by about 160 MB
     peaks = []
     for n_traj in (20_000, 200_000):
         workdir = tmp_path / str(n_traj)
         workdir.mkdir()
         (workdir / "config.json").write_text(json.dumps({"n_traj": n_traj, "output": output}))
+        if command == "report":
+            cli_peak_rss_mb(["simulate", "config.json"], workdir)
         peaks.append(cli_peak_rss_mb([command, "config.json"], workdir))
     assert peaks[1] - peaks[0] < 8, peaks
 
