@@ -8,12 +8,12 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
     verify     full pipeline: report.json + paths.csv + verdicts.csv
     report     rebuild report.json/verdicts.csv from a trajectory dump
 
-simulate and verify reduce each block of paths, write its rows and fold
-its records as it comes, then drop it; report reads the dump a chunk of
-rows at a time, in the order simulate writes it, and checks, folds and
-drops each chunk's blocks in the same way: no command holds a start
-state's records.  verify opens paths.csv only after the config, the
-certificate and the bounds pass, so a rejected run writes nothing.
+simulate and verify share one block writer, which writes each block's
+rows and hands its records on; report reads the dump a chunk at a time,
+in the order simulate writes it, and cuts it into blocks.  verify and
+report hand each start state's records to mc_engine.verify_records and
+share one output step.  No command holds a start state's records, and a
+rejected run writes nothing: records are taken only once the bounds pass.
 
 Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict failure.
 
@@ -41,11 +41,13 @@ import numpy as np
 
 from . import bound_calc, csv_io, mc_engine
 from .csv_io import TrajectoryDump, first_failure
-from .model_zoo import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, certify
+from .model_zoo import (
+    BenchmarkKernel, BenchmarkModelSpec, InvalidParameterError, KappaSpec, build_benchmark, certify,
+)
 from .process_core import PathBlock, state_array
 from .streams import MAX_PATHS
 
-__all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
+__all__ = ["ConfigError", "ExperimentConfig", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,6 +142,10 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     floor_n = _as_int(data.get("floor_n", defaults.floor_n), "floor_n")
     _require(floor_n >= 0, "floor_n", "must be non-negative")
+    try:  # the spec also rejects a model that is degenerate in floating point
+        BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config field 'model.{exc.name}': {exc}") from exc
 
     x_grid_raw = data.get("x_grid", list(defaults.x_grid))
     _require(isinstance(x_grid_raw, list) and x_grid_raw, "x_grid", "must be a non-empty list")
@@ -324,7 +330,7 @@ def cmd_bounds(config: ExperimentConfig, out: Optional[str]) -> int:
 
 
 def _records(config: ExperimentConfig, kernel: BenchmarkKernel, task_index: int, paths: BinaryIO,
-             dump: Optional[BinaryIO] = None) -> Iterator[mc_engine.RecordColumns]:
+             dump: Optional[BinaryIO]) -> Iterator[mc_engine.RecordColumns]:
     """Simulate one start state's paths a block at a time; write each block's rows, then yield its records.
 
     The rows go to paths.csv and, if given, the dump, each path numbered on from the block before.
@@ -340,43 +346,46 @@ def _records(config: ExperimentConfig, kernel: BenchmarkKernel, task_index: int,
         yield records
 
 
-def cmd_simulate(config: ExperimentConfig) -> int:
-    kernel = build_benchmark(config.model_spec())
-    dump_path = config.trajectories_csv
+def _written_records(
+    config: ExperimentConfig, kernel: BenchmarkKernel, dump_path: Optional[str]
+) -> Iterator[Iterator[mc_engine.RecordColumns]]:
+    """Open paths.csv, and the dump if a path is given, write their headers, and yield each start state's records.
+
+    The files are closed when this generator runs to its end.
+    """
     with open(config.paths_csv, "wb") as paths, (open(dump_path, "wb") if dump_path else nullcontext()) as dump:
         paths.write(csv_io.PATHS_HEADER)
         if dump is not None:
             dump.write(csv_io.DUMP_HEADER)
         for task_index in range(len(config.x_grid)):
-            for _ in _records(config, kernel, task_index, paths, dump):
-                pass  # the rows are written as each block's records come
+            yield _records(config, kernel, task_index, paths, dump)
+
+
+def cmd_simulate(config: ExperimentConfig) -> int:
+    kernel = build_benchmark(config.model_spec())
+    for records in _written_records(config, kernel, config.trajectories_csv):
+        for _ in records:
+            pass  # the rows are written as each block's records come
     print(f"wrote {config.paths_csv}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_verify(config: ExperimentConfig) -> int:
-    """Full pipeline: certify, bounds, simulate, verify, write reports."""
+def _judge(config: ExperimentConfig, sources: Iterable[Iterable[mc_engine.RecordColumns]]) -> int:
+    """Fold and judge each start state's records, write report.json and verdicts.csv, tally them; the exit code."""
     start = time.perf_counter()
-    spec = config.model_spec()
-    kernel = build_benchmark(spec)
-    cert, bound_sets = mc_engine.certify_bounds(spec, config.m_list, config.x_grid, config.epsilon)
-    with open(config.paths_csv, "wb") as paths:
-        paths.write(csv_io.PATHS_HEADER)
-        folds = [
-            mc_engine.fold_records(_records(config, kernel, task_index, paths), x0, config.m_list)
-            for task_index, x0 in enumerate(config.x_grid)
-        ]
-    report = mc_engine.report_from_folds(cert, bound_sets, folds, config.m_list)
+    report = mc_engine.verify_records(config.model_spec(), config.x_grid, config.m_list, sources, config.epsilon)
     _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)
     elapsed = time.perf_counter() - start
     n_pass = sum(1 for v in report.verdicts if v.passed)
-    print(
-        f"{n_pass}/{len(report.verdicts)} verdicts passed in {elapsed:.1f}s "
-        f"-> {config.report_json}",
-        file=sys.stderr,
-    )
+    print(f"{n_pass}/{len(report.verdicts)} verdicts passed in {elapsed:.1f}s -> {config.report_json}", file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
+
+
+def cmd_verify(config: ExperimentConfig) -> int:
+    """Full pipeline: certify, bounds, simulate, verify, write reports."""
+    kernel = build_benchmark(config.model_spec())
+    return _judge(config, _written_records(config, kernel, dump_path=None))
 
 
 def _blocks_from_dump(
@@ -426,22 +435,12 @@ def cmd_report(config: ExperimentConfig) -> int:
     """Recompute estimates and verdicts from a previous trajectory dump."""
     if config.trajectories_csv is None:
         raise ConfigError("config field 'output.trajectories_csv': required by the report command")
-    cert, bound_sets = mc_engine.certify_bounds(
-        config.model_spec(), config.m_list, config.x_grid, config.epsilon
-    )
-    # blocks in x_grid and path order, as verify folds them; each is folded
-    # and dropped as the dump is read
+    # one group of blocks per start state, in x_grid order, each folded and dropped as the dump is read
     blocks = _blocks_from_dump(config, read_trajectories_csv(config.trajectories_csv))
-    folds = [
-        mc_engine.fold_records(
-            map(mc_engine.reduce_block, map(itemgetter(1), group)), config.x_grid[task], config.m_list
-        )
-        for task, group in itertools.groupby(blocks, key=itemgetter(0))
-    ]
-    report = mc_engine.report_from_folds(cert, bound_sets, folds, config.m_list)
-    _dump_json(build_report(config, report), config.report_json)
-    write_verdicts_csv(config.verdicts_csv, report)
-    return EXIT_OK if report.all_passed else EXIT_VERDICT_FAIL
+    return _judge(config, (
+        map(mc_engine.reduce_block, map(itemgetter(1), group))
+        for _, group in itertools.groupby(blocks, key=itemgetter(0))
+    ))
 
 
 def _guarded(command: Callable[[], int]) -> int:
@@ -455,11 +454,6 @@ def _guarded(command: Callable[[], int]) -> int:
     except bound_calc.BoundRangeError as exc:
         print(f"error: config field 'm_list': moment order too large: {exc}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def run(config_path: Optional[str], seed: Optional[int] = None, threads: Optional[int] = None) -> int:
-    """Run the whole pipeline for a config file; returns the exit code."""
-    return _guarded(lambda: cmd_verify(load_config(config_path, seed, threads)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,11 @@ sums over it and rounds each reported number once: neither the order of
 the records nor how they are cut into blocks changes it.  Results are
 therefore bit-identical for a fixed seed.
 
+:func:`verify_records` is the one verification pipeline: certificate,
+bound sets, then each start state's fold and verdicts.  Its callers only
+supply the records: simulated ones (:func:`verify`, ``markovup verify``)
+or those read back from a trajectory dump (``markovup report``).
+
 Two comparison rules are used, matching how sharp each inequality is:
 
 * hitting-time moments sit far below the theorem bound, so their verdict
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,14 +58,13 @@ __all__ = [
     "RecordColumns",
     "RecordFold",
     "VerificationVerdict",
-    "certify_bounds",
     "estimate_tau_moments",
     "fold_records",
     "reduce_block",
-    "report_from_folds",
     "simulate_blocks",
     "simulate_records",
     "verify",
+    "verify_records",
 ]
 
 Z99_CI = 2.576     # half-width multiplier of the reported 99% band
@@ -124,16 +128,6 @@ class VerificationVerdict:
     @property
     def slack(self) -> float:
         return self.bound - self.test_value
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate.to_dict(),
-            "bound": self.bound,
-            "test_value": self.test_value,
-            "method": self.method,
-            "passed": self.passed,
-            "slack": self.slack,
-        }
 
 
 _COLUMNS = (
@@ -323,6 +317,11 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
     return dict(zip(distinct.tolist(), counts.tolist()))
 
 
+def _sample_flag(n: int) -> Optional[str]:
+    """Why an estimate from n samples cannot be tested, or None."""
+    return None if n >= 2 else "single-sample" if n else "no-samples"
+
+
 def _moment_estimate(
     quantity: str, m: int, x0: int, hist: dict[int, int], capped: int
 ) -> MomentEstimate:
@@ -334,11 +333,6 @@ def _moment_estimate(
     n = sum(hist.values())
     s1 = sum(c * v**m for v, c in hist.items())
     s2 = sum(c * v ** (2 * m) for v, c in hist.items())
-    flag = None
-    if n == 0:
-        flag = "no-samples"
-    elif n < 2:
-        flag = "single-sample"
     return MomentEstimate(
         quantity=quantity,
         m=m,
@@ -347,7 +341,7 @@ def _moment_estimate(
         mean=_ratio(s1, n) if n else 0.0,
         std_error=math.sqrt(_ratio(n * s2 - s1 * s1, n * n * (n - 1))) if n >= 2 else 0.0,
         capped_paths=capped,
-        flag=flag,
+        flag=_sample_flag(n),
     )
 
 
@@ -433,7 +427,7 @@ def fold_records(parts: Iterable[RecordColumns], x0: int, m_list: Sequence[int])
             mean=mean,
             std_error=se,
             capped_paths=capped,
-            flag=None if n_live >= 2 else "no-samples",
+            flag=_sample_flag(n_live),
         )
     diagnostics = {
         name: {str(j): {"n": c, "mean": total / c} for j, (c, total) in sorted(sums.items())}
@@ -534,28 +528,39 @@ def verdicts_for_records(
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Everything verify() concluded, plus the inputs it rested on."""
+    """Everything verify_records() concluded, plus the inputs it rested on."""
 
     verdicts: tuple[VerificationVerdict, ...]
     certificate: AssumptionCertificate
     bound_sets: dict[int, BoundSet]
     folds: dict[int, RecordFold]
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
 
-def certify_bounds(
-    spec: BenchmarkModelSpec, m_list: Sequence[int], x_grid: Sequence[int],
-    eps: float = bound_calc.DEFAULT_EPS,
-) -> tuple[AssumptionCertificate, dict[int, BoundSet]]:
-    """Certify the model, or raise AssumptionsFailError, and build each order's bound set.
+def verify_records(
+    spec: BenchmarkModelSpec,
+    x_grid: Sequence[int],
+    m_list: Sequence[int],
+    sources: Iterable[Iterable[RecordColumns]],
+    eps: float,
+) -> VerificationReport:
+    """Certify the model, build each order's bound set, fold each start state's records, then judge the folds.
 
-    Every start state's theorem bound is evaluated here, so a start beyond
-    float range raises StartRangeError before any path is simulated.
+    ``sources`` holds one iterable of record blocks per x_grid entry, in
+    x_grid order, and is run to its end.  Its first item is taken only
+    after the certificate (AssumptionsFailError) and every theorem bound
+    (StartRangeError) pass, so a rejected run simulates and reads nothing.
     """
+    if not x_grid or not m_list:
+        raise ValueError("x_grid and m_list must be non-empty")
+    if len(set(x_grid)) != len(x_grid):
+        raise ValueError("x_grid entries must be distinct")
+    if len(set(m_list)) != len(m_list):
+        raise ValueError("m_list entries must be distinct")
     cert = certify(spec, m_max=max(m_list))
     if not cert.theorem_ready:
         raise AssumptionsFailError("model certificate does not satisfy the required assumptions")
@@ -563,22 +568,14 @@ def certify_bounds(
     for x0 in x_grid:
         for m, bset in bound_sets.items():
             bound_calc.theorem_bound(m, x0, bset)
-    return cert, bound_sets
-
-
-def report_from_folds(
-    certificate: AssumptionCertificate, bound_sets: dict[int, BoundSet],
-    folds: Iterable[RecordFold], m_list: Sequence[int],
-) -> VerificationReport:
-    """Turn each start state's fold, in the order given, into verdicts and warnings."""
-    folds_by_x = {fold.x0: fold for fold in folds}
+    folds = {x0: fold_records(records, x0, m_list) for x0, records in zip(x_grid, sources, strict=True)}
     verdicts: list[VerificationVerdict] = []
     warnings: list[str] = []
-    for fold in folds_by_x.values():
+    for fold in folds.values():
         vs, ws = verdicts_for_records(fold, m_list, bound_sets)
         verdicts.extend(vs)
         warnings.extend(ws)
-    return VerificationReport(tuple(verdicts), certificate, bound_sets, folds_by_x, tuple(warnings))
+    return VerificationReport(tuple(verdicts), cert, bound_sets, folds, tuple(warnings))
 
 
 def verify(
@@ -598,17 +595,10 @@ def verify(
     ceilings, and the attempt-count tail against powers of the attempt
     failure ceiling.
     """
-    if not x_grid or not m_list:
-        raise ValueError("x_grid and m_list must be non-empty")
-    if len(set(x_grid)) != len(x_grid):
-        raise ValueError("x_grid entries must be distinct")
-    if len(set(m_list)) != len(m_list):
-        raise ValueError("m_list entries must be distinct")
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    cert, bound_sets = certify_bounds(spec, m_list, x_grid, eps)
-    folds = (
-        fold_records(simulate_records(kernel, x0, n_traj, seed, max_steps, task_index), x0, m_list)
+    sources = (
+        simulate_records(kernel, x0, n_traj, seed, max_steps, task_index)
         for task_index, x0 in enumerate(x_grid)
     )
-    return report_from_folds(cert, bound_sets, folds, m_list)
+    return verify_records(spec, x_grid, m_list, sources, eps)

@@ -28,12 +28,22 @@ __all__ = [
 
 
 class InvalidParameterError(ValueError):
-    """A model parameter outside its documented open range."""
+    """A model parameter outside its documented range; ``name`` is the parameter's."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(f"{name} {message}")
+        self.name = name
 
 
 def _check_open_unit(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
-        raise InvalidParameterError(f"{name} must lie in the open interval (0, 1), got {value}")
+        raise InvalidParameterError(name, f"must lie in the open interval (0, 1), got {value}")
+
+
+def _check_complement(name: str, value: float) -> None:
+    # the law and the bounds take 1 - value as a probability in (0, 1)
+    if 1.0 - value == 1.0:
+        raise InvalidParameterError(name, f"is too small: 1 - {name} rounds to 1, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +59,7 @@ class KappaSpec:
 
     def __post_init__(self) -> None:
         _check_open_unit("a", self.a)
+        _check_complement("a", self.a)
         _check_open_unit("r", self.r)
 
     def at(self, i: int) -> float:
@@ -78,8 +89,9 @@ class BenchmarkModelSpec:
 
     def __post_init__(self) -> None:
         _check_open_unit("s", self.up_jump_s)
+        _check_complement("s", self.up_jump_s)
         if self.floor_n < 0:
-            raise InvalidParameterError(f"floor_n must be non-negative, got {self.floor_n}")
+            raise InvalidParameterError("floor_n", f"must be non-negative, got {self.floor_n}")
 
 
 # step laws a BenchmarkKernel keeps: a long path from a far start meets a new
@@ -142,7 +154,7 @@ class DeterministicDownKernel(KernelContract):
 
     def __init__(self, floor_n: int) -> None:
         if floor_n < 0:
-            raise InvalidParameterError("floor_n must be non-negative")
+            raise InvalidParameterError("floor_n", "must be non-negative")
         self._floor_n = floor_n
 
     @property

@@ -6,13 +6,31 @@ import sys
 from pathlib import Path
 
 import markovup
+from markovup import chi_at, xi_at, zeta_at
 from markovup.mc_engine import DEFAULT_MAX_STEPS, simulate_blocks
+from markovup.path_analysis import UnterminatedRunError
+
+from oracles import UNTERMINATED
 
 
 def simulated_trajectories(kernel, x0, n_traj, seed, max_steps=DEFAULT_MAX_STEPS, task_index=0):
     """The paths simulate_blocks yields, as Trajectory objects in path order."""
     blocks = simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
     return [traj for block in blocks for traj in block.trajectories()]
+
+
+def production_stop_times(states, n):
+    """zeta, xi and chi at time n from the library, in the oracles' form: an unterminated run is UNTERMINATED."""
+    out = {"zeta": zeta_at(states, n)}
+    try:
+        out["xi"] = xi_at(states, n)
+    except UnterminatedRunError:
+        out["xi"] = UNTERMINATED
+    try:
+        out["chi"] = chi_at(states, n)
+    except UnterminatedRunError:
+        out["chi"] = UNTERMINATED
+    return out
 
 
 def cli_env():

@@ -18,20 +18,15 @@ from markovup import (
     DeterministicDownKernel,
     decompose_attempts,
     estimate_tau_moments,
-    chi_at,
     path_stream,
     power_series,
     simulate_path,
     tau_of,
-    xi_at,
-    zeta_at,
 )
-from markovup.path_analysis import UnterminatedRunError
 from markovup.process_core import StopReason
 
-from helpers import cli_env
+from helpers import cli_env, production_stop_times
 from oracles import (
-    UNTERMINATED,
     chi_oracle,
     tau_oracle,
     xi_oracle,
@@ -113,19 +108,6 @@ def test_criterion_1_series_oracle(announce):
     )
 
 
-def _production_stop_times(states, n):
-    out = {"zeta": zeta_at(states, n)}
-    try:
-        out["xi"] = xi_at(states, n)
-    except UnterminatedRunError:
-        out["xi"] = UNTERMINATED
-    try:
-        out["chi"] = chi_at(states, n)
-    except UnterminatedRunError:
-        out["chi"] = UNTERMINATED
-    return out
-
-
 def test_criterion_2_stopping_time_oracle(benchmark_kernel, announce):
     start = time.perf_counter()
     rng = np.random.default_rng(ACCEPTANCE_SEED)
@@ -137,7 +119,7 @@ def test_criterion_2_stopping_time_oracle(benchmark_kernel, announce):
         states = traj.states
         assert tau_of(states, 5) == tau_oracle(states, 5)
         for n in range(len(states)):
-            got = _production_stop_times(states, n)
+            got = production_stop_times(states, n)
             want = {
                 "zeta": zeta_oracle(states, n),
                 "xi": xi_oracle(states, n),

@@ -117,6 +117,16 @@ class TestConfigValidation:
         assert "model.r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "bounds", "simulate", "verify"])
+@pytest.mark.parametrize("field, value", [("s", 1e-17), ("a", 1e-300)])
+def test_model_degenerate_in_floating_point_names_field(tmp_path, capsys, command, field, value):
+    # 1 - value rounds to 1: the jump law's tail ratio is 1, or q_bar is 0
+    path = write_config(tmp_path, n_traj=10, **{field: value})
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: config field 'model.{field}'")
+    assert not (tmp_path / "paths.csv").exists()
+
+
 class TestSubcommands:
     def test_certify_prints_json(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -776,7 +786,18 @@ def test_peak_rss_flat_in_n_traj(tmp_path, command, output):
     assert peaks[1] - peaks[0] < 8, peaks
 
 
-def test_run_entry_point(tmp_path):
+def test_verify_and_report_tally_verdicts_on_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, output_trajectories_csv=str(tmp_path / "trajectories.csv"))
+    assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        assert cli.main([command, str(path)]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        # 2 starts * (2 orders * 4 moment cells + 5 attempt cells)
+        assert re.fullmatch(rf"26/26 verdicts passed in \d+\.\ds -> {re.escape(str(tmp_path / 'report.json'))}\n", err)
+
+
+def test_main_verify_entry_point(tmp_path):
     path = write_config(tmp_path)
-    assert cli.run(str(path)) == cli.EXIT_OK
-    assert cli.run(str(write_config(tmp_path, name="bad.json", s=0.0))) == cli.EXIT_USAGE
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+    assert cli.main(["verify", str(write_config(tmp_path, name="bad.json", s=0.0))]) == cli.EXIT_USAGE

@@ -1,24 +1,33 @@
-"""The README's walkthroughs in demos/ run to completion."""
+"""The README's walkthroughs in demos/ and its Quick start run to completion."""
 
-import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import markovup
+from helpers import cli_env
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args, cwd):
+    # the child imports the same package as this process, installed or not
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=cli_env(), capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # the child imports the same package as this process, installed or not
-    env = dict(os.environ)
-    package_root = str(Path(markovup.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH", "")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
+    proc = _run([str(demo)], tmp_path)
     assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}\nstderr:\n{proc.stderr}"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Quick start\n.*?^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    proc = _run(["-c", block], tmp_path)
+    assert proc.returncode == 0, f"Quick start exited {proc.returncode}\nstderr:\n{proc.stderr}"
+    # tau and the attempts, the certified m = 2 bound, and verify's all_passed
+    assert proc.stdout.splitlines()[-1] == "True", proc.stdout

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from markovup import BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
+from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
 from markovup.lockstep import BLOCK, FallLaws, _jumps, run_block, step_lanes
 from markovup.process_core import StopReason, simulate_path
 from markovup.streams import path_stream
@@ -15,15 +15,9 @@ def _kernel(a, r, s, floor_n=5):
     return build_benchmark(BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n))
 
 
-def _lockstep(kernel, x0, n_traj, seed, max_steps, task_index):
-    """The lockstep engine's trajectories, block after block, as simulate_blocks runs it."""
-    blocks = mc_engine.simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
-    return [traj for block in blocks for traj in block.trajectories()]
-
-
 def _both(kernel, x0, n_traj, seed, max_steps=10**6, task_index=0):
     """(lockstep, scalar) trajectories of the same paths."""
-    lockstep = _lockstep(kernel, x0, n_traj, seed, max_steps, task_index)
+    lockstep = simulated_trajectories(kernel, x0, n_traj, seed, max_steps, task_index)
     scalar = [
         simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index))
         for pid in range(n_traj)
@@ -39,8 +33,8 @@ def test_matches_scalar_engine(benchmark_kernel, x0, n_traj, task_index):
 
 
 def test_task_index_changes_paths(benchmark_kernel):
-    a = _lockstep(benchmark_kernel, 20, 50, 11, 10**6, 0)
-    b = _lockstep(benchmark_kernel, 20, 50, 11, 10**6, 3)
+    a = simulated_trajectories(benchmark_kernel, 20, 50, 11, 10**6, 0)
+    b = simulated_trajectories(benchmark_kernel, 20, 50, 11, 10**6, 3)
     assert a != b
 
 
@@ -66,7 +60,7 @@ def test_non_default_model(a, r, s, max_steps):
 
 
 def test_non_default_model_reaches_floor():
-    lockstep = _lockstep(_kernel(0.9, 0.95, 0.1), 10, 200, 5, 300, 1)
+    lockstep = simulated_trajectories(_kernel(0.9, 0.95, 0.1), 10, 200, 5, 300, 1)
     assert any(t.stop_reason is StopReason.HIT_FLOOR for t in lockstep)
 
 
@@ -186,8 +180,6 @@ def _error(call):
         # the stream's key is checked first, also for a start at the floor
         ((0.5, 0.5, 0.5), 5, 0, -1, 0),
         ((0.5, 0.5, 0.5), 5, 10, 0, 2**24),
-        # 1 - s rounds to 1.0: the spec accepts s, the step law does not
-        ((0.5, 0.5, 1e-17), 10, 10, 0, 0),
     ],
 )
 def test_invalid_arguments_raise_as_scalar_engine(kernel_args, x0, max_steps, seed, task_index):
@@ -199,10 +191,13 @@ def test_invalid_arguments_raise_as_scalar_engine(kernel_args, x0, max_steps, se
     assert lockstep == scalar
 
 
-def test_invalid_step_law_unused_at_floor():
+def test_invalid_step_law_unused_at_floor(benchmark_kernel, monkeypatch):
     # neither engine draws a step from the floor, so neither builds the law
-    kernel = _kernel(0.5, 0.5, 1e-17)
-    lockstep, scalar = _both(kernel, 5, 3, seed=0)
+    def no_law(self, ell, x):
+        raise ValueError("a step law was built")
+
+    monkeypatch.setattr(BenchmarkKernel, "law", no_law)
+    lockstep, scalar = _both(benchmark_kernel, 5, 3, seed=0)
     assert lockstep == scalar
 
 

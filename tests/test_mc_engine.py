@@ -26,6 +26,7 @@ from markovup.mc_engine import (
     fold_records,
     reduce_block,
     simulate_records,
+    verify_records,
 )
 from markovup.process_core import PathBlock, state_array
 
@@ -109,6 +110,13 @@ class TestFoldRecords:
         assert fold.hits[0] == 3
         assert sum(fold.diagnostics["attempt_count_hist"].values()) == 3
         assert fold.diagnostics["rise_length_by_index"]["1"] == {"n": 2, "mean": 2.0}
+
+    def test_one_live_path_flagged_single_sample(self):
+        fold = fold_records([_columns(self.RECORDS[:2])], 10, [1])
+        assert fold.estimates[("tau_m", 1)].flag == "single-sample"
+        for i in range(1, 6):
+            est = fold.estimates[("attempt_survival", i)]
+            assert (est.n_samples, est.flag) == (1, "single-sample")
 
     def test_long_attempt_run_in_top_bucket_and_every_hit(self):
         fold = fold_records([_columns(self.RECORDS)], 10, [1])
@@ -469,6 +477,20 @@ class TestVerify:
                 verify(None, benchmark_spec, [10], [1], 100, 0)
         finally:
             eng.certify = original
+
+    def test_record_sources_run_to_their_end(self, benchmark_kernel, benchmark_spec):
+        # a writer that owns its files closes them only when its generator ends
+        ended = []
+
+        def sources(x_grid):
+            for task_index, x0 in enumerate(x_grid):
+                yield simulate_records(benchmark_kernel, x0, 50, 3, task_index=task_index)
+            ended.append(True)
+
+        report = verify_records(benchmark_spec, [6, 10], [1], sources([6, 10]), 1e-10)
+        assert ended and list(report.folds) == [6, 10]
+        with pytest.raises(ValueError):  # one source more than x_grid has starts
+            verify_records(benchmark_spec, [6], [1], sources([6, 10]), 1e-10)
 
     def test_repeated_moment_order_rejected(self, benchmark_kernel, benchmark_spec):
         with pytest.raises(ValueError, match="m_list"):

@@ -16,7 +16,8 @@ from markovup import (
 )
 from markovup.path_analysis import NotHitError, UnterminatedRunError
 
-from oracles import UNTERMINATED, chi_oracle, tau_oracle, xi_oracle, zeta_oracle
+from helpers import production_stop_times
+from oracles import chi_oracle, tau_oracle, xi_oracle, zeta_oracle
 
 
 class TestZeta:
@@ -71,20 +72,6 @@ class TestTau:
         assert tau_of([7, 8, 9], 5) is None
 
 
-def _production_outcomes(states, n):
-    out = {}
-    out["zeta"] = zeta_at(states, n)
-    try:
-        out["xi"] = xi_at(states, n)
-    except UnterminatedRunError:
-        out["xi"] = UNTERMINATED
-    try:
-        out["chi"] = chi_at(states, n)
-    except UnterminatedRunError:
-        out["chi"] = UNTERMINATED
-    return out
-
-
 def _oracle_outcomes(states, n):
     return {
         "zeta": zeta_oracle(states, n),
@@ -97,7 +84,7 @@ def _oracle_outcomes(states, n):
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=25), st.data())
 def test_stopping_times_match_definition_scans(states, data):
     n = data.draw(st.integers(min_value=0, max_value=len(states) - 1))
-    assert _production_outcomes(states, n) == _oracle_outcomes(states, n)
+    assert production_stop_times(states, n) == _oracle_outcomes(states, n)
     assert tau_of(states, 5) == tau_oracle(states, 5)
 
 
