@@ -41,10 +41,11 @@ import numpy as np
 
 from . import bound_calc, csv_io, mc_engine
 from .csv_io import TrajectoryDump, first_failure
+from .lockstep import check_int64
 from .model_zoo import (
     BenchmarkKernel, BenchmarkModelSpec, InvalidParameterError, KappaSpec, build_benchmark, certify,
 )
-from .process_core import PathBlock, state_array
+from .process_core import PathBlock
 from .streams import MAX_PATHS
 
 __all__ = ["ConfigError", "ExperimentConfig", "main"]
@@ -143,7 +144,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     floor_n = _as_int(data.get("floor_n", defaults.floor_n), "floor_n")
     _require(floor_n >= 0, "floor_n", "must be non-negative")
     try:  # the spec also rejects a model that is degenerate in floating point
-        BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n)
+        spec = BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n)
     except InvalidParameterError as exc:
         raise ConfigError(f"config field 'model.{exc.name}': {exc}") from exc
 
@@ -168,6 +169,12 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     max_steps = _as_int(data.get("max_steps", defaults.max_steps), "max_steps")
     _require(max_steps >= 1, "max_steps", "must be >= 1")
+    kernel = build_benchmark(spec)
+    for x0 in x_grid:  # every state a path can reach must fit int64
+        try:
+            check_int64(kernel, x0, max_steps)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"config field '{'x_grid' if exc.name == 'x0' else exc.name}': {exc}") from exc
 
     epsilon_raw = data.get("epsilon", defaults.epsilon)
     _require(
@@ -400,7 +407,7 @@ def _blocks_from_dump(
     and at most that many steps if not; the first row that does not names
     its x0 and path id.  A chunk is cut into blocks where its x0 changes.
     """
-    n_traj, grid = config.n_traj, state_array(config.x_grid)
+    n_traj, grid = config.n_traj, np.array(config.x_grid, dtype=np.int64)
     first = 0  # the index of the chunk's first row
     for dump in chunks:
         row = np.arange(first, first + dump.steps.size)
@@ -424,7 +431,7 @@ def _blocks_from_dump(
         bounds = np.concatenate([[0], np.cumsum(dump.steps + 1)])  # row i's states are states[bounds[i]:bounds[i + 1]]
         cuts = [0, *(np.flatnonzero(np.diff(task)) + 1).tolist(), task.size]
         for lo, hi in zip(cuts, cuts[1:]):
-            states = state_array(dump.states[bounds[lo]:bounds[hi]])
+            states = dump.states[bounds[lo]:bounds[hi]]
             yield int(task[lo]), PathBlock(config.floor_n, states, dump.steps[lo:hi], dump.capped[lo:hi])
         first += dump.steps.size
     if first < grid.size * n_traj:

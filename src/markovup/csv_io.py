@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .mc_engine import RecordColumns
-from .process_core import PathBlock, state_array
+from .process_core import PathBlock
 
 __all__ = [
     "DUMP_HEADER", "MalformedDump", "PATHS_HEADER", "TrajectoryDump", "dump_rows", "first_failure",
@@ -54,24 +54,17 @@ def _digit_table() -> np.ndarray:
 
 _ZEROS = np.frombuffer(b"0000", dtype=np.uint32)[0]
 _COMMA, _SPACE, _CRLF = np.frombuffer(b",\0\0\0 \0\0\0\r\n\0\0", dtype=np.uint32)
-_SEP_TEXT = {int(_COMMA): ",", int(_SPACE): " ", int(_CRLF): "\r\n"}
 _PATHS_SEPS = np.array([_COMMA, _COMMA, _COMMA, _COMMA, _CRLF])  # one paths.csv row
 
 
-def _ascii(tokens: np.ndarray, seps: np.ndarray) -> Any:
+def _ascii(tokens: np.ndarray, seps: np.ndarray) -> np.ndarray:
     """The bytes of tokens in decimal, each followed by its separator (_COMMA, _SPACE or _CRLF).
 
-    Tokens are non-negative integers, and -1 is an empty cell; ``seps``
-    broadcasts to ``tokens``.  Each int64 token becomes uint32 cells of four
-    digits, from a lookup table, followed by its separator's cell; one
-    boolean compress drops the NUL bytes.  An object array (an integer past
-    int64) is formatted with str, token by token.
+    Tokens are non-negative int64 integers, and -1 is an empty cell;
+    ``seps`` broadcasts to ``tokens``.  Each token becomes uint32 cells of
+    four digits, from a lookup table, followed by its separator's cell; one
+    boolean compress drops the NUL bytes.
     """
-    if tokens.dtype == object:
-        return "".join([
-            f"{'' if v < 0 else v}{_SEP_TEXT[s]}"
-            for v, s in zip(tokens.ravel().tolist(), np.broadcast_to(seps, tokens.shape).ravel().tolist())
-        ]).encode()
     table, top, groups = _digit_table(), int(tokens.max(initial=0)), 1
     while top >= _GROUP**groups:
         groups += 1
@@ -96,16 +89,15 @@ def _ascii(tokens: np.ndarray, seps: np.ndarray) -> Any:
 PATHS_HEADER = b"path_id,tau,attempts,max_state,capped\r\n"
 
 
-def paths_rows(first: int, records: RecordColumns) -> Iterator[Any]:
+def paths_rows(first: int, records: RecordColumns) -> Iterator[np.ndarray]:
     """A block's paths.csv rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a capped path has no tau."""
     rows = max(1, _TOKENS_PER_WRITE // _PATHS_SEPS.size)
     for lo in range(0, len(records), rows):
         part = slice(lo, lo + rows)
         capped = records.capped[part]
-        # the flag as int64: stacked with an object max_state, a bool would be formatted "True"
         yield _ascii(np.stack([
             np.arange(first + lo, first + lo + capped.size), np.where(capped, -1, records.steps[part]),
-            records.attempts[part], records.max_state[part], capped.astype(np.int64),
+            records.attempts[part], records.max_state[part], capped,
         ], axis=1), _PATHS_SEPS)
 
 
@@ -119,10 +111,10 @@ _CELLS = len(_DUMP_COLUMNS)
 _ROW_STOPS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # the bytes that end a row's cells
 
 
-def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
+def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
     """A block's dump rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a cut may fall inside a row."""
     n = block.steps.size
-    heads = np.empty((n, 4), dtype=block.states.dtype)  # x0, path_id, tau and floor_n of each row
+    heads = np.empty((n, 4), dtype=np.int64)  # x0, path_id, tau and floor_n of each row
     heads[:, 0], heads[:, 1], heads[:, 3] = x0, np.arange(first, first + n), block.floor_n
     heads[:, 2] = np.where(block.capped, -1, block.steps)
     # row r is tokens row_at[r]..row_at[r + 1]-1: its four heads, then its states
@@ -135,7 +127,7 @@ def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[Any]:
         inside = (head_at >= lo) & (head_at < hi)
         is_head = np.zeros(hi - lo, dtype=bool)
         is_head[head_at[inside] - lo] = True
-        tokens = np.empty(hi - lo, dtype=heads.dtype)
+        tokens = np.empty(hi - lo, dtype=np.int64)
         tokens[is_head] = heads[r0:r1].ravel()[inside]
         a = lo - 4 * r0 - min(4, lo - row_at[r0])  # the states before the cut
         tokens[~is_head] = block.states[a:a + tokens.size - np.count_nonzero(inside)]
@@ -158,9 +150,7 @@ class TrajectoryDump:
 
     Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
     has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
-    capped iff ``capped[i]``.  The integer columns are laid out as
-    :func:`state_array` lays out states: int64, or Python ints when one does
-    not fit.
+    capped iff ``capped[i]``.  The integer columns are int64.
     """
 
     x0: np.ndarray
@@ -274,16 +264,15 @@ def _plain_chunk(raw: bytes) -> TrajectoryDump:
     if failure is not None:
         row, message = failure
         raise ValueError(message.format(tau=tau[row]))
-    return TrajectoryDump(
-        state_array(x0), state_array(path_id), state_array(floor_n), counts - 1, ~live, state_array(states)
-    )
+    return TrajectoryDump(x0, path_id, floor_n, counts - 1, ~live, states)
 
 
 def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:
     """The value of each run of digits of ``b`` that ends before ``past``.
 
-    The values are int64, or Python ints in an object array when a run is
-    longer than _MAX_DIGITS digits.
+    The values are int64.  A run longer than _MAX_DIGITS digits, such as a
+    zero-padded one, is read with ``int``; ValueError if its value does not
+    fit int64.
     """
     values = (b[past - 1] - np.uint8(ord("0"))).astype(np.int64)
     # the tokens with a digit left of the ones read, and where; -1 reads the
@@ -300,6 +289,9 @@ def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:
     if not wide.size:
         return values
     start = np.flatnonzero(digit & np.diff(digit, prepend=False))[wide]  # where each wide token begins
-    text, values = b.tobytes(), values.astype(object)
-    values[wide] = [int(text[i:j]) for i, j in zip(start.tolist(), past[wide].tolist())]
+    text = b.tobytes()
+    try:
+        values[wide] = [int(text[i:j]) for i, j in zip(start.tolist(), past[wide].tolist())]
+    except OverflowError:
+        raise ValueError("an integer past int64") from None
     return values

@@ -19,13 +19,13 @@ engine (:func:`~markovup.process_core.simulate_path` on
   it lies next to an integer: :func:`_jumps` takes every quotient with
   numpy and only those few again with :mod:`math`;
 * a lane leaves at the floor or at the step cap, and its states are
-  regrouped path by path into a :class:`PathBlock`, whose
-  :meth:`~PathBlock.trajectories` are the scalar engine's.
+  regrouped path by path into a :class:`PathBlock`.
 
-States are held as int64: a block whose start state or later states would
-leave that range raises :class:`LeavesInt64`.  The block loop, the
-argument checks, the zero-step block of a start in the floor and the
-scalar engine's rerun of a block that leaves int64 all live in
+States are int64, and :func:`check_int64` keeps them so: a step falls by
+one or rises by at most :func:`max_jump`, so a start x0 whose
+``x0 + max_steps * max_jump`` fits int64 reaches no state past it, and
+:func:`run_block` rejects any other start.  The block loop, the argument
+checks and the zero-step block of a start in the floor live in
 :func:`~markovup.mc_engine.simulate_blocks`.
 """
 
@@ -35,20 +35,43 @@ import math
 
 import numpy as np
 
-from .model_zoo import BenchmarkKernel
-from .process_core import PathBlock
+from .model_zoo import BenchmarkKernel, InvalidParameterError
+from .process_core import INT64_MAX, PathBlock
 from .streams import block_uniforms, lane_keys, philox_block
 
-__all__ = ["BLOCK", "FallLaws", "LeavesInt64", "run_block", "step_lanes"]
+__all__ = ["BLOCK", "FallLaws", "check_int64", "max_jump", "run_block", "step_lanes"]
 
 BLOCK = 4096  # paths a block holds: bounds the memory of its recorded states
-_INT64_MAX = 2**63 - 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _MARGIN = 2.0**-40  # see _jumps
 
 
-class LeavesInt64(Exception):
-    """A state of the block would not fit in int64."""
+def max_jump(kernel: BenchmarkKernel) -> int:
+    """J, the largest rise of one step: ``law.quantile(1.0) - x``, the same from every state and fall length.
+
+    ``quantile`` clamps the tail's uniform below 1, so no draw rises further.
+    """
+    x = kernel.floor_n + 1
+    return kernel.law(0, x).quantile(1.0) - x
+
+
+def check_int64(kernel: BenchmarkKernel, x0: int, max_steps: int) -> None:
+    """Raise InvalidParameterError, naming floor_n, x0 or max_steps, unless every state a path can reach fits int64.
+
+    A step falls by one or rises by at most J = :func:`max_jump`, so the
+    states of a path from x0 within max_steps steps fit iff
+    ``x0 + max_steps * J <= 2**63 - 1``; the floor must fit too.
+    """
+    if kernel.floor_n > INT64_MAX:
+        raise InvalidParameterError("floor_n", f"must be below 2**63, got {kernel.floor_n}")
+    if x0 > INT64_MAX:
+        raise InvalidParameterError("x0", f"must be below 2**63, got {x0}")
+    jump = max_jump(kernel)
+    if x0 + max_steps * jump > INT64_MAX:
+        raise InvalidParameterError(
+            "max_steps", f"must be at most {(INT64_MAX - x0) // jump} from x0={x0}, where one step rises "
+            f"by up to {jump}: a longer path could leave int64, got {max_steps}",
+        )
 
 
 class FallLaws:
@@ -117,11 +140,7 @@ def step_lanes(
         v = (u[up] - kappa[up]) / laws.tail_mass[ell[up]]
         np.clip(v, 0.0, _BELOW_ONE, out=v)
         q = _jumps(v, laws.log_ratio)
-        x_up = x[up]
-        # int() truncates the largest quotient as astype truncates each one
-        if int(q.max()) > _INT64_MAX - int(x_up.max()):
-            raise LeavesInt64
-        x_next[up] = x_up + q.astype(np.int64)
+        x_next[up] = x[up] + q.astype(np.int64)
     # a down-step extends the fall; an up or flat step starts a new window
     return x_next, np.where(down, ell + 1, 0)
 
@@ -133,10 +152,10 @@ def run_block(
 
     Path ``pids[i]`` equals ``simulate_path(kernel, x0, max_steps,
     path_stream(seed, pids[i], task_index))``; ``pids`` may be any ids, in
-    any order.  Raises :class:`LeavesInt64` if a state would not fit int64.
+    any order.  Raises InvalidParameterError, a ValueError, unless
+    :func:`check_int64` passes.
     """
-    if x0 > _INT64_MAX:
-        raise LeavesInt64
+    check_int64(kernel, x0, max_steps)
     floor_n = kernel.floor_n
     laws = FallLaws(kernel, max_steps)
     n = pids.size

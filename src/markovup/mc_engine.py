@@ -46,9 +46,9 @@ from scipy.special import betaincinv
 
 from . import bound_calc
 from .bound_calc import BoundSet
-from .lockstep import BLOCK, LeavesInt64, run_block
+from .lockstep import BLOCK, run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .process_core import KernelContract, PathBlock, simulate_path, state_array
+from .process_core import KernelContract, PathBlock, simulate_path
 from .streams import lane_keys, path_stream
 
 __all__ = [
@@ -147,9 +147,8 @@ class RecordColumns:
     and overshoots sample the segments where the process actually rose.
     Fall lengths have one entry per attempt: the fall length for an
     unsuccessful attempt and 0 for the successful one, mirroring the
-    indicator in the fall-length moment bound.  ``max_state`` and
-    ``overshoots`` are object arrays of Python ints when a state does not
-    fit int64.
+    indicator in the fall-length moment bound.  Every column but
+    ``capped`` is int64.
     """
 
     steps: np.ndarray
@@ -261,10 +260,11 @@ def simulate_blocks(
     max_steps, then x0.  A start in the floor gives zero-step blocks on
     every kernel.  A :class:`BenchmarkKernel` (not a subclass, which may
     change the law) runs each block on the lockstep engine,
-    :func:`~markovup.lockstep.run_block`; any other kernel, and a block
-    whose states leave int64, on the scalar engine, path by path, laid out
-    in the same block.  Each path's stream is keyed by its index, so both
-    give the same paths.
+    :func:`~markovup.lockstep.run_block`, which raises ValueError unless
+    every state its paths can reach fits int64; any other kernel on the
+    scalar engine, path by path, laid out in the same block by
+    :meth:`PathBlock.of`, which raises ValueError at a state past int64.
+    Each path's stream is keyed by its index, so both give the same paths.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -278,17 +278,13 @@ def simulate_blocks(
         pids = np.arange(lo, min(lo + BLOCK, n_traj))
         if x0 <= floor_n:
             steps = np.zeros(pids.size, dtype=np.int64)
-            yield PathBlock(floor_n, state_array([x0] * pids.size), steps, steps.astype(bool))
-            continue
-        if type(kernel) is BenchmarkKernel:
-            try:
-                yield run_block(kernel, x0, pids, seed, max_steps, task_index)
-                continue
-            except LeavesInt64:  # the scalar engine's Python ints do not wrap
-                pass
-        yield PathBlock.of([
-            simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)) for pid in pids.tolist()
-        ])
+            yield PathBlock(floor_n, np.full(pids.size, x0, dtype=np.int64), steps, steps.astype(bool))
+        elif type(kernel) is BenchmarkKernel:
+            yield run_block(kernel, x0, pids, seed, max_steps, task_index)
+        else:
+            yield PathBlock.of([
+                simulate_path(kernel, x0, max_steps, path_stream(seed, pid, task_index)) for pid in pids.tolist()
+            ])
 
 
 def simulate_records(

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "DistributionInvalidError",
     "FallWindow",
+    "INT64_MAX",
     "KernelContract",
     "PathBlock",
     "StepDistribution",
@@ -28,11 +29,11 @@ __all__ = [
     "initial_window",
     "sample_step",
     "simulate_path",
-    "state_array",
     "window_update",
 ]
 
 MASS_TOL = 1e-12
+INT64_MAX = 2**63 - 1  # every state a PathBlock holds fits int64
 
 
 class DistributionInvalidError(ValueError):
@@ -247,17 +248,6 @@ class Trajectory:
             raise ValueError("a capped path must never enter the floor")
 
 
-def state_array(states: Sequence[int]) -> np.ndarray:
-    """States as int64, or as Python ints in an object array when one does not fit int64.
-
-    An array already laid out so is returned as it is, not copied.
-    """
-    try:
-        return np.asarray(states, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(states, dtype=object)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class PathBlock:
     """Paths in one flat layout, the form the record reducer reads.
@@ -269,44 +259,27 @@ class PathBlock:
     """
 
     floor_n: int
-    states: np.ndarray  # see state_array
+    states: np.ndarray  # int64
     steps: np.ndarray   # int64
     capped: np.ndarray  # bool
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> PathBlock:
-        """The block of trajectories that share one floor, in their order."""
-        def states() -> Iterator[int]:
-            return itertools.chain.from_iterable(t.states for t in trajectories)
+        """The block of trajectories that share one floor, in their order.
 
+        Raises ValueError, naming the path, if a state does not fit int64.
+        """
         try:  # without a list of every state in between
-            flat = np.fromiter(states(), dtype=np.int64)
+            flat = np.fromiter(itertools.chain.from_iterable(t.states for t in trajectories), dtype=np.int64)
         except OverflowError:
-            flat = state_array(list(states()))
+            i = next(i for i, t in enumerate(trajectories) if max(t.states) > INT64_MAX)
+            raise ValueError(f"path {i} of the block has a state past int64: {max(trajectories[i].states)}") from None
         return cls(
             trajectories[0].floor_n,
             flat,
             np.array([len(t.states) - 1 for t in trajectories], dtype=np.int64),
             np.array([t.tau is None for t in trajectories], dtype=bool),
         )
-
-    def paths(self) -> Iterator[tuple[list[int], int, bool]]:
-        """Each path's states as Python ints, its step count and its capped flag, in block order."""
-        states = self.states.tolist()
-        end = 0
-        for n_steps, capped in zip(self.steps.tolist(), self.capped.tolist()):
-            start, end = end, end + n_steps + 1
-            yield states[start:end], n_steps, capped
-
-    def trajectories(self) -> list[Trajectory]:
-        """One checked :class:`Trajectory` per path, in block order."""
-        return [
-            Trajectory(
-                path[0], tuple(path), self.floor_n,
-                StopReason.STEP_CAP if capped else StopReason.HIT_FLOOR, None if capped else n_steps,
-            )
-            for path, n_steps, capped in self.paths()
-        ]
 
 
 def simulate_path(

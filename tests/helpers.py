@@ -9,14 +9,28 @@ import markovup
 from markovup import chi_at, xi_at, zeta_at
 from markovup.mc_engine import DEFAULT_MAX_STEPS, simulate_blocks
 from markovup.path_analysis import UnterminatedRunError
+from markovup.process_core import StopReason, Trajectory
 
 from oracles import UNTERMINATED
+
+
+def block_trajectories(block):
+    """One checked Trajectory per path of a PathBlock, in block order."""
+    states = block.states.tolist()
+    trajectories, end = [], 0
+    for n_steps, capped in zip(block.steps.tolist(), block.capped.tolist()):
+        start, end = end, end + n_steps + 1
+        trajectories.append(Trajectory(
+            states[start], tuple(states[start:end]), block.floor_n,
+            StopReason.STEP_CAP if capped else StopReason.HIT_FLOOR, None if capped else n_steps,
+        ))
+    return trajectories
 
 
 def simulated_trajectories(kernel, x0, n_traj, seed, max_steps=DEFAULT_MAX_STEPS, task_index=0):
     """The paths simulate_blocks yields, as Trajectory objects in path order."""
     blocks = simulate_blocks(kernel, x0, n_traj, seed, max_steps, task_index)
-    return [traj for block in blocks for traj in block.trajectories()]
+    return [traj for block in blocks for traj in block_trajectories(block)]
 
 
 def production_stop_times(states, n):

@@ -10,6 +10,7 @@ import re
 from markovup.process_core import StopReason, Trajectory
 
 UNTERMINATED = "unterminated"
+INT64_MAX = 2**63 - 1
 
 
 def zeta_oracle(states, n):
@@ -116,8 +117,8 @@ def dump_oracle(data):
     line may have none.  Returns ("ok", columns), the lists x0, path_id,
     floor_n, steps, capped and states, or ("error", line, reason) for the
     first line that is not the header, not a row PLAIN_ROW matches (reason
-    None), or not a path Trajectory accepts (its message); a dump without
-    rows fails at line 2.
+    None), a row with an integer past int64, or not a path Trajectory
+    accepts (its message); a dump without rows fails at line 2.
     """
     lines = data.decode("latin-1").split("\n")
     if lines[-1] == "":
@@ -132,6 +133,8 @@ def dump_oracle(data):
         match = PLAIN_ROW.fullmatch(line)
         if match is None:
             return "error", number, None
+        if any(int(token) > INT64_MAX for token in re.findall(r"[0-9]+", line)):
+            return "error", number, "an integer past int64"
         x0, path_id, tau, floor_n, states = match.groups()
         states = tuple(int(s) for s in states.split(" "))
         tau = int(tau) if tau else None

@@ -58,8 +58,10 @@ class TestConfigValidation:
     def test_out_of_range_parameter_names_field(self, tmp_path):
         # n_traj past the 2**40 paths one stream key can address
         # an infinite epsilon would stop every series at its first term
+        # a floor past int64 does not fit the dump's int64 columns
         for field, value, name in (
             ("r", 1.0, "model.r"), ("n_traj", 2**40 + 1, "n_traj"), ("epsilon", math.inf, "epsilon"),
+            ("floor_n", 2**63, "floor_n"),
         ):
             path = write_config(tmp_path, **{field: value})
             with pytest.raises(cli.ConfigError, match=name):
@@ -73,6 +75,15 @@ class TestConfigValidation:
         assert f"error: config field 'model.{field}': must lie strictly between 0 and 1" in (
             capsys.readouterr().err
         )
+
+    def test_max_steps_keeps_every_state_in_int64(self, tmp_path):
+        # at s = 1e-12 one step rises by up to about 3.67e13, so from x0 = 20 a
+        # path of 251,061 steps could pass 2**63 - 1
+        path = write_config(tmp_path, s=1e-12, x_grid=[20], max_steps=251_060)
+        assert cli.load_config(str(path)).max_steps == 251_060
+        path = write_config(tmp_path, s=1e-12, x_grid=[20], max_steps=251_061)
+        with pytest.raises(cli.ConfigError, match="^config field 'max_steps': max_steps must be at most 251060 "):
+            cli.load_config(str(path))
 
     def test_duplicate_start_rejected(self, tmp_path):
         path = write_config(tmp_path, x_grid=[6, 10, 6])
@@ -178,17 +189,9 @@ class TestSubcommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["timing"]["capped_paths"] > 0
         assert any("capped" in w for w in report["warnings"])
-
-    def test_start_beyond_int64_reports_capped(self, tmp_path):
-        path = write_config(tmp_path, x_grid=[2**63], n_traj=3, max_steps=5)
-        assert cli.main(["verify", str(path)]) == cli.EXIT_VERDICT_FAIL
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["timing"]["capped_paths"] == 3
-        assert report["verdicts"]
-        assert all(v["method"] == "not-issued" for v in report["verdicts"])
-        # paths.csv rows from an object-array block: an empty tau, and the capped flag as 1
-        rows = (tmp_path / "paths.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[1::3] for row in rows] == [["", "1"]] * 3
+        # 4 steps from 40 cannot reach the floor: every row has an empty tau and the flag 1
+        rows = [row.split(",") for row in (tmp_path / "paths.csv").read_text().splitlines()[1:]]
+        assert {(tau, flag) for _, tau, _, _, flag in rows} == {("", "1")}
 
     def test_low_sample_warning(self, tmp_path):
         path = write_config(tmp_path, n_traj=10)
@@ -251,10 +254,7 @@ def dump_columns(dump):
     """The chunks cli.read_trajectories_csv yields, joined into one TrajectoryDump."""
     chunks = list(cli.read_trajectories_csv(str(dump)))
     joined = {name: np.concatenate([getattr(chunk, name) for chunk in chunks]) for name in DUMP_COLUMNS}
-    return csv_io.TrajectoryDump(**{
-        name: column if name in ("steps", "capped") else process_core.state_array(column)
-        for name, column in joined.items()
-    })
+    return csv_io.TrajectoryDump(**joined)
 
 
 def read_outcome(dump):
@@ -276,10 +276,7 @@ def oracle_outcome(dump):
     if outcome[0] == "error":
         return outcome
     columns = outcome[1]
-    kinds = {"steps": "i", "capped": "b"}  # the others are int64 unless a value is past it
-    return "ok", [
-        (kinds.get(name, "i" if max(columns[name]) < 2**63 else "O"), columns[name]) for name in DUMP_COLUMNS
-    ]
+    return "ok", [("b" if name == "capped" else "i", columns[name]) for name in DUMP_COLUMNS]
 
 
 def assert_same_paths(read, simulated):
@@ -293,15 +290,12 @@ def assert_same_paths(read, simulated):
 class TestTrajectoryRoundTrip:
     def test_dump_and_report(self, tmp_path):
         traj_csv = str(tmp_path / "trajectories.csv")
-        # the second config's paths span two blocks; the third's, from 2**63, are laid
-        # out in object-array blocks and end capped; the last two write states of 19
-        # and 31 digits, read back as int64 and as Python ints
+        # the second config's paths span two blocks; the third's states have 19
+        # digits, which the reader reads with int
         for overrides, n_rows, code in (
             ({}, 2 * 400, cli.EXIT_OK),
             ({"x_grid": [6], "n_traj": BLOCK + 100}, BLOCK + 100, cli.EXIT_OK),
-            ({"x_grid": [2**63, 6], "n_traj": 3, "max_steps": 50}, 2 * 3, cli.EXIT_VERDICT_FAIL),
             ({"x_grid": [10**18], "n_traj": 3, "max_steps": 50}, 3, cli.EXIT_VERDICT_FAIL),
-            ({"x_grid": [10**30, 6], "n_traj": 3, "max_steps": 50}, 2 * 3, cli.EXIT_VERDICT_FAIL),
         ):
             path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
             assert cli.main(["simulate", str(path)]) == 0
@@ -312,8 +306,7 @@ class TestTrajectoryRoundTrip:
                 states = dump.states[stop - steps - 1:stop].tolist()
                 assert tau_of(states, floor_n) == (None if capped else steps)
             # the blocks the reader cuts hold each start state's paths as simulate
-            # laid them out, and the dump's rows are their str-joined values, from
-            # 2**63 too
+            # laid them out, and the dump's rows are their str-joined values
             config = cli.load_config(str(path))
             kernel = model_zoo.build_benchmark(config.model_spec())
             read = {}
@@ -469,7 +462,9 @@ class TestTrajectoryRoundTrip:
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
         assert "(x0=10, path_id=7)" in capsys.readouterr().err
 
-    MALFORMED_ROWS = ["x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor"]
+    MALFORMED_ROWS = [
+        "x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor", "past_int64",
+    ]
 
     @pytest.mark.parametrize("fault", MALFORMED_ROWS)
     def test_report_rejects_malformed_row(self, tmp_path, capsys, fault):
@@ -490,6 +485,8 @@ class TestTrajectoryRoundTrip:
             cells[0], cells[2], cells[4] = "7", "2", "7 5 5"
         elif fault == "capped_in_floor":
             cells[0], cells[2], cells[4] = "7", "", "7 5 6"
+        elif fault == "past_int64":
+            cells[4] = cells[4].rsplit(" ", 1)[0] + f" {2**63}"  # the last state
         else:
             cells[0], cells[2], cells[4] = "6", "1", "6 -1"
         lines[5] = ",".join(cells)
@@ -609,18 +606,16 @@ class TestTrajectoryRoundTrip:
     CELL_EDITS = {
         "quoted_cell": (1, lambda cell: f'"{cell}"'),
         "plus_sign": (1, lambda cell: "+" + cell),
-        "past_int64": (1, lambda cell: str(2**63)),  # a path id past int64: object columns
-        "past_int64_floor": (3, lambda cell: str(2**63)),  # a floor past int64: a malformed row
+        "past_int64": (1, lambda cell: str(2**63)),  # a path id past int64
+        "past_int64_floor": (3, lambda cell: str(2**63)),  # a floor past int64
         "tab": (4, lambda cell: cell.replace(" ", "\t ", 1)),
         "cr_in_cell": (4, lambda cell: cell.replace(" ", "\r", 1)),
     }
 
     @pytest.mark.parametrize("form", [*CELL_EDITS, "reordered_header", "lone_cr", "space_in_cell"])
     def test_forms_outside_the_array_pass(self, tmp_path, form):
-        # each form but a wide path id is rejected, naming line 3, or line 1 for
-        # the header
+        # each form is rejected, naming line 3, or line 1 for the header
         path, traj_csv, rows = self.simulate_dump(tmp_path)
-        plain = read_outcome(traj_csv)
         lines = traj_csv.read_bytes().decode().splitlines(keepends=True)  # CRLF kept
         if form in self.CELL_EDITS:
             column, edit = self.CELL_EDITS[form]
@@ -636,14 +631,9 @@ class TestTrajectoryRoundTrip:
         if form == "reordered_header":
             self.rewrite_dump(traj_csv, [dict(reversed(row.items())) for row in rows])
         outcome = read_outcome(traj_csv)
-        if form == "past_int64":
-            x0, (_kind, path_id), *rest = plain[1]
-            path_id[1] = 2**63
-            assert outcome == ("ok", [x0, ("O", path_id), *rest])
-        else:
-            assert outcome[:2] == ("error", 1 if form == "reordered_header" else 3)
-        if form == "past_int64_floor":  # every state is in the floor
-            assert re.fullmatch(r"a path that hit the floor at tau=\d+ must first enter it there", outcome[2])
+        assert outcome[:2] == ("error", 1 if form == "reordered_header" else 3)
+        if form.startswith("past_int64"):
+            assert outcome[2] == "an integer past int64"
 
     def test_report_rejects_capped_row_short_of_max_steps(self, tmp_path, capsys):
         path, traj_csv, rows = self.simulate_dump(tmp_path)
@@ -742,11 +732,20 @@ def test_start_beyond_float_range_names_x_grid(tmp_path, monkeypatch, capsys, co
         raise AssertionError("a path was simulated")
 
     monkeypatch.setattr(mc_engine, "simulate_blocks", no_paths)
-    path = write_config(tmp_path, x_grid=[10**400], m_list=[1], n_traj=2, max_steps=5)
+    path = write_config(tmp_path, x_grid=[2**62], m_list=[20], n_traj=2, max_steps=5)
     assert cli.main([command, str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'x_grid'") and f"x={10**400}" in err
+    assert err.startswith("error: config field 'x_grid'") and f"x={2**62}" in err
     assert not (tmp_path / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "bounds", "simulate", "verify", "report"])
+def test_start_past_int64_names_x_grid(tmp_path, capsys, command):
+    # every state a path holds is int64, so a start of 2**63 is rejected as the config is read
+    path = write_config(tmp_path, x_grid=[2**63], output_trajectories_csv=str(tmp_path / "trajectories.csv"))
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: config field 'x_grid': x0 must be below 2**63, got {2**63}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

@@ -4,24 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from markovup import cli, csv_io, mc_engine
-from markovup.process_core import PathBlock, state_array
+from markovup import cli, csv_io
+from markovup.process_core import PathBlock
 
 EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 10**8 - 1, 10**8, 2**63 - 1]
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
-def test_formatter_matches_str_at_edge_values(dtype):
-    # the four-digit tables, the groups past 9,999 and the str fallback for
-    # object arrays; -1 is an empty cell
+def test_formatter_matches_str_at_edge_values():
+    # the four-digit tables and the groups past 9,999; -1 is an empty cell
     values = EDGE_VALUES + [-1, 123_456_789_012, 10**16, 10**16 - 1]
     for seps, text in (
         (csv_io._COMMA, ","), (csv_io._SPACE, " "), (csv_io._CRLF, "\r\n"),
     ):
-        got = csv_io._ascii(np.array(values, dtype=dtype), np.full(len(values), seps))
+        got = csv_io._ascii(np.array(values, dtype=np.int64), np.full(len(values), seps))
         assert bytes(got) == "".join(("" if v < 0 else str(v)) + text for v in values).encode()
     for v in EDGE_VALUES:  # one value alone, as a chunk holding only it is formatted
-        assert bytes(csv_io._ascii(np.array([v], dtype=dtype), csv_io._SPACE)) == f"{v} ".encode()
+        assert bytes(csv_io._ascii(np.array([v], dtype=np.int64), csv_io._SPACE)) == f"{v} ".encode()
 
 
 def test_formatter_writes_paths_rows():
@@ -31,18 +29,6 @@ def test_formatter_writes_paths_rows():
         b"3,,2,100000000,1\r\n10000,9999,1,7,0\r\n0,0,0,0,0\r\n"
     )
     assert bytes(csv_io._ascii(rows[:0], csv_io._PATHS_SEPS)) == b""
-
-
-def test_paths_rows_with_object_max_state():
-    # a start state of 2**63 gives an object max_state column; its rows, and an
-    # int64 block's numbered on after them, are the str-formatted ones, the flag 1 or 0
-    wide = PathBlock(5, state_array([2**63, 2**63 + 1, 2**63 + 2, 2**63, 4]),
-                     np.array([2, 1]), np.array([True, False]))
-    narrow = PathBlock(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
-    parts = [mc_engine.reduce_block(wide), mc_engine.reduce_block(narrow)]
-    assert parts[0].max_state.dtype == object
-    text = b"".join(bytes(t) for first, records in zip((0, 2), parts) for t in csv_io.paths_rows(first, records))
-    assert text == f"0,,0,{2**63 + 2},1\r\n1,1,1,{2**63},0\r\n2,,0,8,1\r\n3,1,1,6,0\r\n".encode()
 
 
 @pytest.mark.parametrize("budget", [1, 7])

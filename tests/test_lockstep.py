@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
-from markovup.lockstep import BLOCK, FallLaws, _jumps, run_block, step_lanes
-from markovup.process_core import StopReason, simulate_path
+from markovup.lockstep import BLOCK, FallLaws, _jumps, max_jump, run_block, step_lanes
+from markovup.process_core import INT64_MAX, StopReason, simulate_path
 from markovup.streams import path_stream
 
-from helpers import simulated_trajectories
+from conftest import ScalarBenchmarkKernel
+from helpers import block_trajectories, simulated_trajectories
 
 
 def _kernel(a, r, s, floor_n=5):
@@ -131,7 +132,7 @@ def test_run_block_takes_any_path_ids(benchmark_kernel):
     # ids out of order, apart, and past the first block: paths in the order given
     pids = np.array([9000, 0, 4097, 5])
     block = run_block(benchmark_kernel, 20, pids, seed=11, max_steps=10**6, task_index=2)
-    assert block.trajectories() == [
+    assert block_trajectories(block) == [
         simulate_path(benchmark_kernel, 20, 10**6, path_stream(11, pid, 2)) for pid in pids.tolist()
     ]
 
@@ -141,20 +142,40 @@ def test_more_than_one_block(benchmark_kernel):
     assert lockstep == scalar
 
 
-def test_states_beyond_int64_match_scalar_engine():
-    # huge geometric jumps: these paths pass 2**63 within the step cap,
-    # where int64 lanes would wrap to negative states
-    kernel = _kernel(a=0.999, r=0.999, s=1e-15)
-    lockstep, scalar = _both(kernel, 6, 2, seed=0, max_steps=20_000)
-    assert lockstep == scalar
-    assert all(max(t.states) > 2**63 for t in lockstep)
+@pytest.mark.parametrize("s", [0.5, 0.01, 1e-15])
+def test_max_jump_is_the_largest_step(s):
+    # uniforms of 1.0 and just below it, at every fall length and at two states
+    kernel = _kernel(0.5, 0.5, s)
+    lanes = [(x, ell, u) for x in (6, 1000) for ell in range(20) for u in (1.0, math.nextafter(1.0, 0.0))]
+    x, ell, u = (np.array(col) for col in zip(*lanes))
+    x_next, _ = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
+    assert (x_next - x).max() == max_jump(kernel)
 
 
-@pytest.mark.parametrize("x0", [2**63 - 1, 2**63])
-def test_start_at_int64_edge_matches_scalar_engine(benchmark_kernel, x0):
-    # 2**63 does not fit an int64 lane, so its block runs on the scalar engine
-    lockstep, scalar = _both(benchmark_kernel, x0, 5, seed=2, max_steps=3)
+def test_start_at_int64_edge_matches_scalar_engine(benchmark_kernel):
+    # the highest start whose paths cannot leave int64 in 3 steps; one higher is rejected
+    x0 = INT64_MAX - 3 * max_jump(benchmark_kernel)
+    lockstep, scalar = _both(benchmark_kernel, x0, 20, seed=2, max_steps=3)
     assert lockstep == scalar
+    assert max(max(t.states) for t in lockstep) > x0
+    with pytest.raises(ValueError, match="max_steps must be at most 2 from"):
+        run_block(benchmark_kernel, x0 + 1, np.arange(20), seed=2, max_steps=3, task_index=0)
+
+
+@pytest.mark.parametrize("kernel_args, x0, max_steps, name", [
+    # huge geometric jumps: these paths pass 2**63 within the step cap
+    pytest.param((0.999, 0.999, 1e-15), 6, 20_000, "max_steps", id="jumps_past_int64"),
+    pytest.param((0.5, 0.5, 0.5), 2**63, 3, "x0", id="start_past_int64"),
+])
+def test_states_beyond_int64_rejected_by_both_engines(kernel_args, x0, max_steps, name):
+    # the lockstep engine rejects the arguments, naming them; the scalar engine's
+    # block names the first path with a state past int64
+    kernel = _kernel(*kernel_args)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        list(mc_engine.simulate_blocks(kernel, x0, 2, seed=0, max_steps=max_steps))
+    scalar = ScalarBenchmarkKernel(kernel.spec)
+    with pytest.raises(ValueError, match="^path 0 of the block has a state past int64"):
+        list(mc_engine.simulate_blocks(scalar, x0, 2, seed=0, max_steps=max_steps))
 
 
 def test_kappa_near_one_ratio():

@@ -28,9 +28,9 @@ from markovup.mc_engine import (
     simulate_records,
     verify_records,
 )
-from markovup.process_core import PathBlock, state_array
+from markovup.process_core import PathBlock
 
-from helpers import simulated_trajectories
+from helpers import block_trajectories, simulated_trajectories
 from oracles import record_oracle
 
 
@@ -75,15 +75,15 @@ def _columns(records):
     rise_path, rise_lengths, overshoots = zip(*rises) if rises else ((), (), ())
     fall_path, fall_lengths = zip(*falls) if falls else ((), ())
     return RecordColumns(
-        steps=state_array([r["steps"] for r in records]),
+        steps=np.array([r["steps"] for r in records], dtype=np.int64),
         capped=np.array([r["capped"] for r in records], dtype=bool),
-        attempts=state_array([r["attempts"] for r in records]),
-        max_state=state_array([r["max_state"] for r in records]),
-        rise_path=state_array(rise_path),
-        rise_lengths=state_array(rise_lengths),
-        overshoots=state_array(overshoots),
-        fall_path=state_array(fall_path),
-        fall_lengths=state_array(fall_lengths),
+        attempts=np.array([r["attempts"] for r in records], dtype=np.int64),
+        max_state=np.array([r["max_state"] for r in records], dtype=np.int64),
+        rise_path=np.array(rise_path, dtype=np.int64),
+        rise_lengths=np.array(rise_lengths, dtype=np.int64),
+        overshoots=np.array(overshoots, dtype=np.int64),
+        fall_path=np.array(fall_path, dtype=np.int64),
+        fall_lengths=np.array(fall_lengths, dtype=np.int64),
     )
 
 
@@ -162,10 +162,11 @@ class TestFoldRecords:
 
     def test_moment_beyond_float_range_reads_inf(self):
         records = [
-            _record(tau, capped=False, attempts=1, max_state=6, fall_lengths=(0,)) for tau in (0, 10**160)
+            _record(tau, capped=False, attempts=1, max_state=6, fall_lengths=(0,)) for tau in (0, 2**62)
         ]
-        est = fold_records([_columns(records)], 6, [1]).estimates[("tau_m", 1)]
-        assert est.mean == 5e159
+        # tau**9 sums exactly to 2**558; tau**18 to 2**1116, past float range
+        est = fold_records([_columns(records)], 6, [9]).estimates[("tau_m", 9)]
+        assert est.mean == 2.0**557
         assert est.std_error == math.inf
 
 
@@ -238,7 +239,7 @@ class TestBlockReducer:
         block = PathBlock.of(trajectories)
         assert block.states.dtype == np.int64
         self.check(trajectories, [reduce_block(block)])
-        assert block.trajectories() == trajectories
+        assert block_trajectories(block) == trajectories
 
     def test_start_in_floor(self, benchmark_kernel):
         self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
@@ -274,22 +275,16 @@ class TestBlockReducer:
         assert trajectories[0].tau is not None and any(t.tau is None for t in trajectories)
         self.check(trajectories, simulate_records(benchmark_kernel, 20, 300, seed=13, max_steps=30))
 
-    def test_states_beyond_int64_as_python_ints(self):
+    def test_states_beyond_int64_rejected(self):
+        # the first path with a state past int64 is named
         big = 2**63
         trajectories = [
-            _hit(big, big - 1, big + 5, big + 5, big + 2**70, 3),
-            Trajectory(big + 1, (big + 1, big, big + 9), 5, StopReason.STEP_CAP, None),
             _hit(7, 6, 8, 5),
+            Trajectory(big - 1, (big - 1, big - 2, big + 9), 5, StopReason.STEP_CAP, None),
+            _hit(big, big - 1, 3),
         ]
-        block = PathBlock.of(trajectories)
-        assert block.states.dtype == object
-        self.check(trajectories, [reduce_block(block)])
-
-    def test_start_beyond_int64_through_scalar_fallback(self, benchmark_kernel):
-        # the lockstep engine re-runs such a block on the scalar engine
-        parts = list(simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40))
-        self.check(simulated_trajectories(benchmark_kernel, 2**63, 30, seed=2, max_steps=40), parts)
-        assert parts[0].max_state.dtype == object
+        with pytest.raises(ValueError, match=f"^path 1 of the block has a state past int64: {big + 9}$"):
+            PathBlock.of(trajectories)
 
     def test_columns_read_back_per_path(self):
         records = TestFoldRecords.RECORDS
