@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from markovup import cli, csv_io
-from markovup.process_core import PathBlock
+from markovup import cli, csv_io, mc_engine
+from markovup.process_core import INT64_MAX, PathBlock
 
 EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 10**8 - 1, 10**8, 2**63 - 1]
 
@@ -29,6 +29,19 @@ def test_formatter_writes_paths_rows():
         b"3,,2,100000000,1\r\n10000,9999,1,7,0\r\n0,0,0,0,0\r\n"
     )
     assert bytes(csv_io._ascii(rows[:0], csv_io._PATHS_SEPS)) == b""
+
+
+def test_paths_rows_with_object_max_state():
+    # a max_state at the top of int64 stays an int64 column, never an object one;
+    # its rows, and a block's numbered on after them, with the flag 1 or 0
+    top = INT64_MAX
+    wide = PathBlock(5, np.array([top - 2, top - 1, top, top - 2, 4]),
+                     np.array([2, 1]), np.array([True, False]))
+    narrow = PathBlock(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
+    parts = [mc_engine.reduce_block(wide), mc_engine.reduce_block(narrow)]
+    assert parts[0].max_state.dtype == np.int64
+    text = b"".join(bytes(t) for first, records in zip((0, 2), parts) for t in csv_io.paths_rows(first, records))
+    assert text == f"0,,0,{top},1\r\n1,1,1,{top - 2},0\r\n2,,0,8,1\r\n3,1,1,6,0\r\n".encode()
 
 
 @pytest.mark.parametrize("budget", [1, 7])

@@ -152,20 +152,23 @@ def test_max_jump_is_the_largest_step(s):
     assert (x_next - x).max() == max_jump(kernel)
 
 
-def test_start_at_int64_edge_matches_scalar_engine(benchmark_kernel):
-    # the highest start whose paths cannot leave int64 in 3 steps; one higher is rejected
-    x0 = INT64_MAX - 3 * max_jump(benchmark_kernel)
-    lockstep, scalar = _both(benchmark_kernel, x0, 20, seed=2, max_steps=3)
+@pytest.mark.parametrize("x0", [2**63 - 1, 2**63])
+def test_start_at_int64_edge_matches_scalar_engine(benchmark_kernel, x0):
+    # the highest start whose paths cannot leave int64 in 3 steps; one higher is
+    # rejected, and so is x0 at the edge or past it, naming max_steps or x0
+    edge = INT64_MAX - 3 * max_jump(benchmark_kernel)
+    lockstep, scalar = _both(benchmark_kernel, edge, 20, seed=2, max_steps=3)
     assert lockstep == scalar
-    assert max(max(t.states) for t in lockstep) > x0
+    assert max(max(t.states) for t in lockstep) > edge
     with pytest.raises(ValueError, match="max_steps must be at most 2 from"):
-        run_block(benchmark_kernel, x0 + 1, np.arange(20), seed=2, max_steps=3, task_index=0)
+        run_block(benchmark_kernel, edge + 1, np.arange(20), seed=2, max_steps=3, task_index=0)
+    with pytest.raises(ValueError, match="^max_steps " if x0 <= INT64_MAX else "^x0 "):
+        run_block(benchmark_kernel, x0, np.arange(20), seed=2, max_steps=3, task_index=0)
 
 
 @pytest.mark.parametrize("kernel_args, x0, max_steps, name", [
     # huge geometric jumps: these paths pass 2**63 within the step cap
     pytest.param((0.999, 0.999, 1e-15), 6, 20_000, "max_steps", id="jumps_past_int64"),
-    pytest.param((0.5, 0.5, 0.5), 2**63, 3, "x0", id="start_past_int64"),
 ])
 def test_states_beyond_int64_rejected_by_both_engines(kernel_args, x0, max_steps, name):
     # the lockstep engine rejects the arguments, naming them; the scalar engine's

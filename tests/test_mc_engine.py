@@ -286,6 +286,14 @@ class TestBlockReducer:
         with pytest.raises(ValueError, match=f"^path 1 of the block has a state past int64: {big + 9}$"):
             PathBlock.of(trajectories)
 
+    def test_start_beyond_int64_through_scalar_fallback(self, benchmark_kernel, scalar_benchmark_kernel):
+        # a start of 2**63 runs on neither engine: the lockstep engine rejects x0,
+        # the scalar engine, path by path, names the block's first path
+        with pytest.raises(ValueError, match=r"^x0 must be below 2\*\*63"):
+            list(simulate_records(benchmark_kernel, 2**63, 30, seed=2, max_steps=40))
+        with pytest.raises(ValueError, match="^path 0 of the block has a state past int64"):
+            list(simulate_records(scalar_benchmark_kernel, 2**63, 30, seed=2, max_steps=40))
+
     def test_columns_read_back_per_path(self):
         records = TestFoldRecords.RECORDS
         assert _per_path(_columns(records)) == list(records)
