@@ -328,13 +328,12 @@ def theorem_bound(m: int, x: int, bounds: BoundSet) -> TheoremBound:
     except OverflowError:
         x_m = math.inf
     c1 = bounds.c1
-    s = bounds.attempt_series.upper
     core = bounds.rise_bound.upper + bounds.fall_bound.upper
-    display = c1 * (x_m + (core + bounds.overshoot.upper * bounds.q_bar) * s)
+    display = c1 * (x_m + bounds.c2)
     # Term-by-term assembly: the fall-bound sum re-indexes to the same S
     # and the overshoot sum carries q_bar**(i-1) directly, so no q_bar
     # factor on the overshoot constant.
-    termwise = c1 * (x_m + (core + bounds.overshoot.upper) * s)
+    termwise = c1 * (x_m + (core + bounds.overshoot.upper) * bounds.attempt_series.upper)
     if not math.isfinite(termwise):
         error = StartRangeError if x else BoundRangeError
         raise error(f"theorem bound for m={m} at x={x} leaves float range")

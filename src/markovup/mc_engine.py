@@ -9,7 +9,8 @@ the scalar engine, path by path.  Both hand over blocks of paths in one flat
 layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
-operations.  Every folded sample is an integer, so the fold counts each
+operations, cut at the turns :func:`~markovup.path_analysis.turning_steps`
+finds.  Every folded sample is an integer, so the fold counts each
 block's samples into a histogram of values, keeps exact integer power
 sums over it and rounds each reported number once: neither the order of
 the records nor how they are cut into blocks changes it.  Results are
@@ -48,6 +49,7 @@ from . import bound_calc
 from .bound_calc import BoundSet
 from .lockstep import BLOCK, run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
+from .path_analysis import turning_steps
 from .process_core import KernelContract, PathBlock, simulate_path
 from .streams import lane_keys, path_stream
 
@@ -174,19 +176,17 @@ def reduce_block(block: PathBlock) -> RecordColumns:
     """Every path's record of a block, with array operations over all its states at once.
 
     This is the one record reducer.  A live path's turning times
-    (T_0, t_0, T_1, ..., T_i) are those of
-    :func:`~markovup.path_analysis.turning_times`: T_0 = 0, then every state
-    after which the path turns from non-decreasing to strictly down or
-    back, then tau.  A path that opens with a fall has T_0 = t_0 = 0, so
-    the times are gathered as positions, not marked in a mask that would
-    merge the two.  Rises run over [T_j, t_j] and falls over [t_{j-1}, T_j].
+    (T_0, t_0, T_1, ..., T_i) are its start, the turns that
+    :func:`~markovup.path_analysis.turning_steps` finds, then tau.  A path
+    that opens with a fall has T_0 = t_0, so the times are gathered as
+    positions, not marked in a mask that would merge the two.  Rises run
+    over [T_j, t_j] and falls over [t_{j-1}, T_j].
 
     Raises ValueError, as :class:`Trajectory` does for one path, when a
     state is negative, a live path does not first enter the floor at its
     last state, or a capped path enters the floor.
     """
     states, steps, capped = block.states, block.steps, block.capped
-    n = steps.size
     live = ~capped
     ends = np.cumsum(steps + 1) - 1  # each path's last state
     starts = ends - steps
@@ -203,15 +203,7 @@ def reduce_block(block: PathBlock) -> RecordColumns:
             raise ValueError(f"capped path {p} of the block enters the floor")
         raise ValueError(f"path {p} of the block does not first enter the floor at its last state")
 
-    # step i goes from state i to state i + 1; only the steps inside live paths turn
-    down = states[1:] < states[:-1]
-    inside = np.repeat(live, steps + 1)[:-1]
-    inside[ends[:-1]] = False
-    before = np.zeros_like(down)  # is the step before down; a path starts as if rising
-    before[1:] = down[:-1]
-    before[starts[starts < down.size]] = False
-    turns = np.flatnonzero(inside & (down != before))  # t_0, T_1, t_1, ..., t_{i-1}, path by path
-    n_turns = np.bincount(np.searchsorted(ends, turns), minlength=n)
+    turns, n_turns = turning_steps(block)  # t_0, T_1, t_1, ..., t_{i-1}, path by path
     attempts = (n_turns + 1) // 2
 
     split = np.flatnonzero(n_turns)  # the live paths with tau >= 1
@@ -257,9 +249,10 @@ def simulate_blocks(
 
     This is the one loop that simulates paths.  The arguments are checked
     once, as the scalar engine checks them: the stream keys, then
-    max_steps, then x0.  A start in the floor gives zero-step blocks on
-    every kernel.  A :class:`BenchmarkKernel` (not a subclass, which may
-    change the law) runs each block on the lockstep engine,
+    max_steps, then x0.  A start in the floor gives blocks of the scalar
+    engine's zero-step path on every kernel, with no stream built.  A
+    :class:`BenchmarkKernel` (not a subclass, which may change the law)
+    runs each block on the lockstep engine,
     :func:`~markovup.lockstep.run_block`, which raises ValueError unless
     every state its paths can reach fits int64; any other kernel on the
     scalar engine, path by path, laid out in the same block by
@@ -273,12 +266,10 @@ def simulate_blocks(
         raise ValueError("max_steps must be >= 1")
     if x0 < 0:
         raise ValueError("x0 must be non-negative")
-    floor_n = kernel.floor_n
     for lo in range(0, n_traj, BLOCK):
         pids = np.arange(lo, min(lo + BLOCK, n_traj))
-        if x0 <= floor_n:
-            steps = np.zeros(pids.size, dtype=np.int64)
-            yield PathBlock(floor_n, np.full(pids.size, x0, dtype=np.int64), steps, steps.astype(bool))
+        if x0 <= kernel.floor_n:
+            yield PathBlock.of([simulate_path(kernel, x0, max_steps, None)] * pids.size)
         elif type(kernel) is BenchmarkKernel:
             yield run_block(kernel, x0, pids, seed, max_steps, task_index)
         else:

@@ -1,13 +1,13 @@
-"""Offline stopping times and the fall/rise split of one path.
+"""Offline stopping times and the fall/rise split of paths.
 
 Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
-statistics are never biased by truncation.  ``turning_times`` splits a
-floor-hitting path into falls and rises for ``decompose_attempts``; a fall
-that reaches the floor set is complete by definition, even though the path
-stops there.  The per-path records find the same turning times for whole
-blocks of paths at once, in :func:`markovup.mc_engine.reduce_block`.
+statistics are never biased by truncation.  :func:`turning_steps` is the
+one rule for where paths turn, for a whole block at once: the record
+reducer (:func:`markovup.mc_engine.reduce_block`) and ``decompose_attempts``
+both split floor-hitting paths into falls and rises there.  A fall that
+reaches the floor set is complete by definition, even though the path stops.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .process_core import StopReason, Trajectory
+import numpy as np
+
+from .process_core import PathBlock, StopReason, Trajectory
 
 __all__ = [
     "Attempt",
@@ -27,7 +29,7 @@ __all__ = [
     "falls_of",
     "rises_of",
     "tau_of",
-    "turning_times",
+    "turning_steps",
     "xi_at",
     "zeta_at",
 ]
@@ -144,26 +146,27 @@ class AttemptDecomposition:
         return tuple((j, t, T) for j, (t, T) in enumerate(falls_of(self.times), 1))
 
 
-def turning_times(states: Sequence[int], tau: int) -> tuple[int, ...]:
-    """Turning times (T_0, t_0, T_1, t_1, ..., T_i) of a path first in the floor at tau, in one scan.
+def turning_steps(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Where the paths of a block turn, with array operations over all their states at once.
 
-    ``t_j`` is where a non-decreasing run turns strictly down, ``T_j`` where
-    a fall turns non-decreasing; the last fall ends at T_i = tau.  A path
-    that opens with a fall has an empty opening rise, T_0 = t_0 = 0, and
-    tau = 0 gives (0,).
+    Returns the positions in ``block.states`` of each live path's turns
+    t_0, T_1, t_1, ..., t_{i-1}, path by path, and their count per path: the
+    states after which a path turns from non-decreasing to strictly down or
+    back.  A flat step continues a rise, a path starts as if rising (one that
+    opens with a fall turns at its first state), and a capped path has none.
     """
-    times = [0]
-    falling = False
-    prev = states[0]
-    for k in range(1, tau + 1):
-        x = states[k]
-        if (x < prev) is not falling:
-            times.append(k - 1)
-            falling = not falling
-        prev = x
-    if tau:
-        times.append(tau)  # the fall into the floor ends there
-    return tuple(times)
+    states, steps = block.states, block.steps
+    ends = np.cumsum(steps + 1) - 1  # each path's last state
+    starts = ends - steps
+    # step i goes from state i to state i + 1; only the steps inside live paths turn
+    down = states[1:] < states[:-1]
+    inside = np.repeat(~block.capped, steps + 1)[:-1]
+    inside[ends[:-1]] = False
+    before = np.zeros_like(down)  # is the step before down; a path starts as if rising
+    before[1:] = down[:-1]
+    before[starts[starts < down.size]] = False
+    turns = np.flatnonzero(inside & (down != before))
+    return turns, np.bincount(np.searchsorted(ends, turns), minlength=steps.size)
 
 
 def rises_of(times: Sequence[int]) -> list[tuple[int, int]]:
@@ -181,11 +184,13 @@ def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
 
     Each attempt is a maximal strict fall; exactly the last one reaches
     [0, N].  The intervals tile [0, tau] and each fall is no longer than
-    its start height (down-steps have size at least one).
+    its start height (down-steps have size at least one).  The turns are
+    :func:`turning_steps` of the path alone; a state past int64 raises ValueError.
     """
     if traj.stop_reason is not StopReason.HIT_FLOOR or traj.tau is None:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
-    times = turning_times(traj.states, traj.tau)
+    turns, _ = turning_steps(PathBlock.of([traj]))
+    times = (0, *turns.tolist(), traj.tau) if traj.tau else (0,)
     n = len(times) // 2
     attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(falls_of(times), 1))
     case = "II" if n and times[1] > 0 else "I"  # II: the path opens with a rise

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from markovup import (
+    BenchmarkKernel,
+    BenchmarkModelSpec,
     DeterministicDownKernel,
+    KappaSpec,
     StopReason,
     Trajectory,
     cli,
+    decompose_attempts,
     estimate_tau_moments,
     make_bound_set,
     mc_engine,
@@ -189,9 +193,21 @@ class TestRecordFromTrajectory:
 
     @staticmethod
     def check(trajectories):
+        """Also checks that decompose_attempts splits each live path as its record does."""
         for traj in trajectories:
             (record,) = _per_path(reduce_block(PathBlock.of([traj])))
-            assert record == record_oracle(traj.states, traj.floor_n), traj.states
+            oracle = record_oracle(traj.states, traj.floor_n)
+            assert record == oracle, traj.states
+            if traj.tau is None:
+                continue
+            d = decompose_attempts(traj)
+            rises = [(T, t) for _, T, t in d.rise_segments if t > T]
+            assert {
+                "attempts": len(d.attempts),
+                "fall_lengths": tuple(0 if a.success else a.length for a in d.attempts),
+                "rise_lengths": tuple(t - T for T, t in rises),
+                "overshoots": tuple(traj.states[t] - traj.states[T] for T, t in rises),
+            } == {k: oracle[k] for k in ("attempts", "fall_lengths", "rise_lengths", "overshoots")}, traj.states
 
     @pytest.mark.parametrize("case", HAND_BUILT)
     def test_hand_built(self, case):
@@ -350,6 +366,15 @@ class TestDeterministicDynamics:
             assert block.floor_n == 5
             assert block.states.tolist() == [3] * block.steps.size
             assert not block.steps.any() and not block.capped.any()
+
+    @pytest.mark.parametrize("kernel", [
+        DeterministicDownKernel(floor_n=2**64),
+        BenchmarkKernel(BenchmarkModelSpec(kappa=KappaSpec(a=0.5, r=0.5), up_jump_s=0.5, floor_n=2**64)),
+    ], ids=["deterministic", "benchmark"])
+    def test_start_in_floor_past_int64_rejected(self, kernel):
+        # a start in a floor past int64 takes no step, but its state still does not fit the block
+        with pytest.raises(ValueError, match=f"^path 0 of the block has a state past int64: {2**63}$"):
+            list(mc_engine.simulate_blocks(kernel, 2**63, 3, seed=0))
 
 
 class TestTauMoments:
