@@ -203,6 +203,18 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         trajectories_csv is None or (isinstance(trajectories_csv, str) and trajectories_csv),
         "output.trajectories_csv", "must be null or a non-empty string",
     )
+    named: dict[Path, str] = {}  # each file, resolved, and the first field that names it
+    for name, value in (
+        ("output.report_json", report_json),
+        ("output.paths_csv", paths_csv),
+        ("output.verdicts_csv", verdicts_csv),
+        ("output.trajectories_csv", trajectories_csv),
+    ):
+        if value is not None:
+            _require("\0" not in value, name, "must not hold a NUL byte")  # resolve() raises on one
+            target = Path(value).resolve()
+            _require(target not in named, name, f"names the same file as {named.get(target)}")
+            named[target] = name
 
     return ExperimentConfig(
         a=a, r=r, s=s, floor_n=floor_n, x_grid=x_grid, m_list=m_list,
@@ -451,10 +463,10 @@ def cmd_report(config: ExperimentConfig) -> int:
 
 
 def _guarded(command: Callable[[], int]) -> int:
-    """Run a command; input it cannot serve ends it with exit 1 and an error line."""
+    """Run a command; input it cannot serve, or a file it cannot write, ends it with exit 1 and an error line."""
     try:
         return command()
-    except (ConfigError, mc_engine.AssumptionsFailError) as exc:
+    except (ConfigError, mc_engine.AssumptionsFailError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except bound_calc.StartRangeError as exc:
         print(f"error: config field 'x_grid': start state too large: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ in CRLF.  After its header, a file is written a block at a time, by
 one lookup-table formatter (:func:`_ascii`), a bounded number of tokens at
 a time.
 :func:`read_trajectories_csv` reads a dump in that form back, a chunk of
-rows at a time, each a :class:`TrajectoryDump` with arrays, and names the
-first line that is not.
+rows at a time, each a :class:`TrajectoryDump` with arrays whose paths make
+a valid :class:`PathBlock`, and names the first line that is not.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def _plain_chunk(raw: bytes) -> TrajectoryDump:
     """The columns of whole dump lines, each ending in LF.
 
     ValueError, with the reason, unless each line is a well-formed path in
-    plain form.
+    plain form.  Where the paths meet the floor is :class:`PathBlock`'s check,
+    at one floor: a chunk with rows at two floors raises, to be read a line at a time.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
     digit = (b - np.uint8(ord("0"))) < 10  # the bytes below "0" wrap past "9"
@@ -251,19 +252,16 @@ def _plain_chunk(raw: bytes) -> TrajectoryDump:
     x0, path_id = values[row_first], values[row_first + 1]
     tau, floor_n = np.where(live, values[row_first + 2], 0), values[row_first + 2 + live]
     states = values[spaced | last]
-    starts = np.cumsum(counts) - counts
-    in_floor = np.add.reduceat(states <= np.repeat(floor_n, counts), starts, dtype=np.int64)
-    # a live path first enters the floor at its last state, tau steps in
     failure = first_failure((
-        (states[starts] != x0, "states must start at x0"),
+        (states[np.cumsum(counts) - counts] != x0, "states must start at x0"),
         (live & (counts != tau + 1), "a path that hit the floor at tau={tau} must end there"),
-        (live & ((in_floor != 1) | (values[row_last] > floor_n)),
-         "a path that hit the floor at tau={tau} must first enter it there"),
-        (~live & (in_floor > 0), "a capped path must never enter the floor"),
     ))
     if failure is not None:
         row, message = failure
         raise ValueError(message.format(tau=tau[row]))
+    if (floor_n != floor_n[0]).any():
+        raise ValueError("rows at more than one floor")
+    PathBlock(int(floor_n[0]), states, counts - 1, ~live)  # made for its check of the floor entries
     return TrajectoryDump(x0, path_id, floor_n, counts - 1, ~live, states)
 
 

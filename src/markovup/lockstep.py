@@ -207,4 +207,5 @@ def run_block(
     seen_x.clear()
     states = np.empty(place.size, dtype=np.int64)
     states[place] = values
+    del place, values  # freed before the block checks its states
     return PathBlock(floor_n, states, steps, capped)

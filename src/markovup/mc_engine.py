@@ -180,29 +180,11 @@ def reduce_block(block: PathBlock) -> RecordColumns:
     :func:`~markovup.path_analysis.turning_steps` finds, then tau.  A path
     that opens with a fall has T_0 = t_0, so the times are gathered as
     positions, not marked in a mask that would merge the two.  Rises run
-    over [T_j, t_j] and falls over [t_{j-1}, T_j].
-
-    Raises ValueError, as :class:`Trajectory` does for one path, when a
-    state is negative, a live path does not first enter the floor at its
-    last state, or a capped path enters the floor.
+    over [T_j, t_j] and falls over [t_{j-1}, T_j]; the block was checked when made.
     """
     states, steps, capped = block.states, block.steps, block.capped
-    live = ~capped
     ends = np.cumsum(steps + 1) - 1  # each path's last state
     starts = ends - steps
-    if states.size != ends[-1] + 1:
-        raise ValueError(f"{states.size} states do not lay out paths of {int(steps.sum())} steps")
-    if (states < 0).any():
-        raise ValueError("states must be non-negative")
-    in_floor = states <= block.floor_n
-    entries = np.add.reduceat(in_floor, starts, dtype=np.int64)  # states in the floor, per path
-    bad = np.flatnonzero((entries != live) | (in_floor[ends] != live))
-    if bad.size:
-        p = int(bad[0])
-        if capped[p]:
-            raise ValueError(f"capped path {p} of the block enters the floor")
-        raise ValueError(f"path {p} of the block does not first enter the floor at its last state")
-
     turns, n_turns = turning_steps(block)  # t_0, T_1, t_1, ..., t_{i-1}, path by path
     attempts = (n_turns + 1) // 2
 

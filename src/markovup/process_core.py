@@ -34,6 +34,7 @@ __all__ = [
 
 MASS_TOL = 1e-12
 INT64_MAX = 2**63 - 1  # every state a PathBlock holds fits int64
+_EARLY_ENTRY = "a path that hit the floor at tau={} must first enter the floor at its last state"
 
 
 class DistributionInvalidError(ValueError):
@@ -241,7 +242,7 @@ class Trajectory:
             if len(self.states) != self.tau + 1:
                 raise ValueError(f"a path that hit the floor at tau={self.tau} must end there")
             if self.states[-1] > self.floor_n or (self.tau and min(self.states[:-1]) <= self.floor_n):
-                raise ValueError(f"a path that hit the floor at tau={self.tau} must first enter it there")
+                raise ValueError(_EARLY_ENTRY.format(self.tau))
         elif self.tau is not None:
             raise ValueError("capped trajectories have no tau")
         elif min(self.states) <= self.floor_n:
@@ -255,13 +256,29 @@ class PathBlock:
     ``states`` holds every path's states, its start state included, one
     path after another: path i has ``steps[i] + 1`` states.  It is capped
     iff ``capped[i]``; otherwise it first enters [0, floor_n] at its last
-    state.  The reducer checks this, as :class:`Trajectory` does per path.
+    state.  A block checks this when it is made, in :class:`Trajectory`'s words.
     """
 
     floor_n: int
     states: np.ndarray  # int64
     steps: np.ndarray   # int64
     capped: np.ndarray  # bool
+
+    def __post_init__(self) -> None:
+        ends = np.cumsum(self.steps + 1) - 1  # each path's last state
+        if self.states.size != ends[-1] + 1:
+            raise ValueError(f"{self.states.size} states do not lay out paths of {int(self.steps.sum())} steps")
+        if (self.states < 0).any():
+            raise ValueError("states must be non-negative")
+        live = ~self.capped
+        in_floor = self.states <= self.floor_n
+        entries = np.add.reduceat(in_floor, ends - self.steps, dtype=np.int64)  # states in the floor, per path
+        bad = np.flatnonzero((entries != live) | (in_floor[ends] != live))
+        if bad.size:
+            p = int(bad[0])
+            if self.capped[p]:
+                raise ValueError("a capped path must never enter the floor")
+            raise ValueError(_EARLY_ENTRY.format(self.steps[p]))
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> PathBlock:

@@ -59,9 +59,10 @@ class TestConfigValidation:
         # n_traj past the 2**40 paths one stream key can address
         # an infinite epsilon would stop every series at its first term
         # a floor past int64 does not fit the dump's int64 columns
+        # no file path holds a NUL byte
         for field, value, name in (
             ("r", 1.0, "model.r"), ("n_traj", 2**40 + 1, "n_traj"), ("epsilon", math.inf, "epsilon"),
-            ("floor_n", 2**63, "floor_n"),
+            ("floor_n", 2**63, "floor_n"), ("output_report_json", "a\0b", "output.report_json"),
         ):
             path = write_config(tmp_path, **{field: value})
             with pytest.raises(cli.ConfigError, match=name):
@@ -126,6 +127,33 @@ class TestConfigValidation:
         code = cli.main(["verify", str(path)])
         assert code == cli.EXIT_USAGE
         assert "model.r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, later", [
+        ("paths_csv", "trajectories_csv"), ("report_json", "verdicts_csv"), ("report_json", "trajectories_csv"),
+    ])
+    def test_outputs_naming_one_file_rejected(self, tmp_path, monkeypatch, capsys, first, later):
+        # the later field is named, also where the two spell the path apart, and
+        # no command writes a file or changes one, such as the dump report would read
+        monkeypatch.chdir(tmp_path)
+        dump = tmp_path / "same.csv"
+        assert cli.main(["simulate", str(write_config(tmp_path, n_traj=10, output_trajectories_csv=str(dump)))]) == 0
+        path = write_config(tmp_path, n_traj=10, **{f"output_{first}": str(dump), f"output_{later}": "same.csv"})
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        for command in ("certify", "bounds", "simulate", "verify", "report"):
+            assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+            assert (f"error: config field 'output.{later}': names the same file as output.{first}"
+                    in capsys.readouterr().err), command
+            assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files, command
+
+    def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
+        # a file in a directory that does not exist: one error line naming it, exit 1,
+        # where the OSError used to escape main as a traceback
+        missing = tmp_path / "no" / "dir"
+        path = write_config(tmp_path, n_traj=10, output_report_json=str(missing / "r.json"))
+        for argv in (["verify", str(path)], ["certify", "--out", str(missing / "x.json"), str(path)]):
+            assert cli.main(argv) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(missing) in err, argv
 
 
 @pytest.mark.parametrize("command", ["certify", "bounds", "simulate", "verify"])
@@ -438,6 +466,10 @@ class TestTrajectoryRoundTrip:
                 lines = traj_csv.read_bytes().split(b"\r\n")
                 lines[i + 2] = b"7,5"  # the line after the header and rows[:i + 1]
                 traj_csv.write_bytes(b"\r\n".join(lines))
+            # a chunk with rows at two floors is read a line at a time, to the oracle's
+            # columns, or its line where the oracle's regex rejects the line after
+            got, expected = read_outcome(traj_csv), oracle_outcome(traj_csv)
+            assert (got[:2] + (None,) if bad_next_line else got) == expected, chunk_chars
             assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
             err = capsys.readouterr().err
             assert "(x0=10, path_id=3) has floor_n=6" in err, (bad_next_line, chunk_chars)
@@ -464,6 +496,7 @@ class TestTrajectoryRoundTrip:
 
     MALFORMED_ROWS = [
         "x0", "tau", "short", "long", "past_tau", "negative", "floor_before_tau", "capped_in_floor", "past_int64",
+        "other_floor",
     ]
 
     @pytest.mark.parametrize("fault", MALFORMED_ROWS)
@@ -487,6 +520,8 @@ class TestTrajectoryRoundTrip:
             cells[0], cells[2], cells[4] = "7", "", "7 5 6"
         elif fault == "past_int64":
             cells[4] = cells[4].rsplit(" ", 1)[0] + f" {2**63}"  # the last state
+        elif fault == "other_floor":  # a path at the rows' floor 5, but not at its own
+            cells[0], cells[2], cells[3], cells[4] = "7", "2", "2", "7 6 5"
         else:
             cells[0], cells[2], cells[4] = "6", "1", "6 -1"
         lines[5] = ",".join(cells)
@@ -539,8 +574,8 @@ class TestTrajectoryRoundTrip:
         lines[8] = "7,5"
         traj_csv.write_text("\n".join(lines) + "\n")
         assert cli.main(["report", str(path)]) == cli.EXIT_USAGE
-        assert ("trajectories.csv:7: malformed dump row: "
-                "a path that hit the floor at tau=2 must first enter it there") in capsys.readouterr().err
+        assert ("trajectories.csv:7: malformed dump row: a path that hit the floor at tau=2 "
+                "must first enter the floor at its last state") in capsys.readouterr().err
 
     def test_reader_matches_row_by_row_parse_on_mutated_dumps(self, tmp_path, monkeypatch):
         # seeded corruptions of a small dump: at every chunk size, the reader gives

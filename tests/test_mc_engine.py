@@ -333,7 +333,7 @@ class TestBlockReducer:
         states[state] = -1 if fault == "negative state" else block.floor_n
         reduce_block(block)
         with pytest.raises(ValueError, match=message):
-            reduce_block(replace(block, states=states))
+            replace(block, states=states)
 
 
 class TestDeterministicDynamics:
