@@ -10,7 +10,7 @@ Subcommands mirror the pipeline stages and are each runnable standalone:
 
 simulate and verify share one block writer, which writes each block's
 rows and hands its records on; report reads the dump a chunk at a time,
-in the order simulate writes it, and cuts it into blocks.  verify and
+in the order simulate writes it, as the blocks the reader checked.  verify and
 report hand each start state's records to mc_engine.verify_records and
 share one output step.  No command holds a start state's records, and a
 rejected run writes nothing: records are taken only once the bounds pass.
@@ -124,19 +124,23 @@ def _as_prob(raw: Any, field_name: str) -> float:
     return float(raw)
 
 
+def _known_fields(data: dict[str, Any], known: set[str], prefix: str = "") -> None:
+    for key in data:
+        _require(key in known, prefix + key, "unknown field")
+
+
 def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     """Build a validated config from a parsed JSON document."""
     _require(isinstance(data, dict), "<root>", "must be a JSON object")
-    known = {
+    _known_fields(data, {
         "model", "floor_n", "x_grid", "m_list", "n_traj", "seed",
         "max_steps", "epsilon", "threads", "output",
-    }
-    for key in data:
-        _require(key in known, key, "unknown field")
+    })
     defaults = ExperimentConfig()
 
     model = data.get("model", {})
     _require(isinstance(model, dict), "model", "must be an object with a, r, s")
+    _known_fields(model, {"a", "r", "s"}, "model.")
     a = _as_prob(model.get("a", defaults.a), "model.a")
     r = _as_prob(model.get("r", defaults.r), "model.r")
     s = _as_prob(model.get("s", defaults.s), "model.s")
@@ -189,6 +193,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     output = data.get("output", {})
     _require(isinstance(output, dict), "output", "must be an object")
+    _known_fields(output, {"report_json", "paths_csv", "verdicts_csv", "trajectories_csv"}, "output.")
     report_json = output.get("report_json", defaults.report_json)
     paths_csv = output.get("paths_csv", defaults.paths_csv)
     verdicts_csv = output.get("verdicts_csv", defaults.verdicts_csv)
@@ -408,44 +413,40 @@ def cmd_verify(config: ExperimentConfig) -> int:
 
 
 def _blocks_from_dump(
-    config: ExperimentConfig, chunks: Iterable[TrajectoryDump]
+    config: ExperimentConfig, runs: Iterable[TrajectoryDump]
 ) -> Iterator[tuple[int, PathBlock]]:
-    """The dumped paths as (task index, block), in file order, each chunk checked against the config as it comes.
+    """The dumped paths as (task index, block), in file order, each run checked against the config as it comes.
 
     Rows must come in the one order simulate writes: each x0 of the grid in
     turn, with path ids 0..n_traj-1 in order, so row i is path
     i % n_traj from x_grid[i // n_traj].  Each row must also be at the
     config's floor_n, and must have run the config's max_steps if capped
     and at most that many steps if not; the first row that does not names
-    its x0 and path id.  A chunk is cut into blocks where its x0 changes.
+    its x0 and path id.  A run is one start's block, as the grid's x0 values are distinct.
     """
     n_traj, grid = config.n_traj, np.array(config.x_grid, dtype=np.int64)
-    first = 0  # the index of the chunk's first row
-    for dump in chunks:
-        row = np.arange(first, first + dump.steps.size)
+    first = 0  # the index of the run's first row
+    for dump in runs:
+        block = dump.block
+        row = np.arange(first, first + block.steps.size)
         task = np.minimum(row // n_traj, grid.size - 1)
         failure = first_failure((
             (row >= grid.size * n_traj, f"is past the last path (x0={grid[-1]}, path_id={n_traj - 1})"),
             ((dump.x0 != grid[task]) | (dump.path_id != row % n_traj),
              "stands where simulate writes (x0={x0}, path_id={path_id})"),
-            (dump.floor_n != config.floor_n, f"has floor_n={{floor_n}}, config floor_n={config.floor_n}"),
-            (dump.capped & (dump.steps != config.max_steps),
+            (np.full(row.size, block.floor_n != config.floor_n),
+             f"has floor_n={block.floor_n}, config floor_n={config.floor_n}"),
+            (block.capped & (block.steps != config.max_steps),
              f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
-            (~dump.capped & (dump.steps > config.max_steps),
+            (~block.capped & (block.steps > config.max_steps),
              f"hits the floor after {{steps}} steps, past config max_steps={config.max_steps}"),
         ))
         if failure is not None:
             r, message = failure
-            detail = message.format(
-                x0=grid[task[r]], path_id=row[r] % n_traj, floor_n=dump.floor_n[r], steps=dump.steps[r]
-            )
-            raise ConfigError(f"trajectory dump row (x0={dump.x0[r]}, path_id={dump.path_id[r]}) {detail}")
-        bounds = np.concatenate([[0], np.cumsum(dump.steps + 1)])  # row i's states are states[bounds[i]:bounds[i + 1]]
-        cuts = [0, *(np.flatnonzero(np.diff(task)) + 1).tolist(), task.size]
-        for lo, hi in zip(cuts, cuts[1:]):
-            states = dump.states[bounds[lo]:bounds[hi]]
-            yield int(task[lo]), PathBlock(config.floor_n, states, dump.steps[lo:hi], dump.capped[lo:hi])
-        first += dump.steps.size
+            detail = message.format(x0=grid[task[r]], path_id=row[r] % n_traj, steps=block.steps[r])
+            raise ConfigError(f"trajectory dump row (x0={dump.x0}, path_id={dump.path_id[r]}) {detail}")
+        yield int(task[0]), block
+        first += block.steps.size
     if first < grid.size * n_traj:
         raise ConfigError(f"trajectory dump has no row (x0={grid[first // n_traj]}, path_id={first % n_traj})")
 

@@ -7,9 +7,10 @@ in CRLF.  After its header, a file is written a block at a time, by
 :func:`paths_rows` and :func:`dump_rows`; both format int64 columns with
 one lookup-table formatter (:func:`_ascii`), a bounded number of tokens at
 a time.
-:func:`read_trajectories_csv` reads a dump in that form back, a chunk of
-rows at a time, each a :class:`TrajectoryDump` with arrays whose paths make
-a valid :class:`PathBlock`, and names the first line that is not.
+:func:`read_trajectories_csv` reads a dump in that form back, a chunk at a
+time, as a :class:`TrajectoryDump` per run of rows from one x0 at one floor,
+each checked once as the :class:`PathBlock` it holds; it names the first
+line that fails.
 """
 
 from __future__ import annotations
@@ -146,19 +147,15 @@ class MalformedDump(ValueError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TrajectoryDump:
-    """A chunk of a trajectory dump's rows as columns, in file order.
+    """A run of a trajectory dump's rows from one x0 at one floor, in file order.
 
-    Row i is path ``path_id[i]`` from ``x0[i]`` at floor ``floor_n[i]``.  It
-    has ``steps[i] + 1`` states, which follow row i-1's in ``states``, and is
-    capped iff ``capped[i]``.  The integer columns are int64.
+    Row i is path ``path_id[i]`` (int64) from ``x0``; its floor, states,
+    steps and capped flag are path i of ``block``.
     """
 
-    x0: np.ndarray
+    x0: int
     path_id: np.ndarray
-    floor_n: np.ndarray
-    steps: np.ndarray
-    capped: np.ndarray
-    states: np.ndarray
+    block: PathBlock
 
 
 def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
@@ -171,7 +168,7 @@ def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[in
 
 
 def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
-    """Parse a trajectory dump a chunk of rows at a time; the first malformed line raises MalformedDump.
+    """Parse a trajectory dump as runs of rows, a chunk at a time; the first malformed line raises MalformedDump.
 
     A dump is read in the form simulate writes: the header line
     ``x0,path_id,tau,floor_n,states``, then one or more rows of five cells,
@@ -181,7 +178,7 @@ def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
     states must make the path its x0, tau and floor_n describe, as
     :class:`~markovup.process_core.Trajectory` checks a path.  The bytes are
     parsed _CHUNK_CHARS at a time, cut at a line end, and each chunk's
-    columns are yielded before the next is read; a chunk that fails is
+    runs are yielded before the next is read; a chunk that fails is
     parsed again, and yielded, a line at a time, and the first line that
     fails is named with the check it fails.  So a consumer that checks each
     row as it comes meets every row before the first malformed line.  An
@@ -196,28 +193,28 @@ def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
             try:
-                dump = _plain_chunk(chunk)
+                runs = _plain_chunk(chunk)
             except ValueError:  # the same parse a line at a time, to name the first line that fails
                 for text in chunk.split(b"\n")[:-1]:
                     try:
-                        dump = _plain_chunk(text + b"\n")
+                        runs = _plain_chunk(text + b"\n")
                     except ValueError as exc:
                         raise MalformedDump(f"{path}:{line}: malformed dump row: {exc}") from exc
                     line += 1
-                    yield dump
+                    yield from runs
             else:
-                line += dump.steps.size  # a row a line: cheaper than counting the chunk's line ends
-                yield dump
+                line += chunk.count(b"\n")
+                yield from runs
     if line == 2:
         raise MalformedDump(f"{path}:2: malformed dump row: no row after the header")
 
 
-def _plain_chunk(raw: bytes) -> TrajectoryDump:
-    """The columns of whole dump lines, each ending in LF.
+def _plain_chunk(raw: bytes) -> list[TrajectoryDump]:
+    """Whole dump lines, each ending in LF, as one run per stretch of rows with one x0 and one floor_n.
 
     ValueError, with the reason, unless each line is a well-formed path in
-    plain form.  Where the paths meet the floor is :class:`PathBlock`'s check,
-    at one floor: a chunk with rows at two floors raises, to be read a line at a time.
+    plain form.  Where a run's paths meet the floor is the check its
+    :class:`PathBlock` makes when it is made.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
     digit = (b - np.uint8(ord("0"))) < 10  # the bytes below "0" wrap past "9"
@@ -252,17 +249,18 @@ def _plain_chunk(raw: bytes) -> TrajectoryDump:
     x0, path_id = values[row_first], values[row_first + 1]
     tau, floor_n = np.where(live, values[row_first + 2], 0), values[row_first + 2 + live]
     states = values[spaced | last]
+    ends = np.cumsum(counts)  # row i's states are states[ends[i] - counts[i]:ends[i]]
     failure = first_failure((
-        (states[np.cumsum(counts) - counts] != x0, "states must start at x0"),
+        (states[ends - counts] != x0, "states must start at x0"),
         (live & (counts != tau + 1), "a path that hit the floor at tau={tau} must end there"),
     ))
     if failure is not None:
         row, message = failure
         raise ValueError(message.format(tau=tau[row]))
-    if (floor_n != floor_n[0]).any():
-        raise ValueError("rows at more than one floor")
-    PathBlock(int(floor_n[0]), states, counts - 1, ~live)  # made for its check of the floor entries
-    return TrajectoryDump(x0, path_id, floor_n, counts - 1, ~live, states)
+    runs = [0, *(np.flatnonzero((x0[1:] != x0[:-1]) | (floor_n[1:] != floor_n[:-1])) + 1).tolist(), x0.size]
+    return [TrajectoryDump(int(x0[lo]), path_id[lo:hi], PathBlock(
+        int(floor_n[lo]), states[ends[lo] - counts[lo]:ends[hi - 1]], counts[lo:hi] - 1, ~live[lo:hi]
+    )) for lo, hi in zip(runs, runs[1:])]
 
 
 def _decimal(b: np.ndarray, digit: np.ndarray, past: np.ndarray) -> np.ndarray:

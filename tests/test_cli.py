@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,11 +103,23 @@ class TestConfigValidation:
         assert cli.main([flag, value, "verify", str(path)]) == cli.EXIT_USAGE
         assert f"'{flag[2:]}'" in capsys.readouterr().err
 
-    def test_unknown_field_rejected(self, tmp_path):
+    def test_unknown_field_rejected(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"floor": 5}')
         with pytest.raises(cli.ConfigError, match="floor"):
             cli.load_config(str(path))
+        # a misspelt key inside model or output is named too, and no command
+        # runs with the default it would have left in place
+        monkeypatch.chdir(tmp_path)
+        for doc, field in (
+            ({"model": {"A": 0.9}, "n_traj": 50}, "model.A"),
+            ({"output": {"report_jsn": "r.json"}, "n_traj": 50}, "output.report_jsn"),
+        ):
+            path.write_text(json.dumps(doc))
+            for command in ("certify", "verify"):
+                assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+                assert capsys.readouterr() == ("", f"error: config field '{field}': unknown field\n"), command
+                assert [p.name for p in tmp_path.iterdir()] == ["c.json"], command
 
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(cli.ConfigError, match="no/such/file"):
@@ -279,10 +292,15 @@ DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
 
 
 def dump_columns(dump):
-    """The chunks cli.read_trajectories_csv yields, joined into one TrajectoryDump."""
-    chunks = list(cli.read_trajectories_csv(str(dump)))
-    joined = {name: np.concatenate([getattr(chunk, name) for chunk in chunks]) for name in DUMP_COLUMNS}
-    return csv_io.TrajectoryDump(**joined)
+    """The runs cli.read_trajectories_csv yields, joined into the columns DUMP_COLUMNS names."""
+    runs = list(cli.read_trajectories_csv(str(dump)))
+    sizes = [run.path_id.size for run in runs]
+    return SimpleNamespace(
+        x0=np.repeat(np.array([run.x0 for run in runs], dtype=np.int64), sizes),
+        path_id=np.concatenate([run.path_id for run in runs]),
+        floor_n=np.repeat(np.array([run.block.floor_n for run in runs], dtype=np.int64), sizes),
+        **{name: np.concatenate([getattr(run.block, name) for run in runs]) for name in ("steps", "capped", "states")},
+    )
 
 
 def read_outcome(dump):
@@ -723,6 +741,30 @@ class TestTrajectoryRoundTrip:
 
         monkeypatch.setattr(process_core.Trajectory, "__post_init__", no_trajectory)
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("chunk_chars", [None, 40])
+    def test_report_checks_each_dumped_path_once(self, tmp_path, monkeypatch, chunk_chars):
+        # the blocks report folds are the ones the reader checked, one per run of
+        # rows, also where a chunk holds rows from more than one start
+        if chunk_chars is not None:
+            monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
+        path, _traj_csv, _rows = self.simulate_dump(tmp_path, x_grid=[6, 10, 20])
+        checked, yielded = [], []
+        check, blocks_from_dump = process_core.PathBlock.__post_init__, cli._blocks_from_dump
+
+        def counted_check(block):
+            checked.append(block)
+            check(block)
+
+        def counted_blocks(config, runs):
+            for task_index, block in blocks_from_dump(config, runs):
+                yielded.append(block)
+                yield task_index, block
+
+        monkeypatch.setattr(process_core.PathBlock, "__post_init__", counted_check)
+        monkeypatch.setattr(cli, "_blocks_from_dump", counted_blocks)
+        assert cli.main(["report", str(path)]) == cli.EXIT_OK
+        assert len(yielded) >= 3 and checked == yielded  # blocks compare by identity
 
     def test_report_requires_dump(self, tmp_path):
         path = write_config(tmp_path)

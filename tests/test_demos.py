@@ -1,5 +1,6 @@
-"""The README's walkthroughs in demos/ and its Quick start run to completion."""
+"""The README's walkthroughs in demos/ and its Quick start run to completion; its config example is the defaults."""
 
+import json
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from markovup import cli
 from helpers import cli_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +33,10 @@ def test_readme_quick_start_runs(tmp_path):
     assert proc.returncode == 0, f"Quick start exited {proc.returncode}\nstderr:\n{proc.stderr}"
     # tau and the attempts, the certified m = 2 bound, and verify's all_passed
     assert proc.stdout.splitlines()[-1] == "True", proc.stdout
+
+
+def test_readme_config_example_is_the_defaults():
+    # every key the README documents is one the parser takes, at its default
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^### Config file\n\n```json\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert cli.parse_config(json.loads(block)) == cli.ExperimentConfig()
