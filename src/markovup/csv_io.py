@@ -130,7 +130,7 @@ def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
         is_head[head_at[inside] - lo] = True
         tokens = np.empty(hi - lo, dtype=np.int64)
         tokens[is_head] = heads[r0:r1].ravel()[inside]
-        a = lo - 4 * r0 - min(4, lo - row_at[r0])  # the states before the cut
+        a = block.starts[r0] + max(0, lo - row_at[r0] - 4)  # the states before the cut
         tokens[~is_head] = block.states[a:a + tokens.size - np.count_nonzero(inside)]
         seps = np.where(is_head, _COMMA, _SPACE)
         last = row_at[r0 + 1:r1 + 1] - 1  # each row's last state

@@ -175,47 +175,35 @@ class RecordColumns:
 def reduce_block(block: PathBlock) -> RecordColumns:
     """Every path's record of a block, with array operations over all its states at once.
 
-    This is the one record reducer.  A live path's turning times
-    (T_0, t_0, T_1, ..., T_i) are its start, the turns that
-    :func:`~markovup.path_analysis.turning_steps` finds, then tau.  A path
-    that opens with a fall has T_0 = t_0, so the times are gathered as
-    positions, not marked in a mask that would merge the two.  Rises run
-    over [T_j, t_j] and falls over [t_{j-1}, T_j]; the block was checked when made.
+    This is the one record reducer, one entry per attempt.  A turn that
+    :func:`~markovup.path_analysis.turning_steps` finds is a t_j if a
+    down-step follows it, else an inner T_j.  Attempt j rises over
+    [T_j, t_j] and falls over [t_j, T_{j+1}], where T_0 is the path's start
+    and the last fall, which counts as 0, ends at tau.  A path's times lie
+    between its ``starts`` and ``ends`` in the block, so one sort lines each
+    t_j up with its T_j and T_{j+1}; the block was checked when made.
     """
-    states, steps, capped = block.states, block.steps, block.capped
-    ends = np.cumsum(steps + 1) - 1  # each path's last state
-    starts = ends - steps
-    turns, n_turns = turning_steps(block)  # t_0, T_1, t_1, ..., t_{i-1}, path by path
-    attempts = (n_turns + 1) // 2
-
-    split = np.flatnonzero(n_turns)  # the live paths with tau >= 1
-    size = n_turns[split] + 2  # T_0, the turns, T_i = tau
-    first = np.cumsum(size) - size
-    last = first + size - 1
-    times = np.empty(int(size.sum()), dtype=np.int64)
-    inner = np.ones(times.size, dtype=bool)
-    inner[first] = inner[last] = False
-    times[first], times[last], times[inner] = starts[split], ends[split], turns
-    owner = np.repeat(split, size)
-    odd = (np.arange(times.size) - np.repeat(first, size)) % 2 == 1  # the slots of t_j
-    rise_at = ~odd
-    rise_at[last] = False
-    r, f = np.flatnonzero(rise_at), np.flatnonzero(odd)
-    rise_lengths = times[r + 1] - times[r]
+    states, steps, starts, ends = block.states, block.steps, block.starts, block.ends
+    turns = turning_steps(block)
+    falls = states[turns + 1] < states[turns]
+    t, inner = turns[falls], turns[~falls]
+    owner = np.searchsorted(ends, t)  # each attempt's path
+    attempts = np.bincount(owner, minlength=steps.size)
+    split = np.flatnonzero(attempts)  # the live paths with tau >= 1
+    rise_from = np.sort(np.concatenate((starts[split], inner)))  # T_j
+    fall_to = np.sort(np.concatenate((inner, ends[split])))  # T_{j+1}
+    rise_lengths = t - rise_from
     real = rise_lengths > 0  # the empty first rise of a path that opens with a fall is no sample
-    r = r[real]
-    fall_lengths = times[f + 1] - times[f]
-    fall_lengths[np.cumsum(attempts[split]) - 1] = 0  # the last, successful fall counts as 0
     return RecordColumns(
         steps=steps,
-        capped=capped,
+        capped=block.capped,
         attempts=attempts,
         max_state=np.maximum.reduceat(states, starts),
-        rise_path=owner[r],
+        rise_path=owner[real],
         rise_lengths=rise_lengths[real],
-        overshoots=states[times[r + 1]] - states[times[r]],
-        fall_path=owner[f],
-        fall_lengths=fall_lengths,
+        overshoots=states[t[real]] - states[rise_from[real]],
+        fall_path=owner,
+        fall_lengths=np.where(fall_to == ends[owner], 0, fall_to - t),
     )
 
 

@@ -4,9 +4,10 @@ Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
 statistics are never biased by truncation.  :func:`turning_steps` is the
-one rule for where paths turn, for a whole block at once: the record
-reducer (:func:`markovup.mc_engine.reduce_block`) and ``decompose_attempts``
-both split floor-hitting paths into falls and rises there.  A fall that
+one rule for where the paths of a block turn, each cut at the bounds the
+block holds: the record reducer (:func:`markovup.mc_engine.reduce_block`)
+and ``decompose_attempts`` both split floor-hitting paths there, a turn
+followed by a down-step starting a fall and any other a rise.  A fall that
 reaches the floor set is complete by definition, even though the path stops.
 """
 
@@ -146,27 +147,25 @@ class AttemptDecomposition:
         return tuple((j, t, T) for j, (t, T) in enumerate(falls_of(self.times), 1))
 
 
-def turning_steps(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
+def turning_steps(block: PathBlock) -> np.ndarray:
     """Where the paths of a block turn, with array operations over all their states at once.
 
     Returns the positions in ``block.states`` of each live path's turns
-    t_0, T_1, t_1, ..., t_{i-1}, path by path, and their count per path: the
-    states after which a path turns from non-decreasing to strictly down or
-    back.  A flat step continues a rise, a path starts as if rising (one that
-    opens with a fall turns at its first state), and a capped path has none.
+    t_0, T_1, t_1, ..., t_{i-1}, path by path, each path cut at the block's
+    ``starts`` and ``ends``: the states after which a path turns from
+    non-decreasing to strictly down (a t_j) or back (a T_j).  A flat step
+    continues a rise, a path starts as if rising (one that opens with a fall
+    turns at its first state), and a capped path has none.
     """
-    states, steps = block.states, block.steps
-    ends = np.cumsum(steps + 1) - 1  # each path's last state
-    starts = ends - steps
+    states, starts, ends = block.states, block.starts, block.ends
     # step i goes from state i to state i + 1; only the steps inside live paths turn
     down = states[1:] < states[:-1]
-    inside = np.repeat(~block.capped, steps + 1)[:-1]
+    inside = np.repeat(~block.capped, block.steps + 1)[:-1]
     inside[ends[:-1]] = False
     before = np.zeros_like(down)  # is the step before down; a path starts as if rising
     before[1:] = down[:-1]
     before[starts[starts < down.size]] = False
-    turns = np.flatnonzero(inside & (down != before))
-    return turns, np.bincount(np.searchsorted(ends, turns), minlength=steps.size)
+    return np.flatnonzero(inside & (down != before))
 
 
 def rises_of(times: Sequence[int]) -> list[tuple[int, int]]:
@@ -189,7 +188,7 @@ def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
     """
     if traj.stop_reason is not StopReason.HIT_FLOOR or traj.tau is None:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
-    turns, _ = turning_steps(PathBlock.of([traj]))
+    turns = turning_steps(PathBlock.of([traj]))
     times = (0, *turns.tolist(), traj.tau) if traj.tau else (0,)
     n = len(times) // 2
     attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(falls_of(times), 1))

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -179,20 +179,6 @@ class StepDistribution:
             return self.tail_mass * (1.0 - self.tail_ratio) * self.tail_ratio**k
         return 0.0
 
-    def items(self, coverage_eps: float = 1e-12) -> Iterator[tuple[int, float]]:
-        """Yield (state, prob) pairs until at most ``coverage_eps`` mass remains."""
-        for s, p in zip(self.states, self.probs):
-            yield s, p
-        if self.tail_start is None:
-            return
-        remaining = self.tail_mass
-        k = 0
-        while remaining > coverage_eps:
-            p = self.tail_mass * (1.0 - self.tail_ratio) * self.tail_ratio**k
-            yield self.tail_start + k, p
-            remaining -= p
-            k += 1
-
 
 class KernelContract(ABC):
     """Transition law that sees nothing but the current fall window.
@@ -254,25 +240,31 @@ class PathBlock:
     """Paths in one flat layout, the form the record reducer reads.
 
     ``states`` holds every path's states, its start state included, one
-    path after another: path i has ``steps[i] + 1`` states.  It is capped
-    iff ``capped[i]``; otherwise it first enters [0, floor_n] at its last
-    state.  A block checks this when it is made, in :class:`Trajectory`'s words.
+    path after another: path i has ``steps[i] + 1`` states, ``starts[i]``
+    to ``ends[i]``, which the block derives when it is made (and
+    ``dataclasses.replace`` again).  It is capped iff ``capped[i]``;
+    otherwise it first enters [0, floor_n] at its last state.  A block
+    checks this when it is made, in :class:`Trajectory`'s words.
     """
 
     floor_n: int
     states: np.ndarray  # int64
     steps: np.ndarray   # int64
     capped: np.ndarray  # bool
+    starts: np.ndarray = field(init=False)  # int64: each path's first state
+    ends: np.ndarray = field(init=False)    # int64: each path's last state
 
     def __post_init__(self) -> None:
-        ends = np.cumsum(self.steps + 1) - 1  # each path's last state
+        ends = np.cumsum(self.steps + 1) - 1
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "starts", ends - self.steps)
         if self.states.size != ends[-1] + 1:
             raise ValueError(f"{self.states.size} states do not lay out paths of {int(self.steps.sum())} steps")
         if (self.states < 0).any():
             raise ValueError("states must be non-negative")
         live = ~self.capped
         in_floor = self.states <= self.floor_n
-        entries = np.add.reduceat(in_floor, ends - self.steps, dtype=np.int64)  # states in the floor, per path
+        entries = np.add.reduceat(in_floor, self.starts, dtype=np.int64)  # states in the floor, per path
         bad = np.flatnonzero((entries != live) | (in_floor[ends] != live))
         if bad.size:
             p = int(bad[0])

@@ -17,14 +17,28 @@ from oracles import UNTERMINATED
 def block_trajectories(block):
     """One checked Trajectory per path of a PathBlock, in block order."""
     states = block.states.tolist()
-    trajectories, end = [], 0
-    for n_steps, capped in zip(block.steps.tolist(), block.capped.tolist()):
-        start, end = end, end + n_steps + 1
-        trajectories.append(Trajectory(
-            states[start], tuple(states[start:end]), block.floor_n,
-            StopReason.STEP_CAP if capped else StopReason.HIT_FLOOR, None if capped else n_steps,
-        ))
-    return trajectories
+    return [
+        Trajectory(
+            states[start], tuple(states[start:end + 1]), block.floor_n,
+            StopReason.STEP_CAP if capped else StopReason.HIT_FLOOR, None if capped else end - start,
+        )
+        for start, end, capped in zip(block.starts.tolist(), block.ends.tolist(), block.capped.tolist())
+    ]
+
+
+def distribution_items(d, coverage_eps=1e-12):
+    """Yield a StepDistribution's (state, prob) pairs until at most ``coverage_eps`` mass remains."""
+    for s, p in zip(d.states, d.probs):
+        yield s, p
+    if d.tail_start is None:
+        return
+    remaining = d.tail_mass
+    k = 0
+    while remaining > coverage_eps:
+        p = d.tail_mass * (1.0 - d.tail_ratio) * d.tail_ratio**k
+        yield d.tail_start + k, p
+        remaining -= p
+        k += 1
 
 
 def simulated_trajectories(kernel, x0, n_traj, seed, max_steps=DEFAULT_MAX_STEPS, task_index=0):

@@ -484,8 +484,9 @@ class TestTrajectoryRoundTrip:
                 lines = traj_csv.read_bytes().split(b"\r\n")
                 lines[i + 2] = b"7,5"  # the line after the header and rows[:i + 1]
                 traj_csv.write_bytes(b"\r\n".join(lines))
-            # a chunk with rows at two floors is read a line at a time, to the oracle's
-            # columns, or its line where the oracle's regex rejects the line after
+            # a chunk with rows at two floors is read in one pass as two runs, to the
+            # oracle's columns; one whose next line is malformed is read a line at a
+            # time, to that line, which the oracle's regex rejects
             got, expected = read_outcome(traj_csv), oracle_outcome(traj_csv)
             assert (got[:2] + (None,) if bad_next_line else got) == expected, chunk_chars
             assert cli.main(["report", str(path)]) == cli.EXIT_USAGE

@@ -254,8 +254,26 @@ class TestBlockReducer:
         ]
         block = PathBlock.of(trajectories)
         assert block.states.dtype == np.int64
-        self.check(trajectories, [reduce_block(block)])
+        records = reduce_block(block)
+        self.check(trajectories, [records])
         assert block_trajectories(block) == trajectories
+        # every column but capped is int64, as RecordColumns promises
+        assert {name: getattr(records, name).dtype for name in mc_engine._COLUMNS} == {
+            name: np.dtype(bool if name == "capped" else np.int64) for name in mc_engine._COLUMNS
+        }
+
+    def test_layout_derived_when_made(self):
+        # a block made by dataclasses.replace derives starts and ends again, and
+        # block_trajectories, which cuts the states there, gives back its paths
+        hand_built = TestRecordFromTrajectory.HAND_BUILT
+        paths = [hand_built["opens with a rise"], hand_built["capped"]]
+        two = PathBlock.of(paths)
+        three = PathBlock.of([hand_built["tau = 0"], _hit(6, 5), hand_built["opens with a fall"]])
+        assert (three.starts.tolist(), three.ends.tolist()) == ([0, 1, 3], [0, 2, 10])
+        moved = replace(three, states=two.states, steps=two.steps, capped=two.capped)
+        assert (moved.starts.tolist(), moved.ends.tolist()) == ([0, 7], [6, 12])
+        assert moved.starts.dtype == moved.ends.dtype == np.int64
+        assert block_trajectories(moved) == paths
 
     def test_start_in_floor(self, benchmark_kernel):
         self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
@@ -323,12 +341,11 @@ class TestBlockReducer:
     ])
     def test_corrupted_block_raises(self, benchmark_kernel, fault, message):
         block = next(mc_engine.simulate_blocks(benchmark_kernel, 20, 200, seed=13, max_steps=30))
-        ends = np.cumsum(block.steps + 1) - 1
         if fault == "capped path in the floor":
             pid = int(np.flatnonzero(block.capped)[0])
         else:
             pid = int(np.flatnonzero(~block.capped & (block.steps >= 2))[0])
-        state = ends[pid] - 1  # the state before the path's last
+        state = block.ends[pid] - 1  # the state before the path's last
         states = block.states.copy()
         states[state] = -1 if fault == "negative state" else block.floor_n
         reduce_block(block)

@@ -18,6 +18,7 @@ from markovup import (
 )
 from markovup.process_core import DistributionInvalidError
 
+from helpers import distribution_items
 from oracles import window_oracle
 
 
@@ -131,12 +132,12 @@ class TestStepDistribution:
         assert d.prob(2) == 0.5
         assert d.prob(3) == pytest.approx(0.25)
         assert d.prob(17) == pytest.approx(0.5 * 0.5 * 0.5**14)
-        total = sum(p for _, p in d.items(1e-12))
+        total = sum(p for _, p in distribution_items(d, 1e-12))
         assert total == pytest.approx(1.0, abs=1e-11)
 
     def test_quantile_agrees_with_enumerated_cdf(self):
         d = StepDistribution((1, 4), (0.3, 0.2), tail_start=6, tail_mass=0.5, tail_ratio=0.7)
-        pairs = list(d.items(1e-13))
+        pairs = list(distribution_items(d, 1e-13))
         rng = np.random.default_rng(5)
         for u in rng.random(2000):
             acc = 0.0
