@@ -19,7 +19,15 @@ engine (:func:`~markovup.process_core.simulate_path` on
   it lies next to an integer: :func:`_jumps` takes every quotient with
   numpy and only those few again with :mod:`math`;
 * a lane leaves at the floor or at the step cap, and its states are
-  regrouped path by path into a :class:`PathBlock`.
+  regrouped path by path into a :class:`PathBlock`;
+* a certain fall is finished in closed form: once a lane's fall length
+  reaches :attr:`FallLaws.sure`, from where every kappa is exactly 1.0,
+  every later uniform falls, so the lane's n more steps down to the floor
+  or the cap are known.  It leaves the live set with its cap flag set; at
+  the regroup its steps grow by n and its states ``x-1 .. x-n`` are
+  written into the block, one slice per lane.  It takes no more
+  iterations, uniforms or laws, and since each path's stream is its own,
+  the words it skips change no other path.
 
 States are int64, and :func:`check_int64` keeps them so: a step falls by
 one or rises by at most :func:`max_jump`, so a start x0 whose
@@ -44,6 +52,7 @@ __all__ = ["BLOCK", "FallLaws", "check_int64", "max_jump", "run_block", "step_la
 BLOCK = 4096  # paths a block holds: bounds the memory of its recorded states
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _MARGIN = 2.0**-40  # see _jumps
+_SURE_GAP = 2.0**-56  # see FallLaws
 
 
 def max_jump(kernel: BenchmarkKernel) -> int:
@@ -80,7 +89,22 @@ class FallLaws:
     The tables grow on demand, doubling in size up to ``max_steps``
     entries, enough for every fall a path steps from before the cap; each
     law is built by ``kernel.law``, so it passes StepDistribution's
-    construction checks before use.
+    construction checks before use.  ``asked`` is the fall length the last
+    :meth:`cover` was asked for.
+
+    ``sure`` is the first fall length in the table with ``a*r**ell <=
+    2**-56``; until the table holds one it is ``max_steps``, a fall length
+    no lane reaches while it steps.  From ``sure`` on every kappa
+    ``1 - a*r**ell`` is exactly 1.0 and every uniform lies below 1.0, so a
+    lane there falls on every later step.  No lane steps from there
+    (:func:`run_block` finishes its fall), so the table stops growing at
+    ``sure``.  Why every later kappa is 1.0: KappaSpec's kappa is
+    non-decreasing, as ``a*r**ell`` decreases in exact arithmetic.  As
+    computed, ``a*r**ell`` lies within a relative 2**-51 of its exact value
+    (C's pow to within one ulp, then one rounded product), or is tinier
+    still below float's normal range.  So every later one is at most
+    ``2**-56 * (1 + 2**-49) < 2**-54``, and ``1 - y`` rounds to 1.0 for
+    every ``y <= 2**-54``.
     """
 
     def __init__(self, kernel: BenchmarkKernel, max_steps: int) -> None:
@@ -90,8 +114,11 @@ class FallLaws:
         self.kappa = np.empty(0)
         self.tail_mass = np.empty(0)
         self.log_ratio = math.log(kernel.law(0, self._x).tail_ratio)
+        self.asked = -1
+        self.sure = max_steps
 
     def cover(self, ell_max: int) -> None:
+        self.asked = ell_max
         have = self.kappa.size
         if ell_max < have:
             return
@@ -99,6 +126,9 @@ class FallLaws:
         laws = [self._kernel.law(ell, self._x) for ell in range(have, size)]
         self.kappa = np.concatenate([self.kappa, [law.probs[0] for law in laws]])
         self.tail_mass = np.concatenate([self.tail_mass, [law.tail_mass for law in laws]])
+        if self.sure == self._cap:
+            spec = self._kernel.spec.kappa
+            self.sure = next((ell for ell in range(have, size) if spec.a * spec.r**ell <= _SURE_GAP), self._cap)
 
 
 def _jumps(v: np.ndarray, log_ratio: float) -> np.ndarray:
@@ -168,6 +198,8 @@ def run_block(
     # states at each time, with the lanes they belong to
     seen_lane: list[np.ndarray] = [lane]
     seen_x: list[np.ndarray] = [x]
+    # lanes that left at fall length laws.sure: (lanes, their states, time)
+    falls: list[tuple[np.ndarray, np.ndarray, int]] = []
     t = 0
     draws = np.empty((0, n))  # row j: each live lane's uniform for step t + 1 + j - row
     row = 0
@@ -191,21 +223,36 @@ def run_block(
         if t == max_steps:
             capped[lane[~done]] = True
             done[:] = True
+        elif laws.asked >= laws.sure - 1:  # tested in Python first: most blocks never get there
+            sure = np.flatnonzero((ell >= laws.sure) & ~done)
+            if sure.size:
+                falls.append((lane[sure], x[sure], t))
+                capped[lane[sure]] = x[sure] - floor_n > max_steps - t
+                done[sure] = True
         if done.any():
             steps[lane[done]] = t
             keep = ~done
             lane, x, ell, keys, draws = lane[keep], x[keep], ell[keep], keys[keep], draws[:, keep]
+    # a certain fall from state x at time t takes the n = min(x - floor_n,
+    # max_steps - t) steps left to the floor or the cap, all down
+    for lanes, x_at, t_at in falls:
+        steps[lanes] += np.minimum(x_at - floor_n, max_steps - t_at)
     # regroup: a lane's state at time t goes to the lane's first state's place
     # plus t.  Each list is emptied once joined, so that no more than three
-    # arrays of every state are alive at once.
+    # arrays of every stepped state are alive at once.
     size = steps + 1
+    start = np.cumsum(size) - size
     live = [lanes.size for lanes in seen_lane]
-    place = (np.cumsum(size) - size)[np.concatenate(seen_lane)]
+    place = start[np.concatenate(seen_lane)]
     seen_lane.clear()
     place += np.repeat(np.arange(len(live)), live)
     values = np.concatenate(seen_x)
     seen_x.clear()
-    states = np.empty(place.size, dtype=np.int64)
+    states = np.empty(int(size.sum()), dtype=np.int64)
     states[place] = values
     del place, values  # freed before the block checks its states
+    for lanes, x_at, t_at in falls:
+        first, end = start[lanes] + t_at + 1, start[lanes] + size[lanes]
+        for lo, hi, x_t in zip(first.tolist(), end.tolist(), x_at.tolist()):
+            states[lo:hi] = np.arange(x_t - 1, x_t - 1 - (hi - lo), -1)
     return PathBlock(floor_n, states, steps, capped)

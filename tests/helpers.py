@@ -73,21 +73,34 @@ def cli_env():
     return env
 
 
+# Starts one command and prints its exit code and ru_maxrss (KiB).  Linux
+# counts in a child's ru_maxrss the RSS of the process that spawned it, up to
+# the exec, so a test process larger than the command would hide its peak:
+# the command is spawned by this small process instead.
+_RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "with open(sys.argv[1], 'wb') as err:\n"
+    "    proc = subprocess.Popen([sys.executable, '-m', 'markovup.cli', *sys.argv[2:]],\n"
+    "                            stdout=subprocess.DEVNULL, stderr=err)\n"
+    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
 def cli_peak_rss_mb(args, cwd):
     """Run ``python -m markovup.cli ARGS`` in a child in cwd; the child's peak RSS in MiB.
 
-    The peak is the child's own ``ru_maxrss``, from ``os.wait4``:
-    ``RUSAGE_CHILDREN`` would give the largest peak of any child this
-    process ever waited for.  A non-zero exit raises AssertionError with
-    the child's stderr.
+    The peak is the child's own ``ru_maxrss``, from ``os.wait4`` in a small
+    launcher process (see _RSS_LAUNCHER): ``RUSAGE_CHILDREN`` would give
+    the largest peak of any child ever waited for, and a child of the test
+    process would count that process's RSS.  A non-zero exit raises
+    AssertionError with the child's stderr.
     """
     err_path = Path(cwd) / "stderr.txt"
-    with open(err_path, "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "markovup.cli", *args],
-            cwd=cwd, env=cli_env(), stdout=subprocess.DEVNULL, stderr=err,
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert proc.returncode == 0, f"markovup {' '.join(args)} exited {proc.returncode}:\n{err_path.read_text()}"
-    return usage.ru_maxrss / 1024  # Linux reports KiB
+    launcher = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, str(err_path), *args],
+        cwd=cwd, env=cli_env(), stdout=subprocess.PIPE, text=True, check=True,
+    )
+    code, maxrss = map(int, launcher.stdout.split())
+    assert code == 0, f"markovup {' '.join(args)} exited {code}:\n{err_path.read_text()}"
+    return maxrss / 1024  # Linux reports KiB

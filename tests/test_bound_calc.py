@@ -62,6 +62,11 @@ class TestPowerSeries:
         assert sv.value <= brute * (1 + 1e-12) + 1e-15
         assert brute <= sv.value + sv.tail_bound + 1e-12 * brute
 
+    def test_zero_eps_rejected(self):
+        # no tail is below 0, so eps = 0 would never stop the sum
+        with pytest.raises(ValueError, match="eps must be positive"):
+            power_series(1, 0.5, eps=0.0)
+
     def test_tail_under_requested_eps(self):
         for eps in (1e-6, 1e-10, 1e-13):
             sv = power_series(3, 0.8, eps)

@@ -863,6 +863,22 @@ def test_peak_rss_flat_in_n_traj(tmp_path, command, output):
     assert peaks[1] - peaks[0] < 8, peaks
 
 
+def test_long_paths_peak_rss_within_three_times_their_states(tmp_path):
+    # simulate of 4,096 paths from x0 = 1000 holds about 4.1M int64 states (33 MB)
+    # in one block; over certify's peak (the imports and the config), its peak
+    # must stay within three times those bytes.  When every lane stepped each
+    # fall to its end and its states were regrouped by an index of them all,
+    # it rose by about four times
+    (tmp_path / "config.json").write_text(json.dumps({"n_traj": 4096, "x_grid": [1000]}))
+    base = cli_peak_rss_mb(["certify", "config.json"], tmp_path)
+    peak = cli_peak_rss_mb(["simulate", "config.json"], tmp_path)
+    with open(tmp_path / "paths.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4096 and all(row["tau"] for row in rows)
+    states_mb = 8 * sum(int(row["tau"]) + 1 for row in rows) / 2**20
+    assert peak - base <= 3 * states_mb, (base, peak, states_mb)
+
+
 def test_verify_and_report_tally_verdicts_on_stderr(tmp_path, capsys):
     path = write_config(tmp_path, output_trajectories_csv=str(tmp_path / "trajectories.csv"))
     assert cli.main(["simulate", str(path)]) == cli.EXIT_OK

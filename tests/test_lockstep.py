@@ -128,6 +128,41 @@ def test_fall_laws_grow_geometrically_to_the_step_cap():
     assert laws.tail_mass.tolist() == [kernel.law(ell, x).tail_mass for ell in range(100)]
 
 
+def _sure_by_rule(spec):
+    """The first fall length with ``a*r**ell <= 2**-56``, found from a logarithm's estimate."""
+    ell = max(0, int(math.log(2.0**-56 / spec.a) / math.log(spec.r)) - 2)
+    while spec.a * spec.r**ell > 2.0**-56:
+        ell += 1
+    return ell
+
+
+@pytest.mark.parametrize("a, r", [(0.5, 0.5), (0.01, 0.01), (0.999, 0.2), (0.9, 0.95), (0.3, 0.999)])
+def test_fall_laws_find_sure_where_kappa_turns_one(a, r):
+    # the table stops growing once it holds sure: asking for more finds the same one
+    kernel = _kernel(a, r, 0.5)
+    laws = FallLaws(kernel, max_steps=10**6)
+    ell = 0
+    while laws.sure == 10**6:
+        laws.cover(ell)
+        ell = 2 * ell + 1
+    sure = laws.sure
+    assert sure == _sure_by_rule(kernel.spec.kappa)
+    assert laws.kappa[sure] == 1.0 and (laws.kappa[sure:] == 1.0).all()
+    laws.cover(laws.kappa.size)
+    assert laws.sure == sure
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.95, 0.999, 1 - 1e-5, 1 - 1e-7])
+def test_kappa_stays_one_past_sure(a, r):
+    # the arithmetic FallLaws rests on, also at r near 1, where sure lies far
+    # past any table: 20,000 fall lengths past sure, from the kernel's own laws
+    kernel = _kernel(a, r, 0.5)
+    sure = _sure_by_rule(kernel.spec.kappa)
+    x = kernel.floor_n + 1
+    assert all(kernel.law(ell, x).probs[0] == 1.0 for ell in range(sure, sure + 20_000))
+
+
 def test_run_block_takes_any_path_ids(benchmark_kernel):
     # ids out of order, apart, and past the first block: paths in the order given
     pids = np.array([9000, 0, 4097, 5])
@@ -241,3 +276,63 @@ def test_runner_uses_lockstep_for_benchmark_kernel_only(
         scalar = list(simulate(scalar_benchmark_kernel, 20, 300, 9, task_index=2))
         assert lockstep == scalar
     assert kernels_seen == [benchmark_kernel, benchmark_kernel]
+
+
+def test_far_start_matches_scalar_engine(benchmark_kernel):
+    # every path from 2000 ends in a certain fall, finished in closed form
+    lockstep, scalar = _both(benchmark_kernel, 2000, 30, seed=21, task_index=1)
+    assert lockstep == scalar
+    assert {t.stop_reason for t in lockstep} == {StopReason.HIT_FLOOR}
+
+
+@pytest.mark.parametrize("max_steps", [56, 60, 500])
+def test_cap_inside_a_certain_fall(benchmark_kernel, max_steps):
+    # sure is 55 on the default model: lanes reach it and are capped at once
+    lockstep, scalar = _both(benchmark_kernel, 1000, 60, seed=4, max_steps=max_steps)
+    assert lockstep == scalar
+    assert {t.stop_reason for t in lockstep} == {StopReason.STEP_CAP}
+
+
+def test_floor_entered_at_the_cap(benchmark_kernel):
+    # a cap of exactly a path's tau: it hits the floor on its last step, uncapped
+    taus = [t.tau for t in simulated_trajectories(benchmark_kernel, 1000, 8, 6)]
+    lockstep, scalar = _both(benchmark_kernel, 1000, 8, seed=6, max_steps=taus[3])
+    assert lockstep == scalar
+    assert lockstep[3].stop_reason is StopReason.HIT_FLOOR and lockstep[3].tau == taus[3]
+    assert all(t.stop_reason is StopReason.STEP_CAP for t, tau in zip(lockstep, taus) if tau > taus[3])
+
+
+def test_certain_fall_to_floor_zero():
+    # floor_n = 0: a path's last state is 0, which Trajectory holds as a state
+    lockstep, scalar = _both(_kernel(0.5, 0.5, 0.5, floor_n=0), 300, 20, seed=3)
+    assert lockstep == scalar
+    assert all(t.states[-1] == 0 for t in scalar)
+
+
+def test_certain_fall_of_a_slow_kappa():
+    # (a, r) = (0.9, 0.95): sure is 755; from a start above it, no fall gets
+    # there in 2,000 steps, and every path is capped
+    kernel = _kernel(0.9, 0.95, 0.5)
+    laws = FallLaws(kernel, max_steps=2000)
+    laws.cover(1999)
+    assert laws.sure == 755
+    lockstep, scalar = _both(kernel, 1000, 20, seed=2, max_steps=2000)
+    assert lockstep == scalar
+    assert {t.stop_reason for t in lockstep} == {StopReason.STEP_CAP}
+
+
+def test_far_start_builds_few_laws(monkeypatch):
+    # from x0 = 10**5 each path falls about 10**5 steps, yet the laws stop at
+    # the table that holds sure; a table of one law per fall length would
+    # build 131,072
+    built = set()
+    law = BenchmarkKernel.law
+
+    def spy(self, ell, x):
+        built.add((ell, x))
+        return law(self, ell, x)
+
+    monkeypatch.setattr(BenchmarkKernel, "law", spy)
+    block = run_block(_kernel(0.5, 0.5, 0.5), 10**5, np.arange(4), seed=1, max_steps=10**6, task_index=0)
+    assert (block.steps > 10**5 - 10).all() and not block.capped.any()
+    assert len(built) <= 64

@@ -507,6 +507,16 @@ class TestVerify:
         assert first.bound == 1.0
         assert first.passed
 
+    def test_one_live_path_gets_attempt_survival_verdicts(self, benchmark_kernel, benchmark_spec):
+        # one uncapped path is enough to test P(attempts >= i) against its bound
+        # (verify asks for two paths; verify_records takes any records)
+        records = simulate_records(benchmark_kernel, 10, 1, 3)
+        report = verify_records(benchmark_spec, [10], [1], [records], eps=1e-10)
+        assert report.folds[10].n_live == 1 and not report.folds[10].capped
+        survival = [v for v in report.verdicts if v.estimate.quantity == "attempt_survival"]
+        assert len(survival) == 5
+        assert all(v.method == "binomial-test-99" for v in survival)
+
     def test_assumption_gate(self, benchmark_spec):
         # a kernel whose spec fails the structural checks cannot be verified;
         # simulate that by monkeypatching the certificate outcome
