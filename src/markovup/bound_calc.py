@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model_zoo import KappaSpec
+from .model_zoo import InvalidParameterError, KappaSpec
 
 __all__ = [
     "BoundRangeError",
     "BoundSet",
     "DualBound",
     "InvalidQError",
+    "SeriesLengthError",
     "SeriesValue",
     "StartRangeError",
     "TheoremBound",
@@ -34,10 +35,15 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-10
+MAX_TERMS = 10**6  # terms power_series sums at most: about 0.2 s
 
 
 class InvalidQError(ValueError):
     """Series ratio outside (0, 1)."""
+
+
+class SeriesLengthError(ValueError):
+    """A series whose ratio lies so near 1 that its certified sum takes more than MAX_TERMS terms."""
 
 
 class BoundRangeError(ValueError):
@@ -84,7 +90,9 @@ def power_series(m: int, q: float, eps: float = DEFAULT_EPS) -> SeriesValue:
 
     Terms are accumulated until the ratio majorant
     rho_K = q * ((K+1)/K)**m drops below 1 and the geometric tail estimate
-    term_K * rho_K / (1 - rho_K) falls under eps.
+    term_K * rho_K / (1 - rho_K) falls under eps.  That takes about
+    ``log(1/eps) / (1 - q)`` terms or more, so a q near 1 raises
+    SeriesLengthError after MAX_TERMS of them.
     """
     if not 0.0 < q < 1.0:
         raise InvalidQError(f"q must lie in (0, 1), got {q}")
@@ -95,7 +103,7 @@ def power_series(m: int, q: float, eps: float = DEFAULT_EPS) -> SeriesValue:
     total = 0.0
     k = 0
     try:
-        while True:
+        while k < MAX_TERMS:
             k += 1
             term = k**m * q**k
             total += term
@@ -106,6 +114,7 @@ def power_series(m: int, q: float, eps: float = DEFAULT_EPS) -> SeriesValue:
                     return SeriesValue(total, k, tail)
     except OverflowError as exc:
         raise BoundRangeError(f"sum of k**{m} * {q}**k leaves float range") from exc
+    raise SeriesLengthError(f"the sum of k**{m} * {q}**k takes more than {MAX_TERMS} terms to certify")
 
 
 def fall_length_bound(m: int, kappa: KappaSpec, eps: float = DEFAULT_EPS) -> SeriesValue:
@@ -121,14 +130,21 @@ def fall_length_bound(m: int, kappa: KappaSpec, eps: float = DEFAULT_EPS) -> Ser
 
 
 def jump_moment(s: float, m: int, eps: float = DEFAULT_EPS) -> float:
-    """m-th moment of a geometric up-jump on {0, 1, 2, ...} with parameter s."""
+    """m-th moment of a geometric up-jump on {0, 1, 2, ...} with parameter s.
+
+    Raises InvalidParameterError, naming s, where its series at 1 - s is
+    too long to certify (s below about 7.3e-5 at m = 3).
+    """
     if not 0.0 < s < 1.0:
         raise InvalidQError(f"s must lie in (0, 1), got {s}")
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
         return 1.0
-    series = power_series(m, 1.0 - s, eps)
+    try:
+        series = power_series(m, 1.0 - s, eps)
+    except SeriesLengthError as exc:
+        raise InvalidParameterError("s", f"is too small for certified jump moments: {exc}") from exc
     return s * series.upper
 
 

@@ -367,6 +367,7 @@ def _records(config: ExperimentConfig, kernel: BenchmarkKernel, task_index: int,
         if dump is not None:
             dump.writelines(csv_io.dump_rows(x0, first, block))
         first += len(records)
+        del block  # not held while the next block is simulated
         yield records
 
 
@@ -469,6 +470,10 @@ def _guarded(command: Callable[[], int]) -> int:
         return command()
     except (ConfigError, mc_engine.AssumptionsFailError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except InvalidParameterError as exc:  # a model the bounds cannot serve; the config checks the rest
+        print(f"error: config field 'model.{exc.name}': {exc}", file=sys.stderr)
+    except bound_calc.SeriesLengthError as exc:  # a series at a or q_bar near 1
+        print(f"error: config field 'model': too near critical for certified bounds: {exc}", file=sys.stderr)
     except bound_calc.StartRangeError as exc:
         print(f"error: config field 'x_grid': start state too large: {exc}", file=sys.stderr)
     except bound_calc.BoundRangeError as exc:

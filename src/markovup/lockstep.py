@@ -18,8 +18,11 @@ engine (:func:`~markovup.process_core.simulate_path` on
   last bit on some inputs, which moves the truncated quotient only where
   it lies next to an integer: :func:`_jumps` takes every quotient with
   numpy and only those few again with :mod:`math`;
-* a lane leaves at the floor or at the step cap, and its states are
-  regrouped path by path into a :class:`PathBlock`;
+* a lane leaves at the floor or at the step cap.  Each time step keeps
+  its live lanes' block-local int32 indices and int64 states; at the end
+  they are regrouped path by path into a :class:`PathBlock`, one time
+  step at a time, each step's pair dropped once written, so about 20
+  bytes per recorded state are held at the peak;
 * a certain fall is finished in closed form: once a lane's fall length
   reaches :attr:`FallLaws.sure`, from where every kappa is exactly 1.0,
   every later uniform falls, so the lane's n more steps down to the floor
@@ -47,9 +50,10 @@ from .model_zoo import BenchmarkKernel, InvalidParameterError
 from .process_core import INT64_MAX, PathBlock
 from .streams import block_uniforms, lane_keys, philox_block
 
-__all__ = ["BLOCK", "FallLaws", "check_int64", "max_jump", "run_block", "step_lanes"]
+__all__ = ["FallLaws", "check_int64", "max_jump", "run_block", "step_lanes"]
 
-BLOCK = 4096  # paths a block holds: bounds the memory of its recorded states
+PHILOX_BATCH = 4096  # counter blocks one Philox call draws for all live lanes, at most
+LOOKAHEAD = 16  # counter blocks (4 steps each) one refill draws per lane, at most
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _MARGIN = 2.0**-40  # see _jumps
 _SURE_GAP = 2.0**-56  # see FallLaws
@@ -190,7 +194,7 @@ def run_block(
     laws = FallLaws(kernel, max_steps)
     n = pids.size
     keys = lane_keys(seed, pids, task_index)
-    lane = np.arange(n)  # block-local index of each live lane
+    lane = np.arange(n, dtype=np.int32)  # block-local index of each live lane
     x = np.full(n, x0, dtype=np.int64)
     ell = np.zeros(n, dtype=np.int64)
     steps = np.empty(n, dtype=np.int64)
@@ -205,9 +209,9 @@ def run_block(
     row = 0
     while lane.size:
         if row == len(draws):
-            # about BLOCK counter blocks per Philox call: the fewer lanes
-            # are live, the more steps ahead they are drawn
-            depth = max(1, BLOCK // lane.size)
+            # up to PHILOX_BATCH counter blocks per call: the fewer lanes are
+            # live, the more steps ahead they are drawn, up to LOOKAHEAD blocks
+            depth = max(1, min(PHILOX_BATCH // lane.size, LOOKAHEAD))
             counters = np.arange(t // 4 + 1, t // 4 + 1 + depth, dtype=np.uint64)
             words = philox_block(seed, np.tile(keys, depth), np.repeat(counters, lane.size))
             draws = block_uniforms(words).reshape(4, depth, lane.size).transpose(1, 0, 2)
@@ -238,19 +242,14 @@ def run_block(
     for lanes, x_at, t_at in falls:
         steps[lanes] += np.minimum(x_at - floor_n, max_steps - t_at)
     # regroup: a lane's state at time t goes to the lane's first state's place
-    # plus t.  Each list is emptied once joined, so that no more than three
-    # arrays of every stepped state are alive at once.
+    # plus t, one time step at a time, each step's arrays dropped once written
     size = steps + 1
     start = np.cumsum(size) - size
-    live = [lanes.size for lanes in seen_lane]
-    place = start[np.concatenate(seen_lane)]
-    seen_lane.clear()
-    place += np.repeat(np.arange(len(live)), live)
-    values = np.concatenate(seen_x)
-    seen_x.clear()
     states = np.empty(int(size.sum()), dtype=np.int64)
-    states[place] = values
-    del place, values  # freed before the block checks its states
+    seen_lane.reverse()
+    seen_x.reverse()
+    for t in range(len(seen_x)):
+        states[start[seen_lane.pop()] + t] = seen_x.pop()
     for lanes, x_at, t_at in falls:
         first, end = start[lanes] + t_at + 1, start[lanes] + size[lanes]
         for lo, hi, x_t in zip(first.tolist(), end.tolist(), x_at.tolist()):

@@ -47,7 +47,7 @@ from scipy.special import betaincinv
 
 from . import bound_calc
 from .bound_calc import BoundSet
-from .lockstep import BLOCK, run_block
+from .lockstep import run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
 from .path_analysis import turning_steps
 from .process_core import KernelContract, PathBlock, simulate_path
@@ -73,6 +73,8 @@ Z99_CI = 2.576     # half-width multiplier of the reported 99% band
 Z_SEGMENT = 3.0    # one-sided slack, in standard errors, for segment ceilings
 ATTEMPT_TAIL_MAX = 5
 DEFAULT_MAX_STEPS = 10**6
+MAX_LANES = 2**13  # paths a block holds, at most
+STATE_BUDGET = 2**22  # states a block's paths hold at the fewest, at most, unless one path alone holds more
 
 
 class AllCappedError(RuntimeError):
@@ -215,11 +217,17 @@ def simulate_blocks(
     max_steps: int = DEFAULT_MAX_STEPS,
     task_index: int = 0,
 ) -> Iterator[PathBlock]:
-    """Yield paths 0..n_traj-1 from x0 in blocks of up to ``BLOCK``, in path order.
+    """Yield paths 0..n_traj-1 from x0 in blocks of consecutive ids, in path order.
 
-    This is the one loop that simulates paths.  The arguments are checked
-    once, as the scalar engine checks them: the stream keys, then
-    max_steps, then x0.  A start in the floor gives blocks of the scalar
+    This is the one loop that simulates paths.  A step falls by one at
+    most, so a path from x0 holds at least ``x0 - floor_n + 1`` states,
+    and a block holds ``lanes = STATE_BUDGET // (x0 - floor_n + 1)``
+    paths, kept within 1..MAX_LANES: paths of STATE_BUDGET states at their
+    fewest from a start far above the floor, and MAX_LANES paths from one
+    near it.  The n_traj paths are cut into ``ceil(n_traj / lanes)`` runs
+    of consecutive ids whose sizes differ by at most one.  The arguments
+    are checked once, as the scalar engine checks them: the stream keys,
+    then max_steps, then x0.  A start in the floor gives blocks of the scalar
     engine's zero-step path on every kernel, with no stream built.  A
     :class:`BenchmarkKernel` (not a subclass, which may change the law)
     runs each block on the lockstep engine,
@@ -227,7 +235,8 @@ def simulate_blocks(
     every state its paths can reach fits int64; any other kernel on the
     scalar engine, path by path, laid out in the same block by
     :meth:`PathBlock.of`, which raises ValueError at a state past int64.
-    Each path's stream is keyed by its index, so both give the same paths.
+    Each path's stream is keyed by its index, so both give the same paths,
+    wherever the blocks are cut.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -236,8 +245,10 @@ def simulate_blocks(
         raise ValueError("max_steps must be >= 1")
     if x0 < 0:
         raise ValueError("x0 must be non-negative")
-    for lo in range(0, n_traj, BLOCK):
-        pids = np.arange(lo, min(lo + BLOCK, n_traj))
+    lanes = min(max(STATE_BUDGET // max(x0 - kernel.floor_n + 1, 1), 1), MAX_LANES)
+    n_blocks = -(-n_traj // lanes)
+    for i in range(n_blocks):
+        pids = np.arange(i * n_traj // n_blocks, (i + 1) * n_traj // n_blocks)
         if x0 <= kernel.floor_n:
             yield PathBlock.of([simulate_path(kernel, x0, max_steps, None)] * pids.size)
         elif type(kernel) is BenchmarkKernel:

@@ -263,9 +263,9 @@ class PathBlock:
         if (self.states < 0).any():
             raise ValueError("states must be non-negative")
         live = ~self.capped
-        in_floor = self.states <= self.floor_n
-        entries = np.add.reduceat(in_floor, self.starts, dtype=np.int64)  # states in the floor, per path
-        bad = np.flatnonzero((entries != live) | (in_floor[ends] != live))
+        # states in the floor, per path, counted from their places: no int64 copy of every state
+        entries = np.bincount(np.searchsorted(ends, np.flatnonzero(self.states <= self.floor_n)), minlength=ends.size)
+        bad = np.flatnonzero((entries != live) | ((self.states[ends] <= self.floor_n) != live))
         if bad.size:
             p = int(bad[0])
             if self.capped[p]:

@@ -14,7 +14,8 @@ from markovup import (
     q_bar,
     theorem_bound,
 )
-from markovup.bound_calc import InvalidQError, SeriesValue
+from markovup.bound_calc import MAX_TERMS, InvalidQError, SeriesLengthError, SeriesValue
+from markovup.model_zoo import InvalidParameterError
 
 from oracles import brute_series
 
@@ -67,6 +68,11 @@ class TestPowerSeries:
         with pytest.raises(ValueError, match="eps must be positive"):
             power_series(1, 0.5, eps=0.0)
 
+    def test_ratio_near_one_stops_at_term_budget(self):
+        # at q = 1 - 1e-12 the tail falls under eps only after about 10**13 terms
+        with pytest.raises(SeriesLengthError, match=f"more than {MAX_TERMS} terms"):
+            power_series(1, 1.0 - 1e-12)
+
     def test_tail_under_requested_eps(self):
         for eps in (1e-6, 1e-10, 1e-13):
             sv = power_series(3, 0.8, eps)
@@ -105,6 +111,11 @@ class TestJumpMoment:
         for s in (0.2, 0.5, 0.8):
             expected = (1 - s) * (2 - s) / s**2
             assert jump_moment(s, 2) == pytest.approx(expected, rel=1e-9)
+
+    def test_tiny_s_named(self):
+        with pytest.raises(InvalidParameterError, match="^s is too small") as info:
+            jump_moment(1e-12, 1)
+        assert info.value.name == "s"
 
 
 class TestOvershootBound:

@@ -5,14 +5,16 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from markovup import cli, csv_io, mc_engine, model_zoo, process_core, tau_of
-from markovup.lockstep import BLOCK
-from helpers import cli_peak_rss_mb
+from helpers import cli_env, cli_peak_rss_mb
 from oracles import dump_oracle
 
 
@@ -86,6 +88,23 @@ class TestConfigValidation:
         path = write_config(tmp_path, s=1e-12, x_grid=[20], max_steps=251_061)
         with pytest.raises(cli.ConfigError, match="^config field 'max_steps': max_steps must be at most 251060 "):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("command", ["certify", "bounds", "verify"])
+    def test_tiny_s_rejected_in_bounded_time(self, tmp_path, command):
+        # the config above accepts s = 1e-12, but the jump moments' series at
+        # 1 - s would take about 10**13 terms: the bounds stop after
+        # bound_calc.MAX_TERMS of them (about 0.2 s), naming the field
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"model": {"s": 1e-12}, "n_traj": 4, "max_steps": 50, "x_grid": [6]}
+        ))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovup.cli", command, "config.json"],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == cli.EXIT_USAGE
+        assert re.fullmatch(r"error: config field 'model\.s': s is too small[^\n]*\n", proc.stderr), proc.stderr
 
     def test_duplicate_start_rejected(self, tmp_path):
         path = write_config(tmp_path, x_grid=[6, 10, 6])
@@ -334,14 +353,16 @@ def assert_same_paths(read, simulated):
 
 
 class TestTrajectoryRoundTrip:
-    def test_dump_and_report(self, tmp_path):
+    def test_dump_and_report(self, tmp_path, monkeypatch):
         traj_csv = str(tmp_path / "trajectories.csv")
-        # the second config's paths span two blocks; the third's states have 19
-        # digits, which the reader reads with int
-        for overrides, n_rows, code in (
-            ({}, 2 * 400, cli.EXIT_OK),
-            ({"x_grid": [6], "n_traj": BLOCK + 100}, BLOCK + 100, cli.EXIT_OK),
-            ({"x_grid": [10**18], "n_traj": 3, "max_steps": 50}, 3, cli.EXIT_VERDICT_FAIL),
+        # the second config's paths span two blocks of 550 under a cap of 1,000
+        # lanes; the third's states have 19 digits, which the reader reads with
+        # int, and each of its paths falls 10**18 steps at least, a block of its own
+        monkeypatch.setattr(mc_engine, "MAX_LANES", 1000)
+        for overrides, n_rows, code, sizes in (
+            ({}, 2 * 400, cli.EXIT_OK, [400]),
+            ({"x_grid": [6], "n_traj": 1100}, 1100, cli.EXIT_OK, [550, 550]),
+            ({"x_grid": [10**18], "n_traj": 3, "max_steps": 50}, 3, cli.EXIT_VERDICT_FAIL, [1, 1, 1]),
         ):
             path = write_config(tmp_path, output_trajectories_csv=traj_csv, **overrides)
             assert cli.main(["simulate", str(path)]) == 0
@@ -364,6 +385,7 @@ class TestTrajectoryRoundTrip:
                 simulated = list(mc_engine.simulate_blocks(
                     kernel, x0, config.n_traj, config.seed, config.max_steps, task_index
                 ))
+                assert [block.steps.size for block in simulated] == sizes
                 assert_same_paths(read[task_index], simulated)
                 states = np.concatenate([block.states for block in simulated]).tolist()
                 steps = np.concatenate([block.steps for block in simulated]).tolist()
@@ -877,6 +899,21 @@ def test_long_paths_peak_rss_within_three_times_their_states(tmp_path):
     assert len(rows) == 4096 and all(row["tau"] for row in rows)
     states_mb = 8 * sum(int(row["tau"]) + 1 for row in rows) / 2**20
     assert peak - base <= 3 * states_mb, (base, peak, states_mb)
+
+
+def test_far_start_peak_rss_bounded_by_state_budget(tmp_path):
+    # 1,024 paths from x0 = 20,000 hold about 2*10**7 states (160 MB as int64);
+    # a block holds paths of at most STATE_BUDGET states at their fewest (2**22,
+    # 32 MiB as int64), here 5 blocks of about 205 paths, so simulate's peak
+    # over certify's stays within three such budgets.  When all 1,024 paths
+    # made one block it rose by about 332 MB
+    (tmp_path / "config.json").write_text(json.dumps({"n_traj": 1024, "x_grid": [20000]}))
+    base = cli_peak_rss_mb(["certify", "config.json"], tmp_path)
+    peak = cli_peak_rss_mb(["simulate", "config.json"], tmp_path)
+    with open(tmp_path / "paths.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1024 and all(int(row["tau"]) >= 19_995 for row in rows)
+    assert peak - base <= 3 * 8 * mc_engine.STATE_BUDGET / 2**20, (base, peak)
 
 
 def test_verify_and_report_tally_verdicts_on_stderr(tmp_path, capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, mc_engine
-from markovup.lockstep import BLOCK, FallLaws, _jumps, max_jump, run_block, step_lanes
+from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, lockstep, mc_engine
+from markovup.lockstep import FallLaws, _jumps, max_jump, run_block, step_lanes
 from markovup.process_core import INT64_MAX, StopReason, simulate_path
 from markovup.streams import path_stream
 
@@ -172,9 +172,51 @@ def test_run_block_takes_any_path_ids(benchmark_kernel):
     ]
 
 
-def test_more_than_one_block(benchmark_kernel):
-    lockstep, scalar = _both(benchmark_kernel, 7, BLOCK + 37, seed=8)
+def test_more_than_one_block(benchmark_kernel, monkeypatch):
+    # under a cap of 1,000 lanes, 2,037 paths are cut into three blocks of 679
+    monkeypatch.setattr(mc_engine, "MAX_LANES", 1000)
+    blocks = mc_engine.simulate_blocks(benchmark_kernel, 7, 2037, seed=8)
+    assert [block.steps.size for block in blocks] == [679, 679, 679]
+    lockstep, scalar = _both(benchmark_kernel, 7, 2037, seed=8)
     assert lockstep == scalar
+
+
+def test_state_budget_cut_changes_no_path(benchmark_kernel, monkeypatch):
+    # from x0 = 300 a budget of 3,000 states gives 3000 // 296 = 10 lanes, so
+    # 31 paths are cut into four blocks, each path still the scalar engine's
+    monkeypatch.setattr(mc_engine, "STATE_BUDGET", 3000)
+    blocks = mc_engine.simulate_blocks(benchmark_kernel, 300, 31, seed=11, task_index=1)
+    assert [block.steps.size for block in blocks] == [7, 8, 8, 8]
+    lockstep, scalar = _both(benchmark_kernel, 300, 31, seed=11, task_index=1)
+    assert lockstep == scalar
+
+
+def test_default_grid_work(monkeypatch):
+    # the default grid at seed 11, 10,000 paths per start, runs two blocks of
+    # 5,000 per start; in blocks of 4,096 paths, and with a Philox lookahead of
+    # up to 4,096 counter blocks a lane, the same 332,483 steps took 9 blocks,
+    # 510 numpy iterations and 604,540 Philox words
+    counts = {"iterations": 0, "words": 0}
+    step, philox = lockstep.step_lanes, lockstep.philox_block
+
+    def counted_step(*args):
+        counts["iterations"] += 1
+        return step(*args)
+
+    def counted_philox(seed, keys, block):
+        counts["words"] += 4 * keys.size
+        return philox(seed, keys, block)
+
+    monkeypatch.setattr(lockstep, "step_lanes", counted_step)
+    monkeypatch.setattr(lockstep, "philox_block", counted_philox)
+    kernel = _kernel(0.5, 0.5, 0.5)
+    blocks = [
+        block for task_index, x0 in enumerate((6, 10, 20))
+        for block in mc_engine.simulate_blocks(kernel, x0, 10_000, seed=11, task_index=task_index)
+    ]
+    assert [block.steps.size for block in blocks] == [5000] * 6
+    assert sum(int(block.steps.sum()) for block in blocks) == 332_483
+    assert counts["iterations"] <= 400 and counts["words"] <= 500_000, counts
 
 
 @pytest.mark.parametrize("s", [0.5, 0.01, 1e-15])

@@ -21,7 +21,6 @@ from markovup import (
     mc_engine,
     verify,
 )
-from markovup.lockstep import BLOCK
 from markovup.mc_engine import (
     AllCappedError,
     AssumptionsFailError,
@@ -278,10 +277,14 @@ class TestBlockReducer:
     def test_start_in_floor(self, benchmark_kernel):
         self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
 
-    def test_path_ids_offset_across_blocks(self, scalar_benchmark_kernel, tmp_path):
-        # paths.csv numbers each start state's rows 0..n-1 across its blocks, and
-        # each row is the record of the scalar engine's path of that id
-        n, x_grid = BLOCK + 300, [7, 20]
+    def test_path_ids_offset_across_blocks(self, benchmark_kernel, scalar_benchmark_kernel, tmp_path, monkeypatch):
+        # paths.csv numbers each start state's rows 0..n-1 across its blocks, two
+        # of 650 under a cap of 1,000 lanes, and each row is the record of the
+        # scalar engine's path of that id
+        monkeypatch.setattr(mc_engine, "MAX_LANES", 1000)
+        n, x_grid = 1300, [7, 20]
+        for x0 in x_grid:
+            assert [block.steps.size for block in mc_engine.simulate_blocks(benchmark_kernel, x0, n, 8)] == [650, 650]
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "x_grid": x_grid, "m_list": [1], "n_traj": n, "seed": 8,
@@ -376,9 +379,10 @@ class TestDeterministicDynamics:
         kernel = DeterministicDownKernel(floor_n=5)
         streams = []
         monkeypatch.setattr(mc_engine, "path_stream", lambda *key: streams.append(key))
-        blocks = list(mc_engine.simulate_blocks(kernel, 3, BLOCK + 3, seed=0))
+        blocks = list(mc_engine.simulate_blocks(kernel, 3, mc_engine.MAX_LANES + 3, seed=0))
         assert streams == []
-        assert [block.steps.size for block in blocks] == [BLOCK, 3]
+        half = mc_engine.MAX_LANES // 2  # the paths of two blocks, cut near-equal
+        assert [block.steps.size for block in blocks] == [half + 1, half + 2]
         for block in blocks:
             assert block.floor_n == 5
             assert block.states.tolist() == [3] * block.steps.size
@@ -480,6 +484,24 @@ class TestBinomialTest:
             assert (binomial_lower99(k, n) > p0) == reject
 
 
+class TestBlockCuts:
+    @pytest.mark.parametrize("x0, n_traj, n_blocks", [
+        (6, 10_000, 2), (20, 8_193, 2), (517, 100_000, 13), (1000, 120, 1), (1000, 9_000, 3),
+        (20_000, 1_024, 5), (10**5, 100, 3), (2**22 + 5, 3, 3),
+    ])
+    def test_cuts_by_state_budget(self, benchmark_kernel, monkeypatch, x0, n_traj, n_blocks):
+        # each block's path ids, as the lockstep engine is handed them
+        monkeypatch.setattr(mc_engine, "run_block", lambda kernel, x0, pids, *args: pids)
+        cuts = list(mc_engine.simulate_blocks(benchmark_kernel, x0, n_traj, seed=0))
+        sizes = [cut.size for cut in cuts]
+        fewest = x0 - benchmark_kernel.floor_n + 1  # states of a path from x0, at the fewest
+        assert np.array_equal(np.concatenate(cuts), np.arange(n_traj))
+        assert len(cuts) == n_blocks and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= mc_engine.MAX_LANES
+        if 512 < fewest <= mc_engine.STATE_BUDGET:
+            assert max(sizes) * fewest <= mc_engine.STATE_BUDGET
+
+
 class TestVerify:
     def test_small_grid_all_pass(self, benchmark_kernel, benchmark_spec):
         report = verify(
@@ -555,6 +577,7 @@ class TestVerify:
         self, benchmark_kernel, scalar_benchmark_kernel, benchmark_spec, monkeypatch
     ):
         # the subclass takes the scalar engine; both engines' paths go through one reducer
+        monkeypatch.setattr(mc_engine, "MAX_LANES", 1000)
         reports, records = [], []
 
         def spy(block):
@@ -565,12 +588,13 @@ class TestVerify:
         for kernel in (benchmark_kernel, scalar_benchmark_kernel):
             records.append([])
             reports.append(verify(
-                kernel, benchmark_spec, x_grid=[5, 6, 20], m_list=[1, 2], n_traj=BLOCK + 100, seed=17,
+                kernel, benchmark_spec, x_grid=[5, 6, 20], m_list=[1, 2], n_traj=1100, seed=17,
                 max_steps=60,
             ))
         lockstep, scalar = reports
         assert lockstep.folds == scalar.folds
-        assert len(records[0]) == 6 and records[0] == records[1]  # two blocks per start state
+        # two blocks of 550 per start state under a cap of 1,000 lanes
+        assert [len(block) for block in records[0]] == [550] * 6 and records[0] == records[1]
         assert lockstep.folds[20].capped and lockstep.folds[20].n_live
 
     def test_capped_paths_block_verdicts(self, benchmark_kernel, benchmark_spec):
