@@ -198,6 +198,38 @@ def test_model_degenerate_in_floating_point_names_field(tmp_path, capsys, comman
     assert not (tmp_path / "paths.csv").exists()
 
 
+_LIST_FAULTS = [
+    (6, "must be a non-empty list"), ([], "must be a non-empty list"),
+    ([6, "7"], "must be an integer"), ([6, 6], "entries must be distinct"),
+]
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    *[pytest.param({"x_grid": raw}, "x_grid", message, id=f"x_grid={raw!r}") for raw, message in _LIST_FAULTS],
+    pytest.param({"x_grid": [-1]}, "x_grid", "entries must be non-negative", id="x_grid=[-1]"),
+    *[pytest.param({"m_list": raw}, "m_list", message, id=f"m_list={raw!r}") for raw, message in _LIST_FAULTS],
+    pytest.param({"m_list": [-1]}, "m_list", "entries must be >= 1", id="m_list=[-1]"),
+    pytest.param({"m_list": [0]}, "m_list", "entries must be >= 1", id="m_list=[0]"),
+    pytest.param({"model": 0.5}, "model", "must be an object with a, r, s", id="model=0.5"),
+    pytest.param({"output_report_json": ""}, "output.report_json", "must be a non-empty string", id="report=''"),
+    pytest.param({"output_report_json": 3}, "output.report_json", "must be a non-empty string", id="report=3"),
+    pytest.param({"output_trajectories_csv": 3}, "output.trajectories_csv", "must be null or a non-empty string",
+                 id="trajectories=3"),
+    pytest.param({"output_paths_csv": "a\0b"}, "output.paths_csv", "must not hold a NUL byte", id="paths-NUL"),
+    pytest.param({"output_verdicts_csv": "paths.csv"}, "output.verdicts_csv",
+                 "names the same file as output.paths_csv", id="one-file-twice"),
+    pytest.param({"x_grid": [6, 6], "output_report_json": ""}, "x_grid", "entries must be distinct",
+                 id="x_grid-before-output"),
+])
+def test_config_fault_gives_its_exact_line(tmp_path, monkeypatch, capsys, overrides, field, message):
+    # the whole error line, not only the field it names; a config with two
+    # faults names the field parse_config checks first
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: config field '{field}': {message}\n")
+
+
 class TestSubcommands:
     def test_certify_prints_json(self, tmp_path, capsys):
         path = write_config(tmp_path)
