@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-10
-MAX_TERMS = 10**6  # terms power_series sums at most: about 0.2 s
+MAX_TERMS = 10**6  # terms power_series sums, or factors q_bar takes, at most: under 1 s
 
 
 class InvalidQError(ValueError):
@@ -208,21 +208,23 @@ def q_bar(kappa: KappaSpec, eps: float = DEFAULT_EPS) -> SeriesValue:
     This is the failure-probability bound for a single descent attempt.
     The product is truncated at K and the dropped log-tail is dominated by
     sum_{i>K} (1 - kappa_i) / kappa_K <= a * r**(K+1) / ((1 - r) * kappa_K),
-    which converts back to a multiplicative bracket on the product.
+    which converts back to a multiplicative bracket on the product.  A small
+    a with r near 1 needs about ``log(1/eps) / (1 - r)`` factors, so this
+    raises SeriesLengthError after MAX_TERMS of them, as power_series does.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     a, r = kappa.a, kappa.r
     prod = 1.0
-    k = -1
-    while True:
-        k += 1
-        prod *= kappa.at(k)
-        log_tail = a * r ** (k + 1) / ((1.0 - r) * kappa.at(k))
+    for k in range(MAX_TERMS):
+        kappa_k = kappa.at(k)
+        prod *= kappa_k
+        log_tail = a * r ** (k + 1) / ((1.0 - r) * kappa_k)
         # prod_inf lies in [prod * exp(-log_tail), prod]
         tail = prod * (1.0 - math.exp(-log_tail))
         if tail < eps:
             return SeriesValue(1.0 - prod, k, tail)
+    raise SeriesLengthError(f"1 - prod(1 - {a} * {r}**i) takes more than {MAX_TERMS} factors to certify")
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,14 +61,17 @@ class ConfigError(ValueError):
     """Bad configuration; the message names the offending field."""
 
 
+OUTPUT_FIELDS = ("report_json", "paths_csv", "verdicts_csv", "trajectories_csv")
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Validated experiment parameters (see README for the file format)."""
+    """Validated experiment parameters (see README for the file format).
 
-    a: float = 0.5
-    r: float = 0.5
-    s: float = 0.5
-    floor_n: int = 5
+    ``spec`` is the model parse_config checked, handed on as it was built.
+    """
+
+    spec: BenchmarkModelSpec = BenchmarkModelSpec(kappa=KappaSpec(a=0.5, r=0.5), up_jump_s=0.5, floor_n=5)
     x_grid: tuple[int, ...] = (6, 10, 20)
     m_list: tuple[int, ...] = (1, 2, 3)
     n_traj: int = 100_000
@@ -81,29 +84,20 @@ class ExperimentConfig:
     verdicts_csv: str = "verdicts.csv"
     trajectories_csv: Optional[str] = None
 
-    def model_spec(self) -> BenchmarkModelSpec:
-        return BenchmarkModelSpec(
-            kappa=KappaSpec(a=self.a, r=self.r), up_jump_s=self.s, floor_n=self.floor_n
-        )
-
     def to_dict(self) -> dict[str, Any]:
         # threads deliberately omitted: it has no effect, and the echo
         # lands in report.json, whose bytes must not depend on it
+        spec = self.spec
         return {
-            "model": {"a": self.a, "r": self.r, "s": self.s},
-            "floor_n": self.floor_n,
+            "model": {"a": spec.kappa.a, "r": spec.kappa.r, "s": spec.up_jump_s},
+            "floor_n": spec.floor_n,
             "x_grid": list(self.x_grid),
             "m_list": list(self.m_list),
             "n_traj": self.n_traj,
             "seed": self.seed,
             "max_steps": self.max_steps,
             "epsilon": self.epsilon,
-            "output": {
-                "report_json": self.report_json,
-                "paths_csv": self.paths_csv,
-                "verdicts_csv": self.verdicts_csv,
-                "trajectories_csv": self.trajectories_csv,
-            },
+            "output": {name: getattr(self, name) for name in OUTPUT_FIELDS},
         }
 
 
@@ -124,9 +118,19 @@ def _as_prob(raw: Any, field_name: str) -> float:
     return float(raw)
 
 
-def _known_fields(data: dict[str, Any], known: set[str], prefix: str = "") -> None:
+def _known_fields(data: dict[str, Any], known: Iterable[str], prefix: str = "") -> None:
     for key in data:
         _require(key in known, prefix + key, "unknown field")
+
+
+def _as_int_list(raw: Any, field_name: str, least: int) -> tuple[int, ...]:
+    """A non-empty list of distinct integers, each at least ``least`` (0 or 1)."""
+    _require(isinstance(raw, list) and raw, field_name, "must be a non-empty list")
+    values = tuple(_as_int(v, field_name) for v in raw)
+    _require(all(v >= least for v in values), field_name,
+             f"entries must be >= {least}" if least else "entries must be non-negative")
+    _require(len(set(values)) == len(values), field_name, "entries must be distinct")
+    return values
 
 
 def parse_config(data: dict[str, Any]) -> ExperimentConfig:
@@ -141,28 +145,19 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     model = data.get("model", {})
     _require(isinstance(model, dict), "model", "must be an object with a, r, s")
     _known_fields(model, {"a", "r", "s"}, "model.")
-    a = _as_prob(model.get("a", defaults.a), "model.a")
-    r = _as_prob(model.get("r", defaults.r), "model.r")
-    s = _as_prob(model.get("s", defaults.s), "model.s")
+    a = _as_prob(model.get("a", defaults.spec.kappa.a), "model.a")
+    r = _as_prob(model.get("r", defaults.spec.kappa.r), "model.r")
+    s = _as_prob(model.get("s", defaults.spec.up_jump_s), "model.s")
 
-    floor_n = _as_int(data.get("floor_n", defaults.floor_n), "floor_n")
+    floor_n = _as_int(data.get("floor_n", defaults.spec.floor_n), "floor_n")
     _require(floor_n >= 0, "floor_n", "must be non-negative")
     try:  # the spec also rejects a model that is degenerate in floating point
         spec = BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=floor_n)
     except InvalidParameterError as exc:
         raise ConfigError(f"config field 'model.{exc.name}': {exc}") from exc
 
-    x_grid_raw = data.get("x_grid", list(defaults.x_grid))
-    _require(isinstance(x_grid_raw, list) and x_grid_raw, "x_grid", "must be a non-empty list")
-    x_grid = tuple(_as_int(x, "x_grid") for x in x_grid_raw)
-    _require(all(x >= 0 for x in x_grid), "x_grid", "entries must be non-negative")
-    _require(len(set(x_grid)) == len(x_grid), "x_grid", "entries must be distinct")
-
-    m_list_raw = data.get("m_list", list(defaults.m_list))
-    _require(isinstance(m_list_raw, list) and m_list_raw, "m_list", "must be a non-empty list")
-    m_list = tuple(_as_int(m, "m_list") for m in m_list_raw)
-    _require(all(m >= 1 for m in m_list), "m_list", "entries must be >= 1")
-    _require(len(set(m_list)) == len(m_list), "m_list", "entries must be distinct")
+    x_grid = _as_int_list(data.get("x_grid", list(defaults.x_grid)), "x_grid", 0)
+    m_list = _as_int_list(data.get("m_list", list(defaults.m_list)), "m_list", 1)
 
     n_traj = _as_int(data.get("n_traj", defaults.n_traj), "n_traj")
     _require(n_traj >= 2, "n_traj", "must be >= 2")
@@ -193,39 +188,25 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     output = data.get("output", {})
     _require(isinstance(output, dict), "output", "must be an object")
-    _known_fields(output, {"report_json", "paths_csv", "verdicts_csv", "trajectories_csv"}, "output.")
-    report_json = output.get("report_json", defaults.report_json)
-    paths_csv = output.get("paths_csv", defaults.paths_csv)
-    verdicts_csv = output.get("verdicts_csv", defaults.verdicts_csv)
-    trajectories_csv = output.get("trajectories_csv", defaults.trajectories_csv)
-    for name, value in (
-        ("output.report_json", report_json),
-        ("output.paths_csv", paths_csv),
-        ("output.verdicts_csv", verdicts_csv),
-    ):
-        _require(isinstance(value, str) and value, name, "must be a non-empty string")
-    _require(
-        trajectories_csv is None or (isinstance(trajectories_csv, str) and trajectories_csv),
-        "output.trajectories_csv", "must be null or a non-empty string",
-    )
+    _known_fields(output, OUTPUT_FIELDS, "output.")
+    outputs: dict[str, Optional[str]] = {}
+    for key in OUTPUT_FIELDS:  # every field's type first, then the files they name
+        value = outputs[key] = output.get(key, getattr(defaults, key))
+        optional = key == "trajectories_csv"  # the one output a command may go without
+        _require((optional and value is None) or (isinstance(value, str) and value), f"output.{key}",
+                 "must be null or a non-empty string" if optional else "must be a non-empty string")
     named: dict[Path, str] = {}  # each file, resolved, and the first field that names it
-    for name, value in (
-        ("output.report_json", report_json),
-        ("output.paths_csv", paths_csv),
-        ("output.verdicts_csv", verdicts_csv),
-        ("output.trajectories_csv", trajectories_csv),
-    ):
+    for key, value in outputs.items():
         if value is not None:
+            name = f"output.{key}"
             _require("\0" not in value, name, "must not hold a NUL byte")  # resolve() raises on one
             target = Path(value).resolve()
             _require(target not in named, name, f"names the same file as {named.get(target)}")
             named[target] = name
 
     return ExperimentConfig(
-        a=a, r=r, s=s, floor_n=floor_n, x_grid=x_grid, m_list=m_list,
-        n_traj=n_traj, seed=seed, max_steps=max_steps, epsilon=epsilon,
-        threads=threads, report_json=report_json, paths_csv=paths_csv,
-        verdicts_csv=verdicts_csv, trajectories_csv=trajectories_csv,
+        spec=spec, x_grid=x_grid, m_list=m_list, n_traj=n_traj, seed=seed,
+        max_steps=max_steps, epsilon=epsilon, threads=threads, **outputs,
     )
 
 
@@ -334,13 +315,13 @@ def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
 
 
 def cmd_certify(config: ExperimentConfig, out: Optional[str]) -> int:
-    cert = certify(config.model_spec(), m_max=max(config.m_list))
+    cert = certify(config.spec, m_max=max(config.m_list))
     _dump_json(cert.to_dict(), out)
     return EXIT_OK
 
 
 def cmd_bounds(config: ExperimentConfig, out: Optional[str]) -> int:
-    spec = config.model_spec()
+    spec = config.spec
     doc = {}
     for m in config.m_list:
         bs = bound_calc.make_bound_set(m, spec.kappa, spec.up_jump_s, config.epsilon)
@@ -387,7 +368,7 @@ def _written_records(
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    kernel = build_benchmark(config.model_spec())
+    kernel = build_benchmark(config.spec)
     for records in _written_records(config, kernel, config.trajectories_csv):
         for _ in records:
             pass  # the rows are written as each block's records come
@@ -398,7 +379,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 def _judge(config: ExperimentConfig, sources: Iterable[Iterable[mc_engine.RecordColumns]]) -> int:
     """Fold and judge each start state's records, write report.json and verdicts.csv, tally them; the exit code."""
     start = time.perf_counter()
-    report = mc_engine.verify_records(config.model_spec(), config.x_grid, config.m_list, sources, config.epsilon)
+    report = mc_engine.verify_records(config.spec, config.x_grid, config.m_list, sources, config.epsilon)
     _dump_json(build_report(config, report), config.report_json)
     write_verdicts_csv(config.verdicts_csv, report)
     elapsed = time.perf_counter() - start
@@ -409,7 +390,7 @@ def _judge(config: ExperimentConfig, sources: Iterable[Iterable[mc_engine.Record
 
 def cmd_verify(config: ExperimentConfig) -> int:
     """Full pipeline: certify, bounds, simulate, verify, write reports."""
-    kernel = build_benchmark(config.model_spec())
+    kernel = build_benchmark(config.spec)
     return _judge(config, _written_records(config, kernel, dump_path=None))
 
 
@@ -435,8 +416,8 @@ def _blocks_from_dump(
             (row >= grid.size * n_traj, f"is past the last path (x0={grid[-1]}, path_id={n_traj - 1})"),
             ((dump.x0 != grid[task]) | (dump.path_id != row % n_traj),
              "stands where simulate writes (x0={x0}, path_id={path_id})"),
-            (np.full(row.size, block.floor_n != config.floor_n),
-             f"has floor_n={block.floor_n}, config floor_n={config.floor_n}"),
+            (np.full(row.size, block.floor_n != config.spec.floor_n),
+             f"has floor_n={block.floor_n}, config floor_n={config.spec.floor_n}"),
             (block.capped & (block.steps != config.max_steps),
              f"is capped after {{steps}} steps, config max_steps={config.max_steps}"),
             (~block.capped & (block.steps > config.max_steps),

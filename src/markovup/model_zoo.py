@@ -9,6 +9,7 @@ the bound machinery in :mod:`markovup.bound_calc` certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -218,6 +219,24 @@ class AssumptionCertificate:
         }
 
 
+def _first_fall_length_below(kappa: KappaSpec, s: float, tol: float) -> int:
+    """Smallest ell >= 0 with (1 - kappa_ell) * s < tol, as evaluated in floating point.
+
+    The evaluated stay probability does not increase with ell, so the
+    closed-form estimate log(tol / (a*s)) / log(r) is stepped by one to the
+    exact first ell, which walking up from 0 would take about that many steps to reach.
+    """
+    def stays(ell: int) -> bool:
+        return (1.0 - kappa.at(ell)) * s >= tol
+
+    ell = max(0, math.ceil((math.log(tol) - math.log(kappa.a * s)) / math.log(kappa.r)))
+    while stays(ell):
+        ell += 1
+    while ell > 0 and not stays(ell - 1):
+        ell -= 1
+    return ell
+
+
 def certify(spec: BenchmarkModelSpec, m_max: int, tol: float = 1e-6) -> AssumptionCertificate:
     """Check every structural assumption of the benchmark family.
 
@@ -226,10 +245,14 @@ def certify(spec: BenchmarkModelSpec, m_max: int, tol: float = 1e-6) -> Assumpti
     local-mixing condition A2 genuinely fails for this family (the stay
     probability (1 - kappa_ell) * s vanishes as the fall lengthens), so it
     is reported with a witness but flagged as not required, since the
-    moment bound does not use it.
+    moment bound does not use it.  The witness is the first fall length at
+    which the stay probability is below ``tol``, found from its closed-form
+    estimate in a few steps however near 1 r lies.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     from . import bound_calc
 
     kappa = spec.kappa
@@ -239,11 +262,7 @@ def certify(spec: BenchmarkModelSpec, m_max: int, tol: float = 1e-6) -> Assumpti
     kappa_inf = 1.0 - q_bar_val
     jump_moments = {m: bound_calc.jump_moment(spec.up_jump_s, m) for m in range(1, m_max + 1)}
 
-    # smallest fall length at which the stay probability drops below tol
-    ell = 0
-    while (1.0 - kappa.at(ell)) * spec.up_jump_s >= tol:
-        ell += 1
-
+    ell = _first_fall_length_below(kappa, spec.up_jump_s, tol)
     entries = {
         "A1": CertificateEntry(
             "holds_analytically",

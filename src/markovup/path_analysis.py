@@ -62,6 +62,19 @@ def zeta_at(states: Sequence[int], n: int) -> int:
     return k
 
 
+def _run_end(states: Sequence[int], n: int, down: bool, run: str) -> int:
+    """Last index k >= n such that every step on [n, k-1] is strictly down if ``down``, else not."""
+    _check_index(states, n)
+    k = n
+    last = len(states) - 1
+    while True:
+        if k == last:
+            raise UnterminatedRunError(f"{run} starting at {n} is still open at the end of the sequence")
+        if (states[k + 1] < states[k]) != down:
+            return k
+        k += 1
+
+
 def xi_at(states: Sequence[int], n: int) -> int:
     """End index of the non-decreasing run starting at n.
 
@@ -70,32 +83,12 @@ def xi_at(states: Sequence[int], n: int) -> int:
     before a strict down-step is seen, because the true run end is then
     unknowable.
     """
-    _check_index(states, n)
-    k = n
-    last = len(states) - 1
-    while True:
-        if k == last:
-            raise UnterminatedRunError(
-                f"rise starting at {n} is still open at the end of the sequence"
-            )
-        if states[k + 1] < states[k]:
-            return k
-        k += 1
+    return _run_end(states, n, down=False, run="rise")
 
 
 def chi_at(states: Sequence[int], n: int) -> int:
     """End index of the strict down-run starting at n (mirror of xi_at)."""
-    _check_index(states, n)
-    k = n
-    last = len(states) - 1
-    while True:
-        if k == last:
-            raise UnterminatedRunError(
-                f"fall starting at {n} is still open at the end of the sequence"
-            )
-        if states[k + 1] >= states[k]:
-            return k
-        k += 1
+    return _run_end(states, n, down=True, run="fall")
 
 
 def tau_of(states: Sequence[int], floor_n: int) -> Optional[int]:

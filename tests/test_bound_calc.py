@@ -163,6 +163,11 @@ class TestQBar:
         sv = q_bar(KappaSpec(a=0.3, r=1e-9))
         assert sv.value == pytest.approx(0.3, rel=1e-6)
 
+    def test_small_gap_near_one_stops_at_factor_budget(self):
+        # at a = 1e-9, r = 1 - 1e-9 the log-tail falls under eps only after about 2e10 factors
+        with pytest.raises(SeriesLengthError, match=f"more than {MAX_TERMS} factors"):
+            q_bar(KappaSpec(a=1e-9, r=0.999999999))
+
 
 class TestTheoremBound:
     def test_m1_reference_value(self):

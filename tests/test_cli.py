@@ -106,6 +106,38 @@ class TestConfigValidation:
         assert proc.returncode == cli.EXIT_USAGE
         assert re.fullmatch(r"error: config field 'model\.s': s is too small[^\n]*\n", proc.stderr), proc.stderr
 
+    @pytest.mark.parametrize("command", ["certify", "bounds", "verify"])
+    def test_small_gap_near_one_rejected_in_bounded_time(self, tmp_path, command):
+        # q_bar's product of kappa factors would take about 2e10 of them to
+        # certify: it stops after bound_calc.MAX_TERMS, naming the model
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"model": {"a": 1e-9, "r": 0.999999999}, "n_traj": 4, "max_steps": 50, "x_grid": [6]}
+        ))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovup.cli", command, "config.json"],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == cli.EXIT_USAGE
+        assert re.fullmatch(r"error: config field 'model': too near critical[^\n]*\n", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("command, code, budget_s", [("certify", cli.EXIT_OK, 1), ("verify", cli.EXIT_USAGE, 2)])
+    def test_slow_kappa_certified_in_bounded_time(self, tmp_path, monkeypatch, capsys, command, code, budget_s):
+        # at r = 1 - 1e-7 the A2 witness lies past 1.2e8 fall lengths, which
+        # certify reaches from a closed-form estimate; verify then finds the
+        # fall-length series too long to certify
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, r=0.9999999, n_traj=4, max_steps=50, x_grid=[6])
+        start = time.perf_counter()
+        assert cli.main([command, str(path)]) == code
+        assert time.perf_counter() - start < budget_s
+        out, err = capsys.readouterr()
+        if command == "certify":
+            assert json.loads(out)["entries"]["A2"]["data"]["witness_fall_length"] == 124_292_156
+        else:
+            assert err.startswith("error: config field 'model': too near critical")
+
     def test_duplicate_start_rejected(self, tmp_path):
         path = write_config(tmp_path, x_grid=[6, 10, 6])
         with pytest.raises(cli.ConfigError, match="x_grid"):
@@ -407,7 +439,7 @@ class TestTrajectoryRoundTrip:
             # the blocks the reader cuts hold each start state's paths as simulate
             # laid them out, and the dump's rows are their str-joined values
             config = cli.load_config(str(path))
-            kernel = model_zoo.build_benchmark(config.model_spec())
+            kernel = model_zoo.build_benchmark(config.spec)
             read = {}
             for task_index, block in cli._blocks_from_dump(config, cli.read_trajectories_csv(traj_csv)):
                 read.setdefault(task_index, []).append(block)
@@ -424,7 +456,7 @@ class TestTrajectoryRoundTrip:
                 capped = np.concatenate([block.capped for block in simulated]).tolist()
                 stops = np.cumsum(np.array(steps) + 1).tolist()
                 rows += [
-                    f"{x0},{pid},{'' if capped[pid] else steps[pid]},{config.floor_n},"
+                    f"{x0},{pid},{'' if capped[pid] else steps[pid]},{config.spec.floor_n},"
                     f"{' '.join(map(str, states[stop - steps[pid] - 1:stop]))}\r\n"
                     for pid, stop in enumerate(stops)
                 ]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -143,6 +144,30 @@ class TestCertify:
         assert stay < tol
         if ell > 0:
             assert (1.0 - spec.kappa.at(ell - 1)) * spec.up_jump_s >= tol
+
+    def test_witness_is_first_fall_length_below_tol(self):
+        # the fall length a walk up from 0 stops at, as certify found it before
+        # it started from the closed-form estimate
+        def walk(spec, tol):
+            ell = 0
+            while (1.0 - spec.kappa.at(ell)) * spec.up_jump_s >= tol:
+                ell += 1
+            return ell
+
+        for a, r, s, tol in itertools.product(
+            (1e-9, 1e-3, 0.3, 0.5, 0.9), (1e-9, 0.1, 0.5, 0.9, 0.99, 0.999), (0.01, 0.5, 0.99), (1e-12, 1e-6, 0.5),
+        ):
+            spec = BenchmarkModelSpec(kappa=KappaSpec(a=a, r=r), up_jump_s=s, floor_n=5)
+            data = certify(spec, m_max=1, tol=tol).entries["A2"].data
+            ell = walk(spec, tol)
+            assert data == {
+                "witness_fall_length": ell, "stay_prob_at_witness": (1.0 - spec.kappa.at(ell)) * s,
+            }, (a, r, s, tol)
+
+    def test_default_witness(self, benchmark_spec):
+        assert certify(benchmark_spec, m_max=3).entries["A2"].data == {
+            "witness_fall_length": 18, "stay_prob_at_witness": 9.5367431640625e-07,
+        }
 
     def test_jump_moments(self, benchmark_spec):
         cert = certify(benchmark_spec, m_max=3)
