@@ -453,7 +453,7 @@ def _guarded(command: Callable[[], int]) -> int:
         print(f"error: {exc}", file=sys.stderr)
     except InvalidParameterError as exc:  # a model the bounds cannot serve; the config checks the rest
         print(f"error: config field 'model.{exc.name}': {exc}", file=sys.stderr)
-    except bound_calc.SeriesLengthError as exc:  # a series at a or q_bar near 1
+    except bound_calc.SeriesLengthError as exc:  # a series at a or q_bar near 1, or q_bar's product at r near 1
         print(f"error: config field 'model': too near critical for certified bounds: {exc}", file=sys.stderr)
     except bound_calc.StartRangeError as exc:
         print(f"error: config field 'x_grid': start state too large: {exc}", file=sys.stderr)

@@ -251,8 +251,6 @@ def certify(spec: BenchmarkModelSpec, m_max: int, tol: float = 1e-6) -> Assumpti
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     from . import bound_calc
 
     kappa = spec.kappa

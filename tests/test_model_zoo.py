@@ -146,8 +146,8 @@ class TestCertify:
             assert (1.0 - spec.kappa.at(ell - 1)) * spec.up_jump_s >= tol
 
     def test_witness_is_first_fall_length_below_tol(self):
-        # the fall length a walk up from 0 stops at, as certify found it before
-        # it started from the closed-form estimate
+        # the reference walks up from ell = 0 to the first fall length whose
+        # stay probability is below tol; it is fast only where r is not near 1
         def walk(spec, tol):
             ell = 0
             while (1.0 - spec.kappa.at(ell)) * spec.up_jump_s >= tol:
@@ -163,11 +163,6 @@ class TestCertify:
             assert data == {
                 "witness_fall_length": ell, "stay_prob_at_witness": (1.0 - spec.kappa.at(ell)) * s,
             }, (a, r, s, tol)
-
-    def test_default_witness(self, benchmark_spec):
-        assert certify(benchmark_spec, m_max=3).entries["A2"].data == {
-            "witness_fall_length": 18, "stay_prob_at_witness": 9.5367431640625e-07,
-        }
 
     def test_jump_moments(self, benchmark_spec):
         cert = certify(benchmark_spec, m_max=3)
