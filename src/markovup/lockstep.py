@@ -18,19 +18,27 @@ engine (:func:`~markovup.process_core.simulate_path` on
   last bit on some inputs, which moves the truncated quotient only where
   it lies next to an integer: :func:`_jumps` takes every quotient with
   numpy and only those few again with :mod:`math`;
-* a lane leaves at the floor or at the step cap.  Each time step keeps
-  its live lanes' block-local int32 indices and int64 states; at the end
-  they are regrouped path by path into a :class:`PathBlock`, one time
-  step at a time, each step's pair dropped once written, so about 20
-  bytes per recorded state are held at the peak;
+* a lane leaves at the floor or at the step cap.  Every step that does
+  not fall by one rises, by zero or more, so the loop records only the
+  steps that rise: the time, the block-local int32 lanes and their int64
+  rises, 12 bytes a rise (about 2 bytes a state on the default model,
+  where 18.5% of steps rise), and each lane's last state.  At the end
+  the block's states are rebuilt at once: an int64 array of -1, each
+  rise written at its place, ``x0`` less the last state of the path
+  before at each path's first place, then one running sum, each of whose
+  values is a state of a path;
+* the live lanes are compacted through one index as lanes leave.  Each
+  lane's Philox key stays at its block-local place, and a refill's
+  uniforms stay in the column the lane had at the refill, which the lane
+  reads;
 * a certain fall is finished in closed form: once a lane's fall length
   reaches :attr:`FallLaws.sure`, from where every kappa is exactly 1.0,
   every later uniform falls, so the lane's n more steps down to the floor
-  or the cap are known.  It leaves the live set with its cap flag set; at
-  the regroup its steps grow by n and its states ``x-1 .. x-n`` are
-  written into the block, one slice per lane.  It takes no more
-  iterations, uniforms or laws, and since each path's stream is its own,
-  the words it skips change no other path.
+  or the cap are known.  It leaves the live set with its steps, last
+  state and cap flag set; its states ``x-1 .. x-n`` are -1 steps the
+  rebuild starts from.  It takes no more iterations, uniforms or laws,
+  and since each path's stream is its own, the words it skips change no
+  other path.
 
 States are int64, and :func:`check_int64` keeps them so: a step falls by
 one or rises by at most :func:`max_jump`, so a start x0 whose
@@ -52,7 +60,7 @@ from .streams import block_uniforms, lane_keys, philox_block
 
 __all__ = ["FallLaws", "check_int64", "max_jump", "run_block", "step_lanes"]
 
-PHILOX_BATCH = 4096  # counter blocks one Philox call draws for all live lanes, at most
+PHILOX_BATCH = 4096  # a refill draws PHILOX_BATCH // live lanes counter blocks a lane, at least one
 LOOKAHEAD = 16  # counter blocks (4 steps each) one refill draws per lane, at most
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _MARGIN = 2.0**-40  # see _jumps
@@ -160,23 +168,26 @@ def _jumps(v: np.ndarray, log_ratio: float) -> np.ndarray:
 
 def step_lanes(
     laws: FallLaws, x: np.ndarray, ell: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Next states and fall lengths of lanes at states x > 0 with fall lengths ell, given uniforms u.
 
-    Lane i moves to ``kernel.law(ell[i], x[i]).quantile(u[i])``.
+    Lane i moves to ``kernel.law(ell[i], x[i]).quantile(u[i])``: down by
+    one, or, for the lanes ``up`` (indices into x), by ``rises >= 0``.
+    Returns ``(x_next, ell_next, up, rises)``.
     """
     laws.cover(int(ell.max()))
     kappa = laws.kappa[ell]
     down = u < kappa
     x_next = x - 1
     up = np.flatnonzero(~down)
+    rises = np.empty(0, dtype=np.int64)
     if up.size:
         v = (u[up] - kappa[up]) / laws.tail_mass[ell[up]]
         np.clip(v, 0.0, _BELOW_ONE, out=v)
-        q = _jumps(v, laws.log_ratio)
-        x_next[up] = x[up] + q.astype(np.int64)
+        rises = _jumps(v, laws.log_ratio).astype(np.int64)
+        x_next[up] = x[up] + rises
     # a down-step extends the fall; an up or flat step starts a new window
-    return x_next, np.where(down, ell + 1, 0)
+    return x_next, np.where(down, ell + 1, 0), up, rises
 
 
 def run_block(
@@ -197,32 +208,31 @@ def run_block(
     lane = np.arange(n, dtype=np.int32)  # block-local index of each live lane
     x = np.full(n, x0, dtype=np.int64)
     ell = np.zeros(n, dtype=np.int64)
-    steps = np.empty(n, dtype=np.int64)
+    steps = np.zeros(n, dtype=np.int64)
+    last = np.empty(n, dtype=np.int64)  # each path's last state
     capped = np.zeros(n, dtype=bool)
-    # states at each time, with the lanes they belong to
-    seen_lane: list[np.ndarray] = [lane]
-    seen_x: list[np.ndarray] = [x]
-    # lanes that left at fall length laws.sure: (lanes, their states, time)
-    falls: list[tuple[np.ndarray, np.ndarray, int]] = []
+    rises: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, lanes, rises) of each time step with a rise
     t = 0
-    draws = np.empty((0, n))  # row j: each live lane's uniform for step t + 1 + j - row
+    draws = np.empty((0, n))  # row j: the uniforms of step t + 1 + j - row, a lane in each column
     row = 0
     while lane.size:
         if row == len(draws):
-            # up to PHILOX_BATCH counter blocks per call: the fewer lanes are
-            # live, the more steps ahead they are drawn, up to LOOKAHEAD blocks
+            # the fewer lanes are live, the more steps ahead they are drawn:
+            # PHILOX_BATCH // lane.size counter blocks a lane, 1 to LOOKAHEAD
             depth = max(1, min(PHILOX_BATCH // lane.size, LOOKAHEAD))
             counters = np.arange(t // 4 + 1, t // 4 + 1 + depth, dtype=np.uint64)
-            words = philox_block(seed, np.tile(keys, depth), np.repeat(counters, lane.size))
-            draws = block_uniforms(words).reshape(4, depth, lane.size).transpose(1, 0, 2)
+            words = philox_block(seed, np.tile(keys[lane], depth), np.repeat(counters, lane.size))
+            draws = np.empty((depth, 4, lane.size))
+            block_uniforms(words.reshape(4, depth, lane.size).transpose(1, 0, 2), out=draws)
             draws = draws.reshape(4 * depth, lane.size)
+            col = np.arange(lane.size)  # each live lane's column of draws
             row = 0
-        u = draws[row]
+        u = draws[row, col]
         row += 1
         t += 1
-        x, ell = step_lanes(laws, x, ell, u)
-        seen_lane.append(lane)
-        seen_x.append(x)
+        x, ell, up, rise = step_lanes(laws, x, ell, u)
+        if up.size:
+            rises.append((t, lane[up], rise))
         done = x <= floor_n
         if t == max_steps:
             capped[lane[~done]] = True
@@ -230,28 +240,28 @@ def run_block(
         elif laws.asked >= laws.sure - 1:  # tested in Python first: most blocks never get there
             sure = np.flatnonzero((ell >= laws.sure) & ~done)
             if sure.size:
-                falls.append((lane[sure], x[sure], t))
-                capped[lane[sure]] = x[sure] - floor_n > max_steps - t
+                # a certain fall from state x takes the n = min(x - floor_n,
+                # max_steps - t) steps left to the floor or the cap, all down
+                fall = np.minimum(x[sure] - floor_n, max_steps - t)
+                capped[lane[sure]] = fall < x[sure] - floor_n
+                steps[lane[sure]] = fall
+                x[sure] -= fall
                 done[sure] = True
         if done.any():
-            steps[lane[done]] = t
-            keep = ~done
-            lane, x, ell, keys, draws = lane[keep], x[keep], ell[keep], keys[keep], draws[:, keep]
-    # a certain fall from state x at time t takes the n = min(x - floor_n,
-    # max_steps - t) steps left to the floor or the cap, all down
-    for lanes, x_at, t_at in falls:
-        steps[lanes] += np.minimum(x_at - floor_n, max_steps - t_at)
-    # regroup: a lane's state at time t goes to the lane's first state's place
-    # plus t, one time step at a time, each step's arrays dropped once written
+            steps[lane[done]] += t
+            last[lane[done]] = x[done]
+            keep = np.flatnonzero(~done)
+            lane, x, ell, col = lane[keep], x[keep], ell[keep], col[keep]
+    # rebuild: every step but a rise falls by one, so a path's states are the
+    # running sum of its start and its steps; path i's first place holds x0
+    # less path i-1's last state, so the sum runs on through the whole block
     size = steps + 1
     start = np.cumsum(size) - size
-    states = np.empty(int(size.sum()), dtype=np.int64)
-    seen_lane.reverse()
-    seen_x.reverse()
-    for t in range(len(seen_x)):
-        states[start[seen_lane.pop()] + t] = seen_x.pop()
-    for lanes, x_at, t_at in falls:
-        first, end = start[lanes] + t_at + 1, start[lanes] + size[lanes]
-        for lo, hi, x_t in zip(first.tolist(), end.tolist(), x_at.tolist()):
-            states[lo:hi] = np.arange(x_t - 1, x_t - 1 - (hi - lo), -1)
+    states = np.full(int(size.sum()), -1, dtype=np.int64)
+    states[start] = x0
+    states[start[1:]] -= last[:-1]
+    while rises:
+        t, lanes, rise = rises.pop()
+        states[start[lanes] + t] = rise
+    np.cumsum(states, out=states)
     return PathBlock(floor_n, states, steps, capped)

@@ -73,7 +73,7 @@ Z99_CI = 2.576     # half-width multiplier of the reported 99% band
 Z_SEGMENT = 3.0    # one-sided slack, in standard errors, for segment ceilings
 ATTEMPT_TAIL_MAX = 5
 DEFAULT_MAX_STEPS = 10**6
-MAX_LANES = 2**13  # paths a block holds, at most
+MAX_LANES = 2**14  # paths a block holds, at most
 STATE_BUDGET = 2**22  # states a block's paths hold at the fewest, at most, unless one path alone holds more
 
 

@@ -115,6 +115,10 @@ def philox_block(seed: int, keys: np.ndarray, block) -> np.ndarray:
     return ctr
 
 
-def block_uniforms(words: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from raw words, as ``Generator.random`` maps them: (w >> 11) * 2**-53."""
-    return (words >> _SHIFT11).astype(np.float64) * _TWO_M53
+def block_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Doubles in [0, 1) from raw words, as ``Generator.random`` maps them: (w >> 11) * 2**-53.
+
+    Written into ``out``, a float64 array of the words' shape, if given.
+    Both steps are exact: w >> 11 is below 2**53.
+    """
+    return np.multiply(words >> _SHIFT11, _TWO_M53, out=out)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,11 +82,14 @@ def test_step_rule_is_the_law_quantile(a, r, s):
             crafted |= set(rng.random(20).tolist())
             lanes += [(x, ell, u) for u in sorted(crafted)]
     x, ell, u = (np.array(col) for col in zip(*lanes))
-    x_next, ell_next = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
+    x_next, ell_next, up, rises = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
     for (x_i, ell_i, u_i), x_n, ell_n in zip(lanes, x_next.tolist(), ell_next.tolist()):
         expected = kernel.law(ell_i, x_i).quantile(u_i)
         assert x_n == expected, (x_i, ell_i, u_i)
         assert ell_n == (ell_i + 1 if expected < x_i else 0)
+    # the rises are x_next - x on exactly the lanes whose fall length resets
+    assert up.tolist() == np.flatnonzero(ell_next == 0).tolist()
+    assert rises.tolist() == (x_next - x)[up].tolist()
 
 
 def _with_neighbours(values):
@@ -192,10 +196,11 @@ def test_state_budget_cut_changes_no_path(benchmark_kernel, monkeypatch):
 
 
 def test_default_grid_work(monkeypatch):
-    # the default grid at seed 11, 10,000 paths per start, runs two blocks of
-    # 5,000 per start; in blocks of 4,096 paths, and with a Philox lookahead of
-    # up to 4,096 counter blocks a lane, the same 332,483 steps took 9 blocks,
-    # 510 numpy iterations and 604,540 Philox words
+    # the default grid at seed 11, 10,000 paths per start, runs one block per
+    # start; in two blocks of 5,000 per start the same 332,483 steps took 357
+    # numpy iterations and 477,952 Philox words, and in blocks of 4,096 paths,
+    # with a Philox lookahead of up to 4,096 counter blocks a lane, 9 blocks,
+    # 510 iterations and 604,540 words
     counts = {"iterations": 0, "words": 0}
     step, philox = lockstep.step_lanes, lockstep.philox_block
 
@@ -214,9 +219,25 @@ def test_default_grid_work(monkeypatch):
         block for task_index, x0 in enumerate((6, 10, 20))
         for block in mc_engine.simulate_blocks(kernel, x0, 10_000, seed=11, task_index=task_index)
     ]
-    assert [block.steps.size for block in blocks] == [5000] * 6
+    assert [block.steps.size for block in blocks] == [10000] * 3
     assert sum(int(block.steps.sum()) for block in blocks) == 332_483
-    assert counts["iterations"] <= 400 and counts["words"] <= 500_000, counts
+    assert counts["iterations"] <= 200 and counts["words"] <= 450_000, counts
+
+
+def test_block_record_peak_memory(benchmark_kernel):
+    # 10,000 paths from x0 = 20 run as one block of about 209,000 states
+    # (1.7 MB as int64).  The loop records only the steps that rise, 12 bytes
+    # each on about a fifth of the steps, and simulating the block peaks near
+    # 3.2 MB; recording every time step's lanes and states, 12 bytes a state,
+    # peaked near 4 MB
+    tracemalloc.start()
+    try:
+        blocks = list(mc_engine.simulate_blocks(benchmark_kernel, 20, 10_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [block.steps.size for block in blocks] == [10_000]
+    assert peak <= 3.4e6, peak
 
 
 @pytest.mark.parametrize("s", [0.5, 0.01, 1e-15])
@@ -225,7 +246,7 @@ def test_max_jump_is_the_largest_step(s):
     kernel = _kernel(0.5, 0.5, s)
     lanes = [(x, ell, u) for x in (6, 1000) for ell in range(20) for u in (1.0, math.nextafter(1.0, 0.0))]
     x, ell, u = (np.array(col) for col in zip(*lanes))
-    x_next, _ = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
+    x_next, *_ = step_lanes(FallLaws(kernel, max_steps=60), x, ell, u)
     assert (x_next - x).max() == max_jump(kernel)
 
 

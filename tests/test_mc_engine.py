@@ -486,7 +486,7 @@ class TestBinomialTest:
 
 class TestBlockCuts:
     @pytest.mark.parametrize("x0, n_traj, n_blocks", [
-        (6, 10_000, 2), (20, 8_193, 2), (517, 100_000, 13), (1000, 120, 1), (1000, 9_000, 3),
+        (6, 20_000, 2), (20, 16_385, 2), (517, 100_000, 13), (1000, 120, 1), (1000, 9_000, 3),
         (20_000, 1_024, 5), (10**5, 100, 3), (2**22 + 5, 3, 3),
     ])
     def test_cuts_by_state_budget(self, benchmark_kernel, monkeypatch, x0, n_traj, n_blocks):
