@@ -9,7 +9,7 @@ the scalar engine, path by path.  Both hand over blocks of paths in one flat
 layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
-operations, cut at the turns :func:`~markovup.path_analysis.turning_steps`
+operations over the rises and falls :func:`~markovup.path_analysis.segments`
 finds.  Every folded sample is an integer, so the fold counts each
 block's samples into a histogram of values, keeps exact integer power
 sums over it and rounds each reported number once: neither the order of
@@ -49,7 +49,7 @@ from . import bound_calc
 from .bound_calc import BoundSet
 from .lockstep import run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .path_analysis import turning_steps
+from .path_analysis import segments
 from .process_core import KernelContract, PathBlock, simulate_path
 from .streams import lane_keys, path_stream
 
@@ -177,35 +177,33 @@ class RecordColumns:
 def reduce_block(block: PathBlock) -> RecordColumns:
     """Every path's record of a block, with array operations over all its states at once.
 
-    This is the one record reducer, one entry per attempt.  A turn that
-    :func:`~markovup.path_analysis.turning_steps` finds is a t_j if a
-    down-step follows it, else an inner T_j.  Attempt j rises over
-    [T_j, t_j] and falls over [t_j, T_{j+1}], where T_0 is the path's start
-    and the last fall, which counts as 0, ends at tau.  A path's times lie
-    between its ``starts`` and ``ends`` in the block, so one sort lines each
-    t_j up with its T_j and T_{j+1}; the block was checked when made.
+    This is the one record reducer, one entry per attempt, read off the
+    :func:`~markovup.path_analysis.segments` of the block, which run in path
+    order with no sort.  A segment runs to where the next one starts.  A live
+    path ends falling, so the segment after a rise is its path's fall, and
+    each path's last fall, which reaches the floor, counts as 0.  Path ids
+    come from one search, over the falls' starts; the block was checked when
+    made.
     """
-    states, steps, starts, ends = block.states, block.steps, block.starts, block.ends
-    turns = turning_steps(block)
-    falls = states[turns + 1] < states[turns]
-    t, inner = turns[falls], turns[~falls]
-    owner = np.searchsorted(ends, t)  # each attempt's path
+    states, steps = block.states, block.steps
+    first, falls = segments(block)
+    fall, rise = np.flatnonzero(falls), np.flatnonzero(~falls)  # each attempt's and each rise's segment
+    # the segment columns first, while the fewest arrays are held; a rise is never a block's last segment
+    rise_lengths, overshoots = np.diff(first)[rise], np.diff(states[first])[rise]
+    fall_lengths = np.diff(first, append=states.size)[fall]
+    owner = np.searchsorted(block.ends, first[fall])  # each attempt's path
     attempts = np.bincount(owner, minlength=steps.size)
-    split = np.flatnonzero(attempts)  # the live paths with tau >= 1
-    rise_from = np.sort(np.concatenate((starts[split], inner)))  # T_j
-    fall_to = np.sort(np.concatenate((inner, ends[split])))  # T_{j+1}
-    rise_lengths = t - rise_from
-    real = rise_lengths > 0  # the empty first rise of a path that opens with a fall is no sample
+    fall_lengths[np.cumsum(attempts)[attempts > 0] - 1] = 0  # each path's last fall reaches the floor
     return RecordColumns(
         steps=steps,
         capped=block.capped,
         attempts=attempts,
-        max_state=np.maximum.reduceat(states, starts),
-        rise_path=owner[real],
-        rise_lengths=rise_lengths[real],
-        overshoots=states[t[real]] - states[rise_from[real]],
+        max_state=np.maximum.reduceat(states, block.starts),
+        rise_path=owner[rise - np.arange(rise.size)],  # a rise with k falls before it is followed by fall k
+        rise_lengths=rise_lengths,
+        overshoots=overshoots,
         fall_path=owner,
-        fall_lengths=np.where(fall_to == ends[owner], 0, fall_to - t),
+        fall_lengths=fall_lengths,
     )
 
 

@@ -3,12 +3,12 @@
 Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
-statistics are never biased by truncation.  :func:`turning_steps` is the
-one rule for where the paths of a block turn, each cut at the bounds the
-block holds: the record reducer (:func:`markovup.mc_engine.reduce_block`)
-and ``decompose_attempts`` both split floor-hitting paths there, a turn
-followed by a down-step starting a fall and any other a rise.  A fall that
-reaches the floor set is complete by definition, even though the path stops.
+statistics are never biased by truncation.  :func:`segments` is the one
+rule for where the rises and falls of a block's paths lie, each path cut at
+the bounds the block holds: the record reducer
+(:func:`markovup.mc_engine.reduce_block`) and ``decompose_attempts`` both
+read it.  A fall that reaches the floor set is complete by definition, even
+though the path stops.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ __all__ = [
     "UnterminatedRunError",
     "chi_at",
     "decompose_attempts",
-    "falls_of",
-    "rises_of",
+    "segments",
     "tau_of",
-    "turning_steps",
     "xi_at",
     "zeta_at",
 ]
@@ -132,43 +130,35 @@ class AttemptDecomposition:
     @property
     def rise_segments(self) -> tuple[tuple[int, int, int], ...]:
         """(j, T_j, t_j) for every rise in the decomposition, j from 0."""
-        return tuple((j, T, t) for j, (T, t) in enumerate(rises_of(self.times)))
+        return tuple((j, T, t) for j, (T, t) in enumerate(zip(self.times[:-1:2], self.times[1::2])))
 
     @property
     def fall_segments(self) -> tuple[tuple[int, int, int], ...]:
         """(j, t_{j-1}, T_j) for every attempt, j from 1."""
-        return tuple((j, t, T) for j, (t, T) in enumerate(falls_of(self.times), 1))
+        return tuple((j, t, T) for j, (t, T) in enumerate(zip(self.times[1::2], self.times[2::2]), 1))
 
 
-def turning_steps(block: PathBlock) -> np.ndarray:
-    """Where the paths of a block turn, with array operations over all their states at once.
+def segments(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Where each rise and each fall of the paths of a block starts, with array operations over all their states at once.
 
-    Returns the positions in ``block.states`` of each live path's turns
-    t_0, T_1, t_1, ..., t_{i-1}, path by path, each path cut at the block's
-    ``starts`` and ``ends``: the states after which a path turns from
-    non-decreasing to strictly down (a t_j) or back (a T_j).  A flat step
-    continues a rise, a path starts as if rising (one that opens with a fall
-    turns at its first state), and a capped path has none.
+    Returns ``(first, falls)``: the positions in ``block.states`` at which
+    every segment of every live path starts, path by path, and whether the
+    segment falls.  A fall is a maximal run of strictly down steps; any other
+    step, a flat one included, continues a rise.  A path's first step starts
+    a segment, each path is cut at the block's ``starts`` and ``ends``, and a
+    capped path has none.  So a path's rises and falls alternate, and a live
+    path's last segment is the fall that reaches the floor.
     """
-    states, starts, ends = block.states, block.starts, block.ends
-    # step i goes from state i to state i + 1; only the steps inside live paths turn
-    down = states[1:] < states[:-1]
-    inside = np.repeat(~block.capped, block.steps + 1)[:-1]
-    inside[ends[:-1]] = False
-    before = np.zeros_like(down)  # is the step before down; a path starts as if rising
-    before[1:] = down[:-1]
-    before[starts[starts < down.size]] = False
-    return np.flatnonzero(inside & (down != before))
-
-
-def rises_of(times: Sequence[int]) -> list[tuple[int, int]]:
-    """Rises (T_j, t_j), j from 0, of turning times (T_0, t_0, ..., T_i)."""
-    return list(zip(times[:-1:2], times[1::2]))
-
-
-def falls_of(times: Sequence[int]) -> list[tuple[int, int]]:
-    """Falls (t_{j-1}, T_j), j from 1, of turning times (T_0, t_0, ..., T_i)."""
-    return list(zip(times[1:-1:2], times[2::2]))
+    starts = block.starts
+    # step i goes from state i to state i + 1; only the steps inside live paths start a segment
+    down = block.states[1:] < block.states[:-1]
+    new = np.ones_like(down)
+    np.not_equal(down[1:], down[:-1], out=new[1:])
+    new[starts[starts < down.size]] = True
+    new &= np.repeat(~block.capped, block.steps + 1)[:-1]
+    new[block.ends[:-1]] = False
+    first = np.flatnonzero(new)
+    return first, down[first]
 
 
 def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
@@ -176,14 +166,15 @@ def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
 
     Each attempt is a maximal strict fall; exactly the last one reaches
     [0, N].  The intervals tile [0, tau] and each fall is no longer than
-    its start height (down-steps have size at least one).  The turns are
-    :func:`turning_steps` of the path alone; a state past int64 raises ValueError.
+    its start height (down-steps have size at least one).  The segments are
+    :func:`segments` of the path alone; a state past int64 raises ValueError.
     """
     if traj.stop_reason is not StopReason.HIT_FLOOR or traj.tau is None:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
-    turns = turning_steps(PathBlock.of([traj]))
-    times = (0, *turns.tolist(), traj.tau) if traj.tau else (0,)
+    first, falls = segments(PathBlock.of([traj]))
+    # a path that opens with a fall has the empty rise [0, 0] before it
+    times = (0,) * bool(falls[:1].any()) + (*first.tolist(), traj.tau)
     n = len(times) // 2
-    attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(falls_of(times), 1))
+    attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(zip(times[1::2], times[2::2]), 1))
     case = "II" if n and times[1] > 0 else "I"  # II: the path opens with a rise
     return AttemptDecomposition(case=case, times=times, attempts=attempts, successful_attempt=n or None)

@@ -471,6 +471,27 @@ class TestTrajectoryRoundTrip:
             assert cli.main(["verify", str(path)]) == code
             assert (tmp_path / "report.json").read_bytes() == replayed
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_report_equals_verify_at_any_block_cut(self, tmp_path, monkeypatch, seed):
+        # simulate makes one block per start of the default grid, and report reduces
+        # the blocks the reader cuts every 4 KiB of the dump: the records, and so
+        # every byte report writes, must not depend on where the blocks are cut
+        monkeypatch.setattr(csv_io, "_CHUNK_CHARS", 4096)
+        traj_csv = str(tmp_path / "trajectories.csv")
+        defaults = cli.ExperimentConfig()
+        path = write_config(
+            tmp_path, x_grid=list(defaults.x_grid), m_list=list(defaults.m_list), n_traj=2000, seed=seed,
+            output_trajectories_csv=traj_csv,
+        )
+        assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+        config = cli.load_config(str(path))
+        assert len(list(cli._blocks_from_dump(config, cli.read_trajectories_csv(traj_csv)))) > 3
+        written = {}
+        for command in ("report", "verify"):
+            code = cli.main([command, str(path)])
+            written[command] = (code, *((tmp_path / name).read_bytes() for name in ("report.json", "verdicts.csv")))
+        assert written["report"] == written["verify"]
+
     @pytest.mark.parametrize("chunk_chars", [None, 40])
     def test_report_rejects_rows_out_of_order(self, tmp_path, monkeypatch, capsys, chunk_chars):
         # simulate writes each x0 of the grid in turn, its path ids in order, and

@@ -2,10 +2,13 @@ import itertools
 import json
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovup import (
     BenchmarkKernel,
@@ -177,6 +180,23 @@ def _hit(*states, floor_n=5):
     return Trajectory(states[0], states, floor_n, StopReason.HIT_FLOOR, len(states) - 1)
 
 
+@st.composite
+def _any_path(draw, floor_n=5):
+    """A path the floor rule allows: a start in the floor, a capped path or a live one.
+
+    Its states above the floor are drawn from a narrow band, so flat steps and
+    down-steps of every size up to the band's width come often, falls from the
+    first step included; a live path then steps into the floor from any of them.
+    """
+    kind = draw(st.sampled_from(["in floor", "capped", "live"]))
+    if kind == "in floor":
+        return _hit(draw(st.integers(0, floor_n)), floor_n=floor_n)
+    above = draw(st.lists(st.integers(floor_n + 1, floor_n + 8), min_size=1 + (kind == "capped"), max_size=14))
+    if kind == "capped":
+        return Trajectory(above[0], tuple(above), floor_n, StopReason.STEP_CAP, None)
+    return _hit(*above, draw(st.integers(0, floor_n)), floor_n=floor_n)
+
+
 class TestRecordFromTrajectory:
     """Each path, reduced as a block of that path alone, equals the literal-definition reducer."""
 
@@ -260,6 +280,27 @@ class TestBlockReducer:
         assert {name: getattr(records, name).dtype for name in mc_engine._COLUMNS} == {
             name: np.dtype(bool if name == "capped" else np.int64) for name in mc_engine._COLUMNS
         }
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_any_path(), min_size=1, max_size=6))
+    def test_drawn_blocks(self, trajectories):
+        # the blocks of the benchmark kernel never fall by more than one a step;
+        # these mix every kind of path and step in one block
+        self.check(trajectories, [reduce_block(PathBlock.of(trajectories))])
+        TestRecordFromTrajectory.check(trajectories)
+
+    def test_peak_memory(self, benchmark_kernel):
+        # one block of 10,000 paths from x0 = 20, about 209,000 states and 29,600
+        # segments: reducing it peaked at 1.33 MB, 1.82 MB when the rises and
+        # falls were paired by sorting the turns
+        (block,) = mc_engine.simulate_blocks(benchmark_kernel, 20, 10_000, seed=1)
+        tracemalloc.start()
+        try:
+            reduce_block(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6, peak
 
     def test_layout_derived_when_made(self):
         # a block made by dataclasses.replace derives starts and ends again, and
