@@ -135,8 +135,8 @@ class VerificationVerdict:
 
 
 _COLUMNS = (
-    "steps", "capped", "attempts", "max_state",
-    "rise_path", "rise_lengths", "overshoots", "fall_path", "fall_lengths",
+    "steps", "capped", "attempts", "rises", "max_state",
+    "rise_lengths", "overshoots", "fall_lengths",
 )
 
 
@@ -144,25 +144,25 @@ _COLUMNS = (
 class RecordColumns:
     """The records of one block's paths, numbered 0..n-1 in the block, as columns: the only form a record takes.
 
-    Per path: ``steps``, ``capped``, ``attempts`` and ``max_state``; a live
-    path's tau is its step count.  Per segment, grouped by path in path
-    order: ``rise_lengths`` and ``overshoots`` with each rise's path in
-    ``rise_path``, and ``fall_lengths`` with ``fall_path``.  Rise lengths
-    and overshoots sample the segments where the process actually rose.
-    Fall lengths have one entry per attempt: the fall length for an
-    unsuccessful attempt and 0 for the successful one, mirroring the
-    indicator in the fall-length moment bound.  Every column but
-    ``capped`` is int64.
+    Per path: ``steps``, ``capped``, ``max_state``, and ``attempts`` and
+    ``rises``, its counts of falls and rises; a live path's tau is its step
+    count.  Per segment, in path order: ``rise_lengths`` and ``overshoots``
+    per rise, ``fall_lengths`` per fall.  Path i's are the ``rises[i]``
+    (``attempts[i]``) entries after those of paths 0..i-1; a capped path has
+    none.  Rise lengths and overshoots sample the segments where the process
+    actually rose.  Fall lengths have one entry per attempt: the fall length
+    for an unsuccessful attempt and 0 for the successful one, mirroring the
+    indicator in the fall-length moment bound.  Every column but ``capped``
+    is int64.
     """
 
     steps: np.ndarray
     capped: np.ndarray
     attempts: np.ndarray
+    rises: np.ndarray
     max_state: np.ndarray
-    rise_path: np.ndarray
     rise_lengths: np.ndarray
     overshoots: np.ndarray
-    fall_path: np.ndarray
     fall_lengths: np.ndarray
 
     def __len__(self) -> int:
@@ -181,9 +181,9 @@ def reduce_block(block: PathBlock) -> RecordColumns:
     :func:`~markovup.path_analysis.segments` of the block, which run in path
     order with no sort.  A segment runs to where the next one starts.  A live
     path ends falling, so the segment after a rise is its path's fall, and
-    each path's last fall, which reaches the floor, counts as 0.  Path ids
-    come from one search, over the falls' starts; the block was checked when
-    made.
+    each path's last fall, which reaches the floor, counts as 0.  Each fall's
+    path comes from one search, over the falls' starts, and a rise's from its
+    fall; the block was checked when made.
     """
     states, steps = block.states, block.steps
     first, falls = segments(block)
@@ -198,11 +198,11 @@ def reduce_block(block: PathBlock) -> RecordColumns:
         steps=steps,
         capped=block.capped,
         attempts=attempts,
+        # a rise with k falls before it is followed by fall k, of its path
+        rises=np.bincount(owner[rise - np.arange(rise.size)], minlength=steps.size),
         max_state=np.maximum.reduceat(states, block.starts),
-        rise_path=owner[rise - np.arange(rise.size)],  # a rise with k falls before it is followed by fall k
         rise_lengths=rise_lengths,
         overshoots=overshoots,
-        fall_path=owner,
         fall_lengths=fall_lengths,
     )
 
@@ -330,30 +330,29 @@ class RecordFold:
     diagnostics: dict
 
 
-def _add_index_sums(sums: dict[int, tuple[int, int]], values: np.ndarray, path: np.ndarray, live: np.ndarray) -> None:
-    """Add the count and integer sum of the j-th value of each live path that has one to sums[j], j <= ATTEMPT_TAIL_MAX.
+def _add_index_sums(sums: dict[int, tuple[int, int]], values: np.ndarray, counts: np.ndarray) -> None:
+    """Add the count and integer sum of the j-th value of each path that has one to sums[j], j <= ATTEMPT_TAIL_MAX.
 
-    ``path`` tags each value with its path, in path order.
+    Path i's values are the ``counts[i]`` entries of ``values`` after those of paths 0..i-1.
     """
-    counts = np.bincount(path, minlength=live.size)
-    index = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)  # j - 1
+    first = np.cumsum(counts) - counts
     for j in range(1, ATTEMPT_TAIL_MAX + 1):
-        vals = values[live[path] & (index == j - 1)]
-        if vals.size:
-            n, total = sums.get(j, (0, 0))
-            sums[j] = (n + vals.size, total + int(vals.sum()))
+        vals = values[first[counts >= j] + j - 1]
+        n, total = sums.get(j, (0, 0))
+        sums[j] = (n + vals.size, total + int(vals.sum()))
 
 
 def fold_records(parts: Iterable[RecordColumns], x0: int, m_list: Sequence[int]) -> RecordFold:
     """Fold one start state's records, block by block, into estimates, attempt hits, counters and diagnostics.
 
     This is the only place records become statistics.  Each block's
-    samples of a quantity are counted into one histogram of values, and
-    the block is dropped; every number is derived from exact integer sums,
-    so neither the order of the paths nor how they are cut into blocks
-    changes the fold.  The diagnostics break the pooled samples down by
-    segment index (first rise, second rise, ...), which makes
-    index-dependent drift visible without affecting any verdict.
+    samples of a quantity are counted into one histogram of values, and the
+    block is dropped; every number comes from exact integer sums, so neither
+    the order of the paths nor how they are cut into blocks changes the fold.
+    A capped path has no segments, so only its tau and attempt count are
+    skipped.  The diagnostics break the samples down by segment index (first
+    rise, second rise, ...), which shows index-dependent drift without
+    affecting any verdict.
     """
     hists = {quantity: Counter() for quantity in ("tau_m", "rise_length_m", "fall_length_m", "overshoot_m")}
     attempt_hist: Counter = Counter()
@@ -361,15 +360,14 @@ def fold_records(parts: Iterable[RecordColumns], x0: int, m_list: Sequence[int])
     n = n_live = steps = 0
     for records in parts:
         live = ~records.capped
-        live_rise, live_fall = live[records.rise_path], live[records.fall_path]
         hists["tau_m"].update(_histogram(records.steps[live]))
-        hists["rise_length_m"].update(_histogram(records.rise_lengths[live_rise]))
-        hists["fall_length_m"].update(_histogram(records.fall_lengths[live_fall]))
-        hists["overshoot_m"].update(_histogram(records.overshoots[live_rise]))
+        hists["rise_length_m"].update(_histogram(records.rise_lengths))
+        hists["fall_length_m"].update(_histogram(records.fall_lengths))
+        hists["overshoot_m"].update(_histogram(records.overshoots))
         # counts above ATTEMPT_TAIL_MAX share one bucket: no verdict tests them
         attempt_hist.update(_histogram(np.minimum(records.attempts[live], ATTEMPT_TAIL_MAX + 1)))
-        _add_index_sums(by_index["rise_length_by_index"], records.rise_lengths, records.rise_path, live)
-        _add_index_sums(by_index["fall_length_by_index"], records.fall_lengths, records.fall_path, live)
+        _add_index_sums(by_index["rise_length_by_index"], records.rise_lengths, records.rises)
+        _add_index_sums(by_index["fall_length_by_index"], records.fall_lengths, records.attempts)
         n += len(records)
         n_live += int(live.sum())
         steps += int(records.steps.sum())
@@ -396,7 +394,7 @@ def fold_records(parts: Iterable[RecordColumns], x0: int, m_list: Sequence[int])
             flag=_sample_flag(n_live),
         )
     diagnostics = {
-        name: {str(j): {"n": c, "mean": total / c} for j, (c, total) in sorted(sums.items())}
+        name: {str(j): {"n": c, "mean": total / c} for j, (c, total) in sorted(sums.items()) if c}
         for name, sums in by_index.items()
     }
     diagnostics["attempt_count_hist"] = {

@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -50,46 +51,42 @@ def _record(steps, capped, attempts, max_state, rise_lengths=(), fall_lengths=()
 
 
 def _per_path(records):
-    """Each path's record read back from the columns, whose segments must run in path order."""
-    segments = {}
-    for name, path in (
-        ("rise_lengths", records.rise_path), ("overshoots", records.rise_path),
-        ("fall_lengths", records.fall_path),
-    ):
-        tags = path.tolist()
-        assert tags == sorted(tags) and all(0 <= t < len(records) for t in tags)
-        by_path = [[] for _ in range(len(records))]
-        for pid, value in zip(tags, getattr(records, name).tolist()):
-            by_path[pid].append(value)
-        segments[name] = by_path
+    """Each path's record read back from the columns, each path's segments after those of the paths before it.
+
+    Also checks that the counts cover the segment columns and that a capped path has no rises and no attempts.
+    """
+    rises, attempts = records.rises, records.attempts
+    assert rises.sum() == records.rise_lengths.size == records.overshoots.size
+    assert attempts.sum() == records.fall_lengths.size
+    assert not rises[records.capped].any() and not attempts[records.capped].any()
+    segments = {
+        name: np.split(getattr(records, name), np.cumsum(counts)[:-1])
+        for name, counts in (("rise_lengths", rises), ("overshoots", rises), ("fall_lengths", attempts))
+    }
     per_path = zip(
         records.steps.tolist(), records.capped.tolist(),
         records.attempts.tolist(), records.max_state.tolist(),
     )
     return [
-        _record(*fields, **{name: tuple(by_path[pid]) for name, by_path in segments.items()})
+        _record(*fields, **{name: tuple(by_path[pid].tolist()) for name, by_path in segments.items()})
         for pid, fields in enumerate(per_path)
     ]
 
 
 def _columns(records):
     """The columns of per-path records, their paths numbered in the given order."""
-    rises = [
-        (pid, v, o) for pid, r in enumerate(records) for v, o in zip(r["rise_lengths"], r["overshoots"])
-    ]
-    falls = [(pid, v) for pid, r in enumerate(records) for v in r["fall_lengths"]]
-    rise_path, rise_lengths, overshoots = zip(*rises) if rises else ((), (), ())
-    fall_path, fall_lengths = zip(*falls) if falls else ((), ())
+    def column(values):
+        return np.array(list(values), dtype=np.int64)
+
     return RecordColumns(
-        steps=np.array([r["steps"] for r in records], dtype=np.int64),
+        steps=column(r["steps"] for r in records),
         capped=np.array([r["capped"] for r in records], dtype=bool),
-        attempts=np.array([r["attempts"] for r in records], dtype=np.int64),
-        max_state=np.array([r["max_state"] for r in records], dtype=np.int64),
-        rise_path=np.array(rise_path, dtype=np.int64),
-        rise_lengths=np.array(rise_lengths, dtype=np.int64),
-        overshoots=np.array(overshoots, dtype=np.int64),
-        fall_path=np.array(fall_path, dtype=np.int64),
-        fall_lengths=np.array(fall_lengths, dtype=np.int64),
+        attempts=column(r["attempts"] for r in records),
+        rises=column(len(r["rise_lengths"]) for r in records),
+        max_state=column(r["max_state"] for r in records),
+        rise_lengths=column(v for r in records for v in r["rise_lengths"]),
+        overshoots=column(v for r in records for v in r["overshoots"]),
+        fall_lengths=column(v for r in records for v in r["fall_lengths"]),
     )
 
 
@@ -97,9 +94,8 @@ class TestFoldRecords:
     RECORDS = (
         _record(3, capped=False, attempts=1, max_state=8,
                 rise_lengths=(), fall_lengths=(0,), overshoots=()),
-        # capped, with segment samples that must not reach any statistic
-        _record(100, capped=True, attempts=3, max_state=40,
-                rise_lengths=(50,), fall_lengths=(50, 50, 50), overshoots=(50,)),
+        # capped: no segments, as reduce_block gives every capped path
+        _record(100, capped=True, attempts=0, max_state=40),
         _record(20, capped=False, attempts=7, max_state=15,
                 rise_lengths=(2, 1, 3, 1, 2, 4, 1), fall_lengths=(1, 2, 1, 3, 1, 2, 0),
                 overshoots=(3, 1, 4, 1, 5, 9, 2)),
@@ -288,6 +284,33 @@ class TestBlockReducer:
         # these mix every kind of path and step in one block
         self.check(trajectories, [reduce_block(PathBlock.of(trajectories))])
         TestRecordFromTrajectory.check(trajectories)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_any_path(), min_size=1, max_size=6), st.sets(st.integers(1, 5)))
+    def test_drawn_diagnostics(self, trajectories, cuts):
+        # the per-index sums and the attempt histogram, tallied path by path from
+        # record_oracle, and the same whatever blocks the paths are cut into
+        by_index = {"rise_length_by_index": {}, "fall_length_by_index": {}}
+        attempt_hist = Counter()
+        for traj in trajectories:
+            record = record_oracle(traj.states, traj.floor_n)
+            if record["capped"]:
+                continue
+            attempts = record["attempts"]
+            attempt_hist[str(attempts) if attempts <= 5 else "6+"] += 1
+            for name, values in (("rise_length_by_index", "rise_lengths"), ("fall_length_by_index", "fall_lengths")):
+                for j, value in enumerate(record[values][:5], start=1):
+                    by_index[name].setdefault(str(j), []).append(value)
+        expected = {
+            name: {j: {"n": len(vs), "mean": sum(vs) / len(vs)} for j, vs in sums.items()}
+            for name, sums in by_index.items()
+        }
+        expected["attempt_count_hist"] = dict(attempt_hist)
+        fold = fold_records([reduce_block(PathBlock.of(trajectories))], 10, [1])
+        assert fold.diagnostics == expected
+        bounds = [0, *sorted(c for c in cuts if c < len(trajectories)), len(trajectories)]
+        parts = [reduce_block(PathBlock.of(trajectories[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        assert fold_records(parts, 10, [1]) == fold
 
     def test_peak_memory(self, benchmark_kernel):
         # one block of 10,000 paths from x0 = 20, about 209,000 states and 29,600
