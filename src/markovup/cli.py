@@ -21,12 +21,20 @@ Exit codes: 0 all verdicts pass, 1 usage/config/assumption error, 2 verdict fail
 on one thread.  report.json must be byte-identical for a fixed seed, so
 wall-clock time goes to stderr and the report's "timing" section carries
 deterministic work counters only.
+
+main() freezes the garbage collector (gc.freeze) once per process, at its
+first call, not at import: the interpreter's final collections would
+otherwise scan and free one by one the import heap of numpy and scipy,
+which was most of a command's exit time.  A library importer's heap is
+left alone; an in-process caller of main() has the cyclic garbage it holds
+at that first call never collected.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import sys
@@ -503,6 +511,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The first call in a process moves every object the garbage collector
+    tracks at that moment, chiefly the ~41,000 that numpy and scipy build
+    at import, into its permanent generation (``gc.freeze``).  The
+    interpreter's final collections then skip them and the OS takes their
+    memory back at exit, which cuts a command's exit time by about three
+    quarters.  Objects made afterwards are collected as before, but cyclic
+    garbage already present at that first call, such as an in-process
+    caller's, is never collected.  Later calls freeze nothing more.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     return _guarded(lambda: _dispatch(args))
 

@@ -341,34 +341,83 @@ class TestSubcommands:
         assert first == second
 
 
+# sha256 of every file simulate, report and verify write for one small
+# config (PINNED_CONFIG), so an engine or writer change that drifts a bit
+# fails here.  report.json echoes the output file names, so they are pinned too.
+OUTPUT_GOLDEN = {
+    "simulate": {
+        "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
+        "trajectories.csv": "e9da91480e09a697bfa45da7754908d60a00ab36f6fdcb064cc013a66f17c137",
+    },
+    "report": {
+        "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
+        "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
+    },
+    "verify": {
+        "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
+        "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
+        "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
+    },
+}
+PINNED_CONFIG = {"n_traj": 3000, "seed": 5, "output": {"trajectories_csv": "trajectories.csv"}}
+
+
 def test_output_bytes_are_pinned(tmp_path, monkeypatch):
-    # sha256 of every file simulate, report and verify write for one small
-    # config, so an engine or writer change that drifts a bit fails here.
-    # report.json echoes the output file names, so they are pinned too.
-    golden = {
-        "simulate": {
-            "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
-            "trajectories.csv": "e9da91480e09a697bfa45da7754908d60a00ab36f6fdcb064cc013a66f17c137",
-        },
-        "report": {
-            "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
-            "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
-        },
-        "verify": {
-            "report.json": "8ee84e579dc214b64a18cea81d285f9b3fb50fbf0b62e8394499b2c1bd0c6f28",
-            "paths.csv": "4e236573e84f28d66c970f97be01a6cea7b471a27988a95c47b396ed34cfea81",
-            "verdicts.csv": "386971ee05a741627c77e7e43d6bf9e540b193beee2ef26fe27182fe1adb0eb4",
-        },
-    }
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(
-        {"n_traj": 3000, "seed": 5, "output": {"trajectories_csv": "trajectories.csv"}}
-    ))
-    for command, files in golden.items():
+    config.write_text(json.dumps(PINNED_CONFIG))
+    for command, files in OUTPUT_GOLDEN.items():
         assert cli.main([command, str(config)]) == cli.EXIT_OK
         for name, digest in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
+
+
+def test_output_bytes_are_pinned_across_process_exits(tmp_path):
+    # the same commands as `python -m markovup.cli` children, so every file
+    # is checked after a real interpreter exit, not after main() returns
+    (tmp_path / "config.json").write_text(json.dumps(PINNED_CONFIG))
+    for command, files in OUTPUT_GOLDEN.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovup.cli", command, "config.json"],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_OK, (command, proc.stderr)
+        for name, digest in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
+
+
+# Imports the package, then the command line module, then calls main() twice
+# in one process, and prints the collector's freeze count at each point and
+# how many objects it tracked just before the first call.
+_FREEZE_CHILD = """
+import gc, json, sys
+import markovup
+after_package = gc.get_freeze_count()
+import markovup.cli as cli
+after_cli = gc.get_freeze_count()
+tracked = len(gc.get_objects())
+codes = [cli.main(["certify", sys.argv[1], "--out", "cert.json"])]
+first = gc.get_freeze_count()
+codes.append(cli.main(["certify", sys.argv[1], "--out", "cert.json"]))
+print(json.dumps({"after_package": after_package, "after_cli": after_cli, "tracked": tracked,
+                  "first": first, "second": gc.get_freeze_count(), "codes": codes}))
+"""
+
+
+def test_main_freezes_the_collector_once(tmp_path):
+    # importing freezes nothing; the first main() freezes at least every
+    # object tracked before it; a second main() freezes nothing more
+    path = write_config(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_CHILD, str(path)],
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["codes"] == [cli.EXIT_OK, cli.EXIT_OK]
+    assert counts["after_package"] == counts["after_cli"] == 0
+    assert counts["first"] >= counts["tracked"] > 0
+    assert counts["second"] == counts["first"]
 
 
 DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
