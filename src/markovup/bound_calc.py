@@ -12,7 +12,7 @@ auditable by brute-force summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model_zoo import InvalidParameterError, KappaSpec
 
@@ -80,9 +80,6 @@ class SeriesValue:
         if factor < 0.0:
             raise ValueError("factor must be non-negative")
         return SeriesValue(self.value * factor, self.truncation_k, self.tail_bound * factor)
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "truncation_k": self.truncation_k, "tail_bound": self.tail_bound}
 
 
 def power_series(m: int, q: float, eps: float = DEFAULT_EPS) -> SeriesValue:
@@ -177,11 +174,8 @@ class DualBound:
         return self.chosen.value
 
     def to_dict(self) -> dict:
-        return {
-            "per_step_form": self.per_step_form.to_dict(),
-            "compact_form": self.compact_form.to_dict(),
-            "chosen": self.chosen.value,
-        }
+        """Every field, plus ``chosen``, the binding form's value."""
+        return {**asdict(self), "chosen": self.value}
 
 
 def overshoot_bound(m: int, q: float, m_jump: float, eps: float = DEFAULT_EPS) -> DualBound:
@@ -252,19 +246,9 @@ class BoundSet:
         ) * self.attempt_series.upper
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "q": self.q,
-            "q_bar": self.q_bar,
-            "q_bar_series": self.q_bar_series.to_dict(),
-            "rise_bound": self.rise_bound.to_dict(),
-            "fall_bound": self.fall_bound.to_dict(),
-            "overshoot": self.overshoot.to_dict(),
-            "jump_m": self.jump_m,
-            "attempt_series": self.attempt_series.to_dict(),
-            "c1": self.c1,
-            "c2": self.c2,
-        }
+        """Every field, ``overshoot`` with its ``chosen``, plus ``c1`` and ``c2``."""
+        return {**asdict(self), "overshoot": self.overshoot.to_dict(),
+                "c1": self.c1, "c2": self.c2}
 
 
 def make_bound_set(
@@ -321,13 +305,8 @@ class TheoremBound:
         return max(self.display, self.termwise)
 
     def to_dict(self) -> dict:
-        return {
-            "display": self.display,
-            "termwise": self.termwise,
-            "value": self.value,
-            "c1": self.c1,
-            "c2": self.c2,
-        }
+        """Every field, plus ``value``."""
+        return {**asdict(self), "value": self.value}
 
 
 def theorem_bound(m: int, x: int, bounds: BoundSet) -> TheoremBound:

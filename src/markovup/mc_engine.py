@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -103,17 +103,8 @@ class MomentEstimate:
         return self.mean + Z99_CI * self.std_error
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "m": self.m,
-            "x0": self.x0,
-            "n_samples": self.n_samples,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "ci99_upper": self.ci99_upper,
-            "capped_paths": self.capped_paths,
-            "flag": self.flag,
-        }
+        """Every field, plus ``ci99_upper``."""
+        return {**asdict(self), "ci99_upper": self.ci99_upper}
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,12 +123,6 @@ class VerificationVerdict:
     @property
     def slack(self) -> float:
         return self.bound - self.test_value
-
-
-_COLUMNS = (
-    "steps", "capped", "attempts", "rises", "max_state",
-    "rise_lengths", "overshoots", "fall_lengths",
-)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -171,7 +156,7 @@ class RecordColumns:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordColumns):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def reduce_block(block: PathBlock) -> RecordColumns:

@@ -10,7 +10,7 @@ the bound machinery in :mod:`markovup.bound_calc` certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .process_core import FallWindow, KernelContract, StepDistribution
@@ -182,14 +182,6 @@ class CertificateEntry:
     def holds(self) -> bool:
         return self.status.startswith("holds")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "required_for_theorem": self.required_for_theorem,
-            "detail": self.detail,
-            "data": dict(self.data),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class AssumptionCertificate:
@@ -209,14 +201,9 @@ class AssumptionCertificate:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "entries": {name: e.to_dict() for name, e in sorted(self.entries.items())},
-            "q": self.q,
-            "q_bar": self.q_bar,
-            "kappa_inf": self.kappa_inf,
-            "jump_moments": {str(m): v for m, v in sorted(self.jump_moments.items())},
-            "theorem_ready": self.theorem_ready,
-        }
+        """Every field, ``jump_moments`` keyed by ``str(m)`` (so "10" sorts before "2"), plus ``theorem_ready``."""
+        return {**asdict(self), "jump_moments": {str(m): v for m, v in self.jump_moments.items()},
+                "theorem_ready": self.theorem_ready}
 
 
 def _first_fall_length_below(kappa: KappaSpec, s: float, tol: float) -> int:

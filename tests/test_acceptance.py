@@ -6,6 +6,7 @@ once per worker count through the command line interface and shared by
 the criteria that consume it.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -36,6 +37,14 @@ from oracles import (
 ACCEPTANCE_SEED = 7
 GRID_TIME_BUDGET = 120.0  # seconds, single-worker full grid
 
+# sha256 of the files the default `verify` writes with one worker, the
+# north-star command's bytes
+NORTH_STAR_GOLDEN = {
+    "report.json": "3cbc208a89efea3716385b07f46a129a6c9b5f3747182a40620ed29e31dd25c1",
+    "paths.csv": "b6ff9cb6e3412f133b28aea8f87b998e39e29612380ac642f0996c7e8c52749a",
+    "verdicts.csv": "a1c5cf70d611881049d82943d9932a1fcb9763ef67a04f3453b616d3c199f23e",
+}
+
 # frozen by brute-force product of (1 - 0.5**j), j >= 1, to below 1e-14
 Q_BAR = 0.711211904913398
 
@@ -63,7 +72,8 @@ def grid_runs(tmp_path_factory):
     floor 5, x in {6, 10, 20}, m in {1, 2, 3}, 10**5 paths, seed 7.
 
     Each run works in its own temporary directory, with the environment
-    of :func:`helpers.cli_env`.
+    of :func:`helpers.cli_env`, and keeps its report bytes and the sha256
+    of each file it writes.
     """
     env = cli_env()
     runs = {}
@@ -81,6 +91,8 @@ def grid_runs(tmp_path_factory):
         )
         runs[threads] = {
             "report_bytes": (workdir / "report.json").read_bytes(),
+            "sha256": {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                       for name in NORTH_STAR_GOLDEN},
             "elapsed": elapsed,
         }
     runs["report"] = json.loads(runs[1]["report_bytes"])
@@ -216,6 +228,10 @@ def test_criterion_7_determinism(grid_runs, announce):
         b1 == b4 == b8,
         f"{len(b1)} bytes identical across workers 1/4/8",
     )
+
+
+def test_north_star_bytes_are_pinned(grid_runs):
+    assert grid_runs[1]["sha256"] == NORTH_STAR_GOLDEN
 
 
 def test_criterion_8_degenerate_dynamics(announce):

@@ -372,6 +372,33 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (command, name)
 
 
+# sha256 of the files certify and bounds write with --out, at the built-in
+# defaults and at an m_list reaching 10, whose "10" keys sort before "2"
+CERTIFY_BOUNDS_GOLDEN = {
+    "defaults": (None, {
+        "certify": "002cb7c36233bdec2918b525715c1fa7b255d6ac9089c34c48413c1344f36220",
+        "bounds": "d055763caa3ac884a1d715f7f5b56ef28d21a2a428a40beacc143d801963e47b",
+    }),
+    "m_list 1, 2, 10": ({"m_list": [1, 2, 10]}, {
+        "certify": "9502aad593d2f821804f40f96b6acc8a2c82140bb9abe3301924b549c2d4a5c3",
+        "bounds": "2e85b5bbba67fd8c5dfa4f21a19b8642d885d33d732c5145776d24196b06a0f6",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFY_BOUNDS_GOLDEN)
+def test_certify_and_bounds_bytes_are_pinned(tmp_path, case):
+    config, digests = CERTIFY_BOUNDS_GOLDEN[case]
+    args = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = [str(tmp_path / "config.json")]
+    for command, digest in digests.items():
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, *args, "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+
+
 def test_output_bytes_are_pinned_across_process_exits(tmp_path):
     # the same commands as `python -m markovup.cli` children, so every file
     # is checked after a real interpreter exit, not after main() returns

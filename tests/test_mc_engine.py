@@ -4,7 +4,7 @@ import math
 import statistics
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -273,8 +273,9 @@ class TestBlockReducer:
         self.check(trajectories, [records])
         assert block_trajectories(block) == trajectories
         # every column but capped is int64, as RecordColumns promises
-        assert {name: getattr(records, name).dtype for name in mc_engine._COLUMNS} == {
-            name: np.dtype(bool if name == "capped" else np.int64) for name in mc_engine._COLUMNS
+        names = [f.name for f in fields(RecordColumns)]
+        assert {name: getattr(records, name).dtype for name in names} == {
+            name: np.dtype(bool if name == "capped" else np.int64) for name in names
         }
 
     @settings(max_examples=300, deadline=None, derandomize=True)
