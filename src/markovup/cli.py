@@ -514,7 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and return its exit code.
 
     The first call in a process moves every object the garbage collector
-    tracks at that moment, chiefly the ~41,000 that numpy and scipy build
+    tracks at that moment, chiefly the ~25,000 that numpy and scipy build
     at import, into its permanent generation (``gc.freeze``).  The
     interpreter's final collections then skip them and the OS takes their
     memory back at exit, which cuts a command's exit time by about three

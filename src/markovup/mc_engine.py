@@ -37,13 +37,30 @@ Two comparison rules are used, matching how sharp each inequality is:
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
+
+# scipy.special's package __init__ clones numpy's namespace for the array
+# API and so imports numpy.f2py, numpy.testing and numpy.ma: about half of
+# every command's set-up.  An unexecuted stand-in for the package, with its
+# real spec and __path__, lets the compiled scipy.special._ufuncs load alone.
+# A later ``import scipy.special`` runs the package as usual and reuses the
+# cached _ufuncs, so it hands out this very betaincinv.
+if "scipy.special" in sys.modules:
+    from scipy.special import betaincinv
+else:
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("scipy.special"))
+    try:
+        from scipy.special._ufuncs import betaincinv
+    finally:
+        del sys.modules["scipy.special"]
 
 from . import bound_calc
 from .bound_calc import BoundSet
@@ -410,7 +427,11 @@ def binomial_lower99(successes: int, n: int) -> float:
     exactly when this bound does not exceed the claimed ceiling.  It is
     the 1% quantile of Beta(successes, n - successes + 1), which
     ``scipy.special.betaincinv`` gives bit for bit as ``scipy.stats.beta.ppf``
-    does, without the import cost of ``scipy.stats``.
+    does, without the import cost of ``scipy.stats``.  The ufunc comes from
+    the compiled ``scipy.special._ufuncs``, loaded at import without the
+    ``scipy.special`` package init, which would be about half of every
+    command's set-up (see the note at the imports); it is the very object
+    ``scipy.special.betaincinv`` names.
     """
     if not 0 <= successes <= n or n < 1:
         raise ValueError("need 0 <= successes <= n with n >= 1")

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -37,7 +39,7 @@ from markovup.mc_engine import (
 )
 from markovup.process_core import PathBlock
 
-from helpers import block_trajectories, simulated_trajectories
+from helpers import block_trajectories, cli_env, simulated_trajectories
 from oracles import record_oracle
 
 
@@ -521,6 +523,44 @@ class TestSegmentMoments:
             assert r["fall_lengths"][-1] == 0
 
 
+def beta_quantile_pairs():
+    """2,404 (successes, n) pairs: random ones, edge counts and the largest n."""
+    rng = np.random.default_rng(2024)
+    n = rng.integers(1, 300_001, size=2400)
+    s = rng.integers(1, n, endpoint=True)
+    # edge counts: one success, all successes, and the largest n
+    s[:400], s[400:800] = 1, n[400:800]
+    pairs = [(1, 1), (1, 300_000), (300_000, 300_000), (150_000, 300_000)]
+    return pairs + list(zip(s.tolist(), n.tolist()))
+
+
+# Imports scipy.special first or not, then runs verify in process and
+# computes binomial_lower99 over the pairs on stdin.  Only then does it
+# import scipy.stats, for beta.ppf of each pair, and it prints which
+# modules of scipy.special's package init verify found loaded and whether
+# the package in sys.modules is executed and holds mc_engine's ufunc.
+_LOADER_CHILD = """
+import json, sys
+first = None
+if sys.argv[2] == "scipy.special first":
+    import scipy.special as first
+from markovup import cli, mc_engine
+code = cli.main(["verify", sys.argv[1]])
+loaded = [name for name in ("scipy.special", "scipy._lib._array_api") if name in sys.modules]
+pairs = json.load(sys.stdin)
+lower = [mc_engine.binomial_lower99(k, n) for k, n in pairs]
+import scipy.special
+from scipy.stats import beta
+print(json.dumps({
+    "code": code, "loaded": loaded, "lower": lower,
+    "ppf": [float(beta.ppf(0.01, k, n - k + 1)) for k, n in pairs],
+    "same_ufunc": mc_engine.betaincinv is scipy.special.betaincinv,
+    "package_kept": sys.modules["scipy.special"] is (first or scipy.special),
+    "executed": hasattr(sys.modules["scipy.special"], "gamma"),
+}))
+"""
+
+
 class TestBinomialTest:
     def test_lower_bound_basic_properties(self):
         assert binomial_lower99(0, 100) == 0.0
@@ -531,15 +571,26 @@ class TestBinomialTest:
     def test_equals_scipy_stats_beta_quantile(self):
         from scipy.stats import beta
 
-        rng = np.random.default_rng(2024)
-        n = rng.integers(1, 300_001, size=2400)
-        s = rng.integers(1, n, endpoint=True)
-        # edge counts: one success, all successes, and the largest n
-        s[:400], s[400:800] = 1, n[400:800]
-        pairs = [(1, 1), (1, 300_000), (300_000, 300_000), (150_000, 300_000)]
-        pairs += list(zip(s.tolist(), n.tolist()))
-        for k, m in pairs:
+        for k, m in beta_quantile_pairs():
             assert binomial_lower99(k, m) == float(beta.ppf(0.01, k, m - k + 1)), (k, m)
+
+    @pytest.mark.parametrize("order", ["markovup first", "scipy.special first"])
+    def test_light_load_gives_the_package_ufunc(self, tmp_path, order):
+        # a fresh interpreter: verify runs without scipy.special's package
+        # init, and whichever imports scipy.special first, both hold one ufunc
+        (tmp_path / "config.json").write_text(json.dumps({"x_grid": [6], "m_list": [1], "n_traj": 200}))
+        pairs = beta_quantile_pairs()
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADER_CHILD, "config.json", order], input=json.dumps(pairs),
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["code"] == cli.EXIT_OK
+        assert out["loaded"] == ([] if order == "markovup first" else ["scipy.special", "scipy._lib._array_api"])
+        assert out["same_ufunc"] and out["package_kept"] and out["executed"]
+        for (k, m), lower, ppf in zip(pairs, out["lower"], out["ppf"], strict=True):
+            assert lower == ppf, (k, m)
 
     def test_duality_with_exact_binomial_test(self):
         from scipy.stats import binomtest
