@@ -22,21 +22,31 @@ on one thread.  report.json must be byte-identical for a fixed seed, so
 wall-clock time goes to stderr and the report's "timing" section carries
 deterministic work counters only.
 
-main() freezes the garbage collector (gc.freeze) once per process, at its
-first call, not at import: the interpreter's final collections would
-otherwise scan and free one by one the import heap of numpy and scipy,
-which was most of a command's exit time.  A library importer's heap is
-left alone; an in-process caller of main() has the cyclic garbage it holds
-at that first call never collected.
+main() sets up its process once, at its first call, not at import.  It
+freezes the garbage collector (gc.freeze): the interpreter's final
+collections would otherwise scan and free one by one the import heap of
+numpy and scipy, which was most of a command's exit time.  A library
+importer's heap is left alone; an in-process caller of main() has the
+cyclic garbage it holds at that first call never collected.  Under glibc it
+also fixes malloc's mmap and trim thresholds (mallopt), so that the memory a
+block's arrays free is kept for the next ones rather than handed back to
+the OS and faulted in again, page by page.
+
+Every JSON document is strict JSON (RFC 8259): a non-finite float, such as
+the test value of a verdict that is not issued, is written as null, and the
+report's warnings say why.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import gc
 import itertools
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -290,8 +300,23 @@ def build_report(
     }
 
 
+def _finite(value: Any) -> Any:
+    """value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _dump_json(doc: dict[str, Any], path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """Write doc to path, or print it, as strict JSON: a non-finite float is null."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: only then is the copy without one made
+        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -510,20 +535,42 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand and return its exit code.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
-    The first call in a process moves every object the garbage collector
-    tracks at that moment, chiefly the ~25,000 that numpy and scipy build
-    at import, into its permanent generation (``gc.freeze``).  The
-    interpreter's final collections then skip them and the OS takes their
-    memory back at exit, which cuts a command's exit time by about three
-    quarters.  Objects made afterwards are collected as before, but cyclic
-    garbage already present at that first call, such as an in-process
-    caller's, is never collected.  Later calls freeze nothing more.
+
+@functools.cache
+def _set_up_process() -> None:
+    """Freeze the collector, unless the caller has, and fix malloc's thresholds under glibc; at most once.
+
+    Unless the heap was frozen already, every object the garbage collector
+    tracks now, chiefly the ~25,000 that numpy and scipy build at import,
+    moves into its permanent generation (``gc.freeze``).  The interpreter's
+    final collections then skip them and the OS takes their memory back at
+    exit, which cuts a command's exit time by about three quarters.
+    Objects made afterwards are collected as before, but cyclic garbage
+    already present, such as an in-process caller's, is never collected.
+
+    glibc serves an allocation past its mmap threshold from fresh pages,
+    and hands the free top of its heap back once it passes the trim
+    threshold.  Both start at 128 KiB and rise only as larger arrays are
+    freed.  An engine refill frees about 1.4 MB of Philox buffers at
+    10,000 lanes, and a block in jump form holds no array of states larger
+    than them, so a command faulted those pages in again at every refill.
+    Allocations up to 32 MiB (glibc's most) now come from the heap, which
+    keeps up to 64 MiB free.
     """
     if gc.get_freeze_count() == 0:
         gc.freeze()
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and return its exit code; the first call in a process sets it up (:func:`_set_up_process`)."""
+    _set_up_process()
     args = build_parser().parse_args(argv)
     return _guarded(lambda: _dispatch(args))
 

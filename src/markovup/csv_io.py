@@ -114,7 +114,7 @@ _ROW_STOPS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # the bytes that end a ro
 
 def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
     """A block's dump rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a cut may fall inside a row."""
-    n = block.steps.size
+    n, starts, states = block.steps.size, block.starts, block.states  # the flat states, built once
     heads = np.empty((n, 4), dtype=np.int64)  # x0, path_id, tau and floor_n of each row
     heads[:, 0], heads[:, 1], heads[:, 3] = x0, np.arange(first, first + n), block.floor_n
     heads[:, 2] = np.where(block.capped, -1, block.steps)
@@ -130,8 +130,8 @@ def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
         is_head[head_at[inside] - lo] = True
         tokens = np.empty(hi - lo, dtype=np.int64)
         tokens[is_head] = heads[r0:r1].ravel()[inside]
-        a = block.starts[r0] + max(0, lo - row_at[r0] - 4)  # the states before the cut
-        tokens[~is_head] = block.states[a:a + tokens.size - np.count_nonzero(inside)]
+        a = starts[r0] + max(0, lo - row_at[r0] - 4)  # the states before the cut
+        tokens[~is_head] = states[a:a + tokens.size - np.count_nonzero(inside)]
         seps = np.where(is_head, _COMMA, _SPACE)
         last = row_at[r0 + 1:r1 + 1] - 1  # each row's last state
         seps[last[last < hi] - lo] = _CRLF

@@ -23,10 +23,10 @@ engine (:func:`~markovup.process_core.simulate_path` on
   steps that rise: the time, the block-local int32 lanes and their int64
   rises, 12 bytes a rise (about 2 bytes a state on the default model,
   where 18.5% of steps rise), and each lane's last state.  At the end
-  the block's states are rebuilt at once: an int64 array of -1, each
-  rise written at its place, ``x0`` less the last state of the path
-  before at each path's first place, then one running sum, each of whose
-  values is a state of a path;
+  the rises are put in path order by one stable sort of their lanes, each
+  at its path's first place plus its time, and the block is handed over
+  in jump form (:meth:`~markovup.process_core.PathBlock.of_jumps`): no
+  state is built;
 * the live lanes are compacted through one index as lanes leave.  Each
   lane's Philox key stays at its block-local place, and a refill's
   uniforms stay in the column the lane had at the refill, which the lane
@@ -35,10 +35,10 @@ engine (:func:`~markovup.process_core.simulate_path` on
   reaches :attr:`FallLaws.sure`, from where every kappa is exactly 1.0,
   every later uniform falls, so the lane's n more steps down to the floor
   or the cap are known.  It leaves the live set with its steps, last
-  state and cap flag set; its states ``x-1 .. x-n`` are -1 steps the
-  rebuild starts from.  It takes no more iterations, uniforms or laws,
-  and since each path's stream is its own, the words it skips change no
-  other path.
+  state and cap flag set; its states ``x-1 .. x-n`` are -1 steps, which
+  the jump form does not list.  It takes no more iterations, uniforms or
+  laws, and since each path's stream is its own, the words it skips change
+  no other path.
 
 States are int64, and :func:`check_int64` keeps them so: a step falls by
 one or rises by at most :func:`max_jump`, so a start x0 whose
@@ -211,7 +211,8 @@ def run_block(
     steps = np.zeros(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)  # each path's last state
     capped = np.zeros(n, dtype=bool)
-    rises: list[tuple[int, np.ndarray, np.ndarray]] = []  # (t, lanes, rises) of each time step with a rise
+    # (t, lanes, rises) of each time step with a rise, after an empty one at t = 0
+    rises: list[tuple[int, np.ndarray, np.ndarray]] = [(0, lane[:0], np.empty(0, dtype=np.int64))]
     t = 0
     draws = np.empty((0, n))  # row j: the uniforms of step t + 1 + j - row, a lane in each column
     row = 0
@@ -252,16 +253,16 @@ def run_block(
             last[lane[done]] = x[done]
             keep = np.flatnonzero(~done)
             lane, x, ell, col = lane[keep], x[keep], ell[keep], col[keep]
-    # rebuild: every step but a rise falls by one, so a path's states are the
-    # running sum of its start and its steps; path i's first place holds x0
-    # less path i-1's last state, so the sum runs on through the whole block
+    # the rises in path order, by one stable sort of their lanes, which keeps
+    # each lane's in time order.  In the smallest unsigned type that holds the
+    # lanes, up to 16 bits, numpy's stable sort is a radix sort
+    times, lane_runs, rise_runs = zip(*rises)
+    lanes = np.concatenate(lane_runs)
+    order = np.argsort(lanes.astype(np.min_scalar_type(n - 1)), kind="stable")
     size = steps + 1
-    start = np.cumsum(size) - size
-    states = np.full(int(size.sum()), -1, dtype=np.int64)
-    states[start] = x0
-    states[start[1:]] -= last[:-1]
-    while rises:
-        t, lanes, rise = rises.pop()
-        states[start[lanes] + t] = rise
-    np.cumsum(states, out=states)
-    return PathBlock(floor_n, states, steps, capped)
+    jump_at = (np.cumsum(size) - size)[lanes]  # the first place of each rise's path
+    jump_at += np.repeat(times, [run.size for run in lane_runs])
+    return PathBlock.of_jumps(
+        floor_n, steps, capped, np.full(n, x0, dtype=np.int64), last, np.bincount(lanes, minlength=n),
+        jump_at[order], np.concatenate(rise_runs)[order],
+    )

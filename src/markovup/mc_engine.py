@@ -5,12 +5,11 @@ every engine runs on one thread.  :func:`simulate_blocks` is the one loop
 that simulates paths, a block at a time.  The benchmark kernel's paths
 are stepped together by the lockstep engine (:mod:`markovup.lockstep`),
 which reproduces the scalar engine bit for bit; any other kernel runs on
-the scalar engine, path by path.  Both hand over blocks of paths in one flat
-layout (:class:`~markovup.process_core.PathBlock`), and one reducer,
+the scalar engine, path by path.  Both hand over blocks of paths in jump
+form (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
-operations over the rises and falls :func:`~markovup.path_analysis.segments`
-finds.  Every folded sample is an integer, so the fold counts each
+operations over its rises and falls, read off its jumps alone.  Every folded sample is an integer, so the fold counts each
 block's samples into a histogram of values, keeps exact integer power
 sums over it and rounds each reported number once: neither the order of
 the records nor how they are cut into blocks changes it.  Results are
@@ -66,7 +65,6 @@ from . import bound_calc
 from .bound_calc import BoundSet
 from .lockstep import run_block
 from .model_zoo import AssumptionCertificate, BenchmarkKernel, BenchmarkModelSpec, certify
-from .path_analysis import segments
 from .process_core import KernelContract, PathBlock, simulate_path
 from .streams import lane_keys, path_stream
 
@@ -176,33 +174,64 @@ class RecordColumns:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def _rises(block: PathBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(path, start, stop, overshoot, max_state)``: each live path's rises, and each path's largest state.
+
+    A rise is a run of jumps of non-negative increment at consecutive places
+    (no two paths' steps are).  It is given by its path, the places its first
+    and last steps reach and the sum of its increments.  A path's largest
+    state is its start or a state one of its rises reaches.
+    """
+    at, jumps = block.jump_at, block.jumps
+    reached = block.reached(*block.layout())
+    up = jumps >= 0
+    joined = np.diff(at) == 1  # jumps k and k + 1 at consecutive places
+    joined &= up[1:]
+    joined &= up[:-1]
+    cuts = np.ones(at.size + 1, dtype=bool)
+    np.logical_not(joined, out=cuts[1:-1])
+    head, tail = np.flatnonzero(up & cuts[:-1]), np.flatnonzero(up & cuts[1:])  # each rise's first and last jump
+    path = np.repeat(np.arange(block.steps.size), block.jump_counts)[head]
+    max_state = block.first.copy()
+    np.maximum.at(max_state, path, reached[tail])
+    live = ~block.capped[path]  # a capped path's rises are no records
+    head, tail = head[live], tail[live]
+    return path[live], at[head], at[tail], reached[tail] - reached[head] + jumps[head], max_state
+
+
 def reduce_block(block: PathBlock) -> RecordColumns:
-    """Every path's record of a block, with array operations over all its states at once.
+    """Every path's record of a block, read off its jumps alone with array operations, in O(jumps + paths).
 
     This is the one record reducer, one entry per attempt, read off the
-    :func:`~markovup.path_analysis.segments` of the block, which run in path
-    order with no sort.  A segment runs to where the next one starts.  A live
-    path ends falling, so the segment after a rise is its path's fall, and
-    each path's last fall, which reaches the floor, counts as 0.  Each fall's
-    path comes from one search, over the falls' starts, and a rise's from its
-    fall; the block was checked when made.
+    :func:`_rises` of the block; the falls are the gaps between them.  A live
+    path ends falling, so its falls are the gap before its first rise if it
+    opens falling, the gap after each of its rises but the last, and a last
+    fall, which reaches the floor and counts 0.  Everything runs in path
+    order with no sort; the block was checked when made.
     """
-    states, steps = block.states, block.steps
-    first, falls = segments(block)
-    fall, rise = np.flatnonzero(falls), np.flatnonzero(~falls)  # each attempt's and each rise's segment
-    # the segment columns first, while the fewest arrays are held; a rise is never a block's last segment
-    rise_lengths, overshoots = np.diff(first)[rise], np.diff(states[first])[rise]
-    fall_lengths = np.diff(first, append=states.size)[fall]
-    owner = np.searchsorted(block.ends, first[fall])  # each attempt's path
-    attempts = np.bincount(owner, minlength=steps.size)
-    fall_lengths[np.cumsum(attempts)[attempts > 0] - 1] = 0  # each path's last fall reaches the floor
+    steps, capped = block.steps, block.capped
+    path, start, stop, overshoots, max_state = _rises(block)
+    rise_lengths = stop - start + 1
+    # the fall before each rise runs from the end of the rise before, or from its path's start
+    gap = np.empty_like(start)
+    gap[1:] = stop[:-1]
+    opens = np.ones(path.size, dtype=bool)  # each path's first rise
+    np.not_equal(path[1:], path[:-1], out=opens[1:])
+    opens = np.flatnonzero(opens)
+    gap[opens] = block.starts[path[opens]]
+    np.subtract(start - 1, gap, out=gap)  # 0 only before a rise that opens its path
+    falls = np.flatnonzero(gap > 0)
+    ends_falling = ~capped & (steps > 0)  # each live path that steps has a last fall
+    attempts = np.bincount(path[falls], minlength=steps.size) + ends_falling
+    fall_lengths = np.zeros(int(attempts.sum()), dtype=np.int64)
+    # a path's falls before its rises, then its last fall's 0
+    fall_lengths[np.arange(falls.size) + (np.cumsum(ends_falling) - 1)[path[falls]]] = gap[falls]
     return RecordColumns(
         steps=steps,
-        capped=block.capped,
+        capped=capped,
         attempts=attempts,
-        # a rise with k falls before it is followed by fall k, of its path
-        rises=np.bincount(owner[rise - np.arange(rise.size)], minlength=steps.size),
-        max_state=np.maximum.reduceat(states, block.starts),
+        rises=np.bincount(path, minlength=steps.size),
+        max_state=max_state,
         rise_lengths=rise_lengths,
         overshoots=overshoots,
         fall_lengths=fall_lengths,
@@ -232,8 +261,9 @@ def simulate_blocks(
     :class:`BenchmarkKernel` (not a subclass, which may change the law)
     runs each block on the lockstep engine,
     :func:`~markovup.lockstep.run_block`, which raises ValueError unless
-    every state its paths can reach fits int64; any other kernel on the
-    scalar engine, path by path, laid out in the same block by
+    every state its paths can reach fits int64, and hands over the block
+    in jump form with no states built; any other kernel on the scalar
+    engine, path by path, its states read into the same jump form by
     :meth:`PathBlock.of`, which raises ValueError at a state past int64.
     Each path's stream is keyed by its index, so both give the same paths,
     wherever the blocks are cut.

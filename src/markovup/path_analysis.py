@@ -3,12 +3,10 @@
 Works on realized (finite) state sequences.  The forward-looking run ends
 are only defined once the run is observed to break; asking for one on a
 path that ends mid-run raises instead of silently clamping, so downstream
-statistics are never biased by truncation.  :func:`segments` is the one
-rule for where the rises and falls of a block's paths lie, each path cut at
-the bounds the block holds: the record reducer
-(:func:`markovup.mc_engine.reduce_block`) and ``decompose_attempts`` both
-read it.  A fall that reaches the floor set is complete by definition, even
-though the path stops.
+statistics are never biased by truncation.  :func:`decompose_attempts`
+reads a path's rises and falls off its record, made by the one record
+reducer (:func:`markovup.mc_engine.reduce_block`).  A fall that reaches the
+floor set is complete by definition, even though the path stops.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .mc_engine import reduce_block
 from .process_core import PathBlock, StopReason, Trajectory
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "UnterminatedRunError",
     "chi_at",
     "decompose_attempts",
-    "segments",
     "tau_of",
     "xi_at",
     "zeta_at",
@@ -138,43 +136,26 @@ class AttemptDecomposition:
         return tuple((j, t, T) for j, (t, T) in enumerate(zip(self.times[1::2], self.times[2::2]), 1))
 
 
-def segments(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Where each rise and each fall of the paths of a block starts, with array operations over all their states at once.
-
-    Returns ``(first, falls)``: the positions in ``block.states`` at which
-    every segment of every live path starts, path by path, and whether the
-    segment falls.  A fall is a maximal run of strictly down steps; any other
-    step, a flat one included, continues a rise.  A path's first step starts
-    a segment, each path is cut at the block's ``starts`` and ``ends``, and a
-    capped path has none.  So a path's rises and falls alternate, and a live
-    path's last segment is the fall that reaches the floor.
-    """
-    starts = block.starts
-    # step i goes from state i to state i + 1; only the steps inside live paths start a segment
-    down = block.states[1:] < block.states[:-1]
-    new = np.ones_like(down)
-    np.not_equal(down[1:], down[:-1], out=new[1:])
-    new[starts[starts < down.size]] = True
-    new &= np.repeat(~block.capped, block.steps + 1)[:-1]
-    new[block.ends[:-1]] = False
-    first = np.flatnonzero(new)
-    return first, down[first]
-
-
 def decompose_attempts(traj: Trajectory) -> AttemptDecomposition:
     """Split a floor-hitting path into descent attempts and rises.
 
     Each attempt is a maximal strict fall; exactly the last one reaches
     [0, N].  The intervals tile [0, tau] and each fall is no longer than
-    its start height (down-steps have size at least one).  The segments are
-    :func:`segments` of the path alone; a state past int64 raises ValueError.
+    its start height (down-steps have size at least one).  The lengths are
+    those of the path's record, from :func:`~markovup.mc_engine.reduce_block`
+    of the path alone; a state past int64 raises ValueError.
     """
     if traj.stop_reason is not StopReason.HIT_FLOOR or traj.tau is None:
         raise NotHitError("decomposition requires a trajectory that hit the floor")
-    first, falls = segments(PathBlock.of([traj]))
-    # a path that opens with a fall has the empty rise [0, 0] before it
-    times = (0,) * bool(falls[:1].any()) + (*first.tolist(), traj.tau)
-    n = len(times) // 2
+    records = reduce_block(PathBlock.of([traj]))
+    falls = records.fall_lengths
+    # attempt j follows rise j - 1: a path that opens with a fall has the empty rise [0, 0] before it
+    rises = np.concatenate((np.zeros(falls.size - records.rise_lengths.size, dtype=np.int64), records.rise_lengths))
+    lengths = np.stack([rises, falls], axis=1).ravel()
+    if lengths.size:
+        lengths[-1] = traj.tau - lengths[:-1].sum()  # the successful attempt, which its record counts 0, runs to tau
+    times = (0, *np.cumsum(lengths).tolist())
+    n = falls.size
     attempts = tuple(Attempt(j, t, T, success=j == n) for j, (t, T) in enumerate(zip(times[1::2], times[2::2]), 1))
     case = "II" if n and times[1] > 0 else "I"  # II: the path opens with a rise
     return AttemptDecomposition(case=case, times=times, attempts=attempts, successful_attempt=n or None)

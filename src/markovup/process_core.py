@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -235,42 +235,149 @@ class Trajectory:
             raise ValueError("a capped path must never enter the floor")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PathBlock:
-    """Paths in one flat layout, the form the record reducer reads.
+    """Paths in jump form, the form the record reducer reads.
 
-    ``states`` holds every path's states, its start state included, one
-    path after another: path i has ``steps[i] + 1`` states, ``starts[i]``
-    to ``ends[i]``, which the block derives when it is made (and
-    ``dataclasses.replace`` again).  It is capped iff ``capped[i]``;
-    otherwise it first enters [0, floor_n] at its last state.  A block
-    checks this when it is made, in :class:`Trajectory`'s words.
+    Per path i: ``first[i]``, its start state, ``steps[i]``, ``capped[i]``
+    and ``last[i]``, its last state.  In path order, every step whose
+    increment is not -1 (a rise, a flat step or a fall by more than one):
+    ``jump_at``, the place of the state it reaches in the block's flat
+    layout, and ``jumps``, its increment; ``jump_counts[i]`` of them are
+    path i's.  The flat layout holds every path's states, its start state
+    included, one path after another: path i's ``steps[i] + 1`` states at
+    places ``starts[i]`` to ``ends[i]``, so no two paths' steps reach
+    neighbouring places.  Every column is int64 but ``capped``.
+
+    ``PathBlock(floor_n, states, steps, capped)``, and so
+    ``dataclasses.replace`` given ``states``, reads the columns off a flat
+    layout of states with one ``np.diff`` pass; :meth:`of_jumps` takes them
+    as they are.  ``states``, ``starts`` and ``ends`` are built when read.
+    A path is capped iff ``capped[i]``; otherwise it first enters
+    [0, floor_n] at its last state.  A block checks this when it is made, on
+    its columns in O(jumps + paths) and in :class:`Trajectory`'s words.
     """
 
     floor_n: int
-    states: np.ndarray  # int64
     steps: np.ndarray   # int64
     capped: np.ndarray  # bool
-    starts: np.ndarray = field(init=False)  # int64: each path's first state
-    ends: np.ndarray = field(init=False)    # int64: each path's last state
+    first: np.ndarray = field(init=False)
+    last: np.ndarray = field(init=False)
+    jump_counts: np.ndarray = field(init=False)
+    jump_at: np.ndarray = field(init=False)
+    jumps: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        ends = np.cumsum(self.steps + 1) - 1
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "starts", ends - self.steps)
-        if self.states.size != ends[-1] + 1:
-            raise ValueError(f"{self.states.size} states do not lay out paths of {int(self.steps.sum())} steps")
-        if (self.states < 0).any():
+    def __init__(self, floor_n: int, states: np.ndarray, steps: np.ndarray, capped: np.ndarray) -> None:
+        ends = np.cumsum(steps + 1) - 1
+        if states.size != ends[-1] + 1:
+            raise ValueError(f"{states.size} states do not lay out paths of {int(steps.sum())} steps")
+        step = np.diff(states)  # step i reaches place i + 1
+        jump = step != -1
+        jump[ends[:-1]] = False  # from a path's last state to the next path's first is no step
+        jump_at = np.flatnonzero(jump) + 1
+        counts = np.diff(np.searchsorted(jump_at, ends, "right"), prepend=0)
+        self._fill(floor_n, steps, capped, states[ends - steps], states[ends], counts, jump_at, step[jump_at - 1])
+
+    @classmethod
+    def of_jumps(
+        cls, floor_n: int, steps: np.ndarray, capped: np.ndarray, first: np.ndarray, last: np.ndarray,
+        jump_counts: np.ndarray, jump_at: np.ndarray, jumps: np.ndarray,
+    ) -> PathBlock:
+        """The block of these columns, checked as they are."""
+        block = object.__new__(cls)
+        block._fill(floor_n, steps, capped, first, last, jump_counts, jump_at, jumps)
+        return block
+
+    def _fill(self, *columns) -> None:
+        for f, value in zip(fields(self), columns):
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Each path's last place in the flat layout."""
+        return np.cumsum(self.steps + 1) - 1
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each path's first place in the flat layout."""
+        return self.ends - self.steps
+
+    @property
+    def states(self) -> np.ndarray:
+        """The flat layout of every path's states, int64, built anew from the columns in O(states).
+
+        Every step but a jump falls by one, so a path's states are the running
+        sum of its start and its steps; path i's first place holds its start
+        less path i-1's last state, so one sum runs on through the whole block.
+        """
+        ends = self.ends
+        starts = ends - self.steps
+        states = np.full(int(ends[-1]) + 1, -1, dtype=np.int64)
+        states[self.jump_at] = self.jumps
+        states[starts] = self.first
+        states[starts[1:]] -= self.last[:-1]
+        return np.cumsum(states, out=states)
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ends, cut, some)``: each path's last place, ``jumps[:cut[i]]`` those of paths 0..i, and the paths that jump."""
+        return np.cumsum(self.steps + 1) - 1, np.cumsum(self.jump_counts), np.flatnonzero(self.jump_counts > 0)
+
+    def reached(self, ends: np.ndarray, cut: np.ndarray, some: np.ndarray) -> np.ndarray:
+        """The state each jump reaches, from one running sum over the jumps: O(jumps + paths).
+
+        A path's state at place j is its start plus ``increment + 1`` summed
+        over its jumps to there, less ``j - starts[i]``.  The sum runs on
+        through the block: at a path's first jump it takes back the last state
+        plus the last place of the path that jumped before, which is that
+        path's sum once its last state is where its steps end, as the check
+        confirms path by path.  The sums may wrap in int64, but every state
+        fits it, so each comes out exact.
+        """
+        lead = self.first[some] + (ends - self.steps)[some]
+        lead[1:] -= (self.last + ends)[some[:-1]]
+        reached = self.jumps + 1
+        reached[cut[some] - self.jump_counts[some]] += lead
+        np.cumsum(reached, out=reached)
+        reached -= self.jump_at
+        return reached
+
+    def _check(self) -> None:
+        ends, cut, some = self.layout()
+        at, steps, last, floor_n = self.jump_at, self.steps, self.last, self.floor_n
+        tail = cut[some] - 1  # the last jump of each path that jumps
+        if cut[-1] != at.size or (np.diff(at) <= 0).any() or (
+            at[tail - self.jump_counts[some] + 1] <= (ends - steps)[some]
+        ).any() or (at[tail] > ends[some]).any():
+            raise ValueError(f"{at.size} jumps do not lie in order in their paths of {int(steps.sum())} steps")
+        reached = self.reached(ends, cut, some)
+        end = self.first - steps
+        end[some] = reached[tail] - (ends[some] - at[tail])
+        wrong = np.flatnonzero(end != last)
+        if wrong.size:
+            p = int(wrong[0])
+            raise ValueError(f"the steps of path {p} end at {end[p]}, not at its last state {last[p]}")
+        # from any state a path falls by one a step to the state a jump leaves
+        # or to its last, so these are its lowest; a live path's last is then
+        # its only state in the floor iff it is in the floor and the state
+        # before it, last + 1 if its last step falls by one, is not
+        left = reached - self.jumps  # the state each jump leaves: never a path's last
+        low = left.min(initial=INT64_MAX)
+        if low < 0 or last.min() < 0:
             raise ValueError("states must be non-negative")
         live = ~self.capped
-        # states in the floor, per path, counted from their places: no int64 copy of every state
-        entries = np.bincount(np.searchsorted(ends, np.flatnonzero(self.states <= self.floor_n)), minlength=ends.size)
-        bad = np.flatnonzero((entries != live) | ((self.states[ends] <= self.floor_n) != live))
+        bad = (last <= floor_n) != live
+        by_one = live & (steps > 0) & (last < floor_n)
+        by_one[some] &= at[tail] != ends[some]
+        bad |= by_one
+        if low <= floor_n:  # the first jump from a state in the floor marks its path
+            bad[np.searchsorted(cut, np.argmax(left <= floor_n), "right")] = True
+        bad = np.flatnonzero(bad)
         if bad.size:
             p = int(bad[0])
             if self.capped[p]:
                 raise ValueError("a capped path must never enter the floor")
-            raise ValueError(_EARLY_ENTRY.format(self.steps[p]))
+            raise ValueError(_EARLY_ENTRY.format(steps[p]))
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> PathBlock:

@@ -317,6 +317,23 @@ class TestSubcommands:
         rows = [row.split(",") for row in (tmp_path / "paths.csv").read_text().splitlines()[1:]]
         assert {(tau, flag) for _, tau, _, _, flag in rows} == {("", "1")}
 
+    def test_report_is_strict_json_where_no_verdict_is_issued(self, tmp_path):
+        # every path from 60 is capped at 20 steps, so no verdict is issued: each
+        # test value and slack, once Infinity and -Infinity, is null, and a parser
+        # that refuses those constants reads the report
+        path = write_config(tmp_path, n_traj=50, x_grid=[60], max_steps=20, m_list=[1])
+        assert cli.main(["verify", str(path)]) == cli.EXIT_VERDICT_FAIL
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(tmp_path / "report.json") as fh:
+            report = json.load(fh, parse_constant=reject)
+        verdicts = report["verdicts"]
+        assert len(verdicts) == 5 and {v["method"] for v in verdicts} == {"not-issued"}
+        assert all(v["test_value"] is None and v["slack"] is None for v in verdicts)
+        assert any("cannot be issued" in w for w in report["warnings"])
+
     def test_low_sample_warning(self, tmp_path):
         path = write_config(tmp_path, n_traj=10)
         code = cli.main(["verify", str(path)])
@@ -445,6 +462,19 @@ def test_main_freezes_the_collector_once(tmp_path):
     assert counts["after_package"] == counts["after_cli"] == 0
     assert counts["first"] >= counts["tracked"] > 0
     assert counts["second"] == counts["first"]
+
+
+def test_later_main_calls_skip_the_freeze_count(tmp_path, monkeypatch, capsys):
+    # gc.get_freeze_count walks the frozen heap, milliseconds for numpy's and
+    # scipy's; only a process's first main() asks it
+    path = write_config(tmp_path)
+    assert cli.main(["certify", str(path)]) == cli.EXIT_OK
+
+    def no_count():
+        raise AssertionError("gc.get_freeze_count called again")
+
+    monkeypatch.setattr(cli.gc, "get_freeze_count", no_count)
+    assert cli.main(["certify", str(path)]) == cli.EXIT_OK
 
 
 DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
@@ -934,7 +964,7 @@ class TestTrajectoryRoundTrip:
             monkeypatch.setattr(csv_io, "_CHUNK_CHARS", chunk_chars)
         path, _traj_csv, _rows = self.simulate_dump(tmp_path, x_grid=[6, 10, 20])
         checked, yielded = [], []
-        check, blocks_from_dump = process_core.PathBlock.__post_init__, cli._blocks_from_dump
+        check, blocks_from_dump = process_core.PathBlock._check, cli._blocks_from_dump
 
         def counted_check(block):
             checked.append(block)
@@ -945,7 +975,7 @@ class TestTrajectoryRoundTrip:
                 yielded.append(block)
                 yield task_index, block
 
-        monkeypatch.setattr(process_core.PathBlock, "__post_init__", counted_check)
+        monkeypatch.setattr(process_core.PathBlock, "_check", counted_check)
         monkeypatch.setattr(cli, "_blocks_from_dump", counted_blocks)
         assert cli.main(["report", str(path)]) == cli.EXIT_OK
         assert len(yielded) >= 3 and checked == yielded  # blocks compare by identity

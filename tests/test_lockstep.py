@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovup import BenchmarkKernel, BenchmarkModelSpec, KappaSpec, build_benchmark, lockstep, mc_engine
 from markovup.lockstep import FallLaws, _jumps, max_jump, run_block, step_lanes
-from markovup.process_core import INT64_MAX, StopReason, simulate_path
+from markovup.process_core import INT64_MAX, PathBlock, StopReason, simulate_path
 from markovup.streams import path_stream
 
 from conftest import ScalarBenchmarkKernel
@@ -238,6 +240,110 @@ def test_block_record_peak_memory(benchmark_kernel):
         tracemalloc.stop()
     assert [block.steps.size for block in blocks] == [10_000]
     assert peak <= 3.4e6, peak
+
+
+def test_block_holds_no_states(benchmark_kernel):
+    # 10,000 paths from x0 = 20 as one block: about 199,000 steps, 24,900 of
+    # them jumps.  In jump form the block holds 0.75 MB, and reducing it peaks
+    # at 2.08 MB, the block included; with its 1.7 MB of int64 states the
+    # block held 1.95 MB, and reducing it peaked at 3.20 MB.  Simulating it
+    # peaks at 3.23 MB either way, in philox_block at the block's first refill
+    tracemalloc.start()
+    try:
+        (block,) = mc_engine.simulate_blocks(benchmark_kernel, 20, 10_000, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mc_engine.reduce_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.0e6 and peak <= 2.5e6, (held, peak)
+
+
+_JUMP_COLUMNS = ("first", "last", "jump_counts", "jump_at", "jumps")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.01, 0.99), r=st.floats(0.01, 0.95), s=st.floats(0.05, 0.95), floor_n=st.integers(0, 8),
+    x0=st.integers(1, 60), max_steps=st.integers(1, 200), n=st.integers(1, 40), seed=st.integers(0, 2**32),
+)
+# sure is 8 at (a, r) = (0.01, 0.01): every lane from 60 is capped inside its certain fall
+@example(a=0.01, r=0.01, s=0.5, floor_n=5, x0=60, max_steps=30, n=20, seed=3)
+def test_jump_form_is_the_states_form(a, r, s, floor_n, x0, max_steps, n, seed):
+    # the columns the engine makes are those read off its own states, and its
+    # paths are the scalar engine's
+    x0 = max(x0, floor_n + 1)
+    kernel = _kernel(a, r, s, floor_n)
+    block = run_block(kernel, x0, np.arange(n), seed, max_steps, task_index=1)
+    derived = PathBlock(block.floor_n, block.states, block.steps, block.capped)
+    for name in _JUMP_COLUMNS:
+        ours, theirs = getattr(block, name), getattr(derived, name)
+        assert ours.dtype == theirs.dtype == np.int64 and np.array_equal(ours, theirs), name
+    assert block_trajectories(block) == [
+        simulate_path(kernel, x0, max_steps, path_stream(seed, pid, 1)) for pid in range(n)
+    ]
+
+
+def _lowered(block, path, rise, drop):
+    """block with the rise ``jumps[rise]`` of ``path`` lowered by drop: every later state of the path too."""
+    jumps, last = block.jumps.copy(), block.last.copy()
+    jumps[rise] -= drop
+    last[path] -= drop
+    return PathBlock.of_jumps(
+        block.floor_n, block.steps, block.capped, block.first, last, block.jump_counts, block.jump_at, jumps
+    )
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("negative state", "non-negative"),
+    ("early floor entry", "first enter the floor at its last state"),
+    ("capped path in the floor", "capped path"),
+])
+def test_corrupted_jump_form_raises(benchmark_kernel, fault, message):
+    # an engine-made block is checked on its columns, in PathBlock's words: the
+    # first rise that can be lowered, still a rise, to take its path below 0,
+    # into the floor before its last state, or into the floor while capped
+    block = run_block(benchmark_kernel, 20, np.arange(200), seed=13, max_steps=30, task_index=0)
+    states, ends, floor_n = block.states, block.ends, block.floor_n
+    cut = np.cumsum(block.jump_counts)
+
+    def drop_into_fault(path, rise):
+        after = states[block.jump_at[rise]:ends[path] + 1]  # from the state the rise reaches to the path's last
+        if fault == "negative state":
+            fits, drop = not block.capped[path], after.min() + 1
+        elif fault == "early floor entry":
+            drop = after[:-1].min(initial=INT64_MAX) - floor_n
+            fits = not block.capped[path] and after[-1] >= drop
+        else:
+            fits, drop = block.capped[path], after.min() - floor_n
+        return drop if fits and 0 < drop <= block.jumps[rise] else None
+
+    path, rise, drop = next(
+        (path, rise, drop) for path in range(cut.size) for rise in range(cut[path] - block.jump_counts[path], cut[path])
+        if (drop := drop_into_fault(path, rise)) is not None
+    )
+    with pytest.raises(ValueError, match=message):
+        _lowered(block, path, rise, drop)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("last state", "end at"),
+    ("jump order", "in order in their paths"),
+])
+def test_inconsistent_jump_form_raises(benchmark_kernel, fault, message):
+    # columns that disagree with each other: a last state the steps do not
+    # reach, or two jumps swapped out of place order
+    block = run_block(benchmark_kernel, 20, np.arange(50), seed=13, max_steps=200, task_index=0)
+    last, jump_at = block.last.copy(), block.jump_at.copy()
+    if fault == "last state":
+        last[7] += 1
+    else:
+        jump_at[[3, 4]] = jump_at[[4, 3]]
+    with pytest.raises(ValueError, match=message):
+        PathBlock.of_jumps(
+            block.floor_n, block.steps, block.capped, block.first, last, block.jump_counts, jump_at, block.jumps
+        )
 
 
 @pytest.mark.parametrize("s", [0.5, 0.01, 1e-15])
