@@ -313,10 +313,7 @@ def _finite(value: Any) -> Any:
 
 def _dump_json(doc: dict[str, Any], path: Optional[str]) -> None:
     """Write doc to path, or print it, as strict JSON: a non-finite float is null."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # a non-finite float: only then is the copy without one made
-        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:

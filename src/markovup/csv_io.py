@@ -22,15 +22,16 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .mc_engine import RecordColumns
-from .process_core import PathBlock
+from .process_core import PathBlock, states_between
 
 __all__ = [
     "DUMP_HEADER", "MalformedDump", "PATHS_HEADER", "TrajectoryDump", "dump_rows", "first_failure",
     "paths_rows", "read_trajectories_csv",
 ]
 
-# Tokens formatted into one write.  The arrays a write builds take about 40
-# bytes a token, so a write holds well under 1 MB, also for a dump of long paths.
+# Tokens formatted into one write.  The arrays a write builds, its states
+# included, take about 40 bytes a token, so a write holds well under 1 MB, also
+# for a dump of long paths.
 _TOKENS_PER_WRITE = 1 << 14
 _GROUP = 10_000  # a token is formatted four digits at a time
 
@@ -114,7 +115,7 @@ _ROW_STOPS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # the bytes that end a ro
 
 def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
     """A block's dump rows, numbered from first, _TOKENS_PER_WRITE tokens at a time; a cut may fall inside a row."""
-    n, starts, states = block.steps.size, block.starts, block.states  # the flat states, built once
+    n, starts, anchors = block.steps.size, block.starts, block.anchors()  # a write builds only its own states
     heads = np.empty((n, 4), dtype=np.int64)  # x0, path_id, tau and floor_n of each row
     heads[:, 0], heads[:, 1], heads[:, 3] = x0, np.arange(first, first + n), block.floor_n
     heads[:, 2] = np.where(block.capped, -1, block.steps)
@@ -131,7 +132,7 @@ def dump_rows(x0: int, first: int, block: PathBlock) -> Iterator[np.ndarray]:
         tokens = np.empty(hi - lo, dtype=np.int64)
         tokens[is_head] = heads[r0:r1].ravel()[inside]
         a = starts[r0] + max(0, lo - row_at[r0] - 4)  # the states before the cut
-        tokens[~is_head] = states[a:a + tokens.size - np.count_nonzero(inside)]
+        tokens[~is_head] = states_between(anchors, a, a + tokens.size - np.count_nonzero(inside))
         seps = np.where(is_head, _COMMA, _SPACE)
         last = row_at[r0 + 1:r1 + 1] - 1  # each row's last state
         seps[last[last < hi] - lo] = _CRLF

@@ -9,11 +9,12 @@ the scalar engine, path by path.  Both hand over blocks of paths in jump
 form (:class:`~markovup.process_core.PathBlock`), and one reducer,
 :func:`reduce_block`, turns each block into record columns
 (:class:`RecordColumns`, the only form a record takes) with array
-operations over its rises and falls, read off its jumps alone.  Every folded sample is an integer, so the fold counts each
-block's samples into a histogram of values, keeps exact integer power
-sums over it and rounds each reported number once: neither the order of
-the records nor how they are cut into blocks changes it.  Results are
-therefore bit-identical for a fixed seed.
+operations over its rises and falls, read off its jumps alone.  Every
+folded sample is an integer, so the fold counts each block's samples
+into a histogram of values, keeps exact integer power sums over it and
+rounds each reported number once: neither the order of the records nor
+how they are cut into blocks changes it.  Results are therefore
+bit-identical for a fixed seed.
 
 :func:`verify_records` is the one verification pipeline: certificate,
 bound sets, then each start state's fold and verdicts.  Its callers only
@@ -182,8 +183,7 @@ def _rises(block: PathBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     and last steps reach and the sum of its increments.  A path's largest
     state is its start or a state one of its rises reaches.
     """
-    at, jumps = block.jump_at, block.jumps
-    reached = block.reached(*block.layout())
+    at, jumps, reached = block.jump_at, block.jumps, block.reached
     up = jumps >= 0
     joined = np.diff(at) == 1  # jumps k and k + 1 at consecutive places
     joined &= up[1:]

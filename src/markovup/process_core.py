@@ -29,6 +29,7 @@ __all__ = [
     "initial_window",
     "sample_step",
     "simulate_path",
+    "states_between",
     "window_update",
 ]
 
@@ -243,19 +244,22 @@ class PathBlock:
     and ``last[i]``, its last state.  In path order, every step whose
     increment is not -1 (a rise, a flat step or a fall by more than one):
     ``jump_at``, the place of the state it reaches in the block's flat
-    layout, and ``jumps``, its increment; ``jump_counts[i]`` of them are
-    path i's.  The flat layout holds every path's states, its start state
-    included, one path after another: path i's ``steps[i] + 1`` states at
-    places ``starts[i]`` to ``ends[i]``, so no two paths' steps reach
-    neighbouring places.  Every column is int64 but ``capped``.
+    layout, ``jumps``, its increment, and ``reached``, that state, which
+    one running sum over the jumps derives when the block is made;
+    ``jump_counts[i]`` of them are path i's.  The flat layout holds every
+    path's states, its start state included, one path after another: path
+    i's ``steps[i] + 1`` states at places ``starts[i]`` to ``ends[i]``, so
+    no two paths' steps reach neighbouring places.  Every column is int64
+    but ``capped``.
 
     ``PathBlock(floor_n, states, steps, capped)``, and so
     ``dataclasses.replace`` given ``states``, reads the columns off a flat
     layout of states with one ``np.diff`` pass; :meth:`of_jumps` takes them
-    as they are.  ``states``, ``starts`` and ``ends`` are built when read.
-    A path is capped iff ``capped[i]``; otherwise it first enters
-    [0, floor_n] at its last state.  A block checks this when it is made, on
-    its columns in O(jumps + paths) and in :class:`Trajectory`'s words.
+    as they are.  ``starts``, ``ends`` and ``states`` are built when read;
+    :func:`states_between` builds those of any range of places.  A path is
+    capped iff ``capped[i]``; otherwise it first enters [0, floor_n] at its
+    last state.  A block checks this when it is made, on its columns in
+    O(jumps + paths) and in :class:`Trajectory`'s words.
     """
 
     floor_n: int
@@ -266,6 +270,7 @@ class PathBlock:
     jump_counts: np.ndarray = field(init=False)
     jump_at: np.ndarray = field(init=False)
     jumps: np.ndarray = field(init=False)
+    reached: np.ndarray = field(init=False)
 
     def __init__(self, floor_n: int, states: np.ndarray, steps: np.ndarray, capped: np.ndarray) -> None:
         ends = np.cumsum(steps + 1) - 1
@@ -289,7 +294,7 @@ class PathBlock:
         return block
 
     def _fill(self, *columns) -> None:
-        for f, value in zip(fields(self), columns):
+        for f, value in zip(fields(self), columns):  # every field but reached, which _check derives
             object.__setattr__(self, f.name, value)
         self._check()
 
@@ -305,52 +310,44 @@ class PathBlock:
 
     @property
     def states(self) -> np.ndarray:
-        """The flat layout of every path's states, int64, built anew from the columns in O(states).
+        """The flat layout of every path's states, int64, built anew from the columns in O(states)."""
+        return states_between(self.anchors(), 0, int(self.ends[-1]) + 1)
 
-        Every step but a jump falls by one, so a path's states are the running
-        sum of its start and its steps; path i's first place holds its start
-        less path i-1's last state, so one sum runs on through the whole block.
+    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(at, top)`` of each path's start and each jump, in place order: its place, and its state plus its place.
+
+        ``at`` ends with the block's size; ``top`` is uint64, which the sum of two numbers below 2**63 fits.
         """
-        ends = self.ends
-        starts = ends - self.steps
-        states = np.full(int(ends[-1]) + 1, -1, dtype=np.int64)
-        states[self.jump_at] = self.jumps
-        states[starts] = self.first
-        states[starts[1:]] -= self.last[:-1]
-        return np.cumsum(states, out=states)
-
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ends, cut, some)``: each path's last place, ``jumps[:cut[i]]`` those of paths 0..i, and the paths that jump."""
-        return np.cumsum(self.steps + 1) - 1, np.cumsum(self.jump_counts), np.flatnonzero(self.jump_counts > 0)
-
-    def reached(self, ends: np.ndarray, cut: np.ndarray, some: np.ndarray) -> np.ndarray:
-        """The state each jump reaches, from one running sum over the jumps: O(jumps + paths).
-
-        A path's state at place j is its start plus ``increment + 1`` summed
-        over its jumps to there, less ``j - starts[i]``.  The sum runs on
-        through the block: at a path's first jump it takes back the last state
-        plus the last place of the path that jumped before, which is that
-        path's sum once its last state is where its steps end, as the check
-        confirms path by path.  The sums may wrap in int64, but every state
-        fits it, so each comes out exact.
-        """
-        lead = self.first[some] + (ends - self.steps)[some]
-        lead[1:] -= (self.last + ends)[some[:-1]]
-        reached = self.jumps + 1
-        reached[cut[some] - self.jump_counts[some]] += lead
-        np.cumsum(reached, out=reached)
-        reached -= self.jump_at
-        return reached
+        ends, counts = self.ends, self.jump_counts
+        where = np.cumsum(counts) - counts  # each path's first jump, before which its start goes
+        at = np.insert(self.jump_at, np.append(where, self.jump_at.size), np.append(ends - self.steps, ends[-1] + 1))
+        top = np.insert(self.reached, where, self.first).astype(np.uint64)
+        top += at[:-1].astype(np.uint64)
+        return at, top
 
     def _check(self) -> None:
-        ends, cut, some = self.layout()
         at, steps, last, floor_n = self.jump_at, self.steps, self.last, self.floor_n
-        tail = cut[some] - 1  # the last jump of each path that jumps
+        # jumps[:cut[i]] are those of paths 0..i, and some are the paths that jump
+        ends, cut, some = self.ends, np.cumsum(self.jump_counts), np.flatnonzero(self.jump_counts > 0)
+        head, tail = cut[some] - self.jump_counts[some], cut[some] - 1  # the first and last jump of each
         if cut[-1] != at.size or (np.diff(at) <= 0).any() or (
-            at[tail - self.jump_counts[some] + 1] <= (ends - steps)[some]
+            at[head] <= (ends - steps)[some]
         ).any() or (at[tail] > ends[some]).any():
             raise ValueError(f"{at.size} jumps do not lie in order in their paths of {int(steps.sum())} steps")
-        reached = self.reached(ends, cut, some)
+        # A path's state at place j is its start plus ``increment + 1`` summed
+        # over its jumps to there, less ``j - starts[i]``.  The sum runs on
+        # through the block: at a path's first jump it takes back the last
+        # state plus the last place of the path that jumped before, which is
+        # that path's sum once its last state is where its steps end, as the
+        # check below confirms path by path.  The sums may wrap in int64, but
+        # every state fits it, so each comes out exact.
+        lead = self.first[some] + (ends - steps)[some]
+        lead[1:] -= (last + ends)[some[:-1]]
+        reached = self.jumps + 1
+        reached[head] += lead
+        np.cumsum(reached, out=reached)
+        reached -= at
+        object.__setattr__(self, "reached", reached)
         end = self.first - steps
         end[some] = reached[tail] - (ends[some] - at[tail])
         wrong = np.flatnonzero(end != last)
@@ -396,6 +393,20 @@ class PathBlock:
             np.array([len(t.states) - 1 for t in trajectories], dtype=np.int64),
             np.array([t.tau is None for t in trajectories], dtype=bool),
         )
+
+
+def states_between(anchors: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """The states at places lo..hi-1 of a block's flat layout, int64, from its :meth:`PathBlock.anchors`.
+
+    A path falls by one a step from each anchor to the next, so the state at
+    place p is ``top - p`` of the last anchor at or before p: one ``np.repeat``.
+    """
+    at, top = anchors
+    k0, k1 = np.searchsorted(at, lo, "right") - 1, np.searchsorted(at, hi)  # anchors k0..k1-1 hold the range
+    edges = at[k0:k1 + 1].copy()  # the places where each of them starts, cut to the range
+    edges[0], edges[-1] = lo, hi
+    lengths = np.diff(edges)
+    return (np.repeat(top[k0:k1], lengths) - np.arange(lo, hi, dtype=np.uint64)).view(np.int64)
 
 
 def simulate_path(

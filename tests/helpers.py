@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import markovup
 from markovup import chi_at, xi_at, zeta_at
 from markovup.mc_engine import DEFAULT_MAX_STEPS, simulate_blocks
 from markovup.path_analysis import UnterminatedRunError
-from markovup.process_core import StopReason, Trajectory
+from markovup.process_core import StopReason, Trajectory, states_between
 
 from oracles import UNTERMINATED
 
@@ -24,6 +26,24 @@ def block_trajectories(block):
         )
         for start, end, capped in zip(block.starts.tolist(), block.ends.tolist(), block.capped.tolist())
     ]
+
+
+def check_state_ranges(block, states, fractions):
+    """Check that states_between on the block's anchors gives ``states[lo:hi]``, and block.states all of them.
+
+    The ranges: both empty ends, each whole path, each path's last fall from
+    its middle on (past a certain fall, on a long one) and on into the next
+    path, and one drawn range per pair of fractions of the block's size.
+    """
+    anchors, size, starts, ends = block.anchors(), states.size, block.starts, block.ends
+    last, jumps = starts.copy(), block.jump_counts > 0  # where each path's last fall starts
+    last[jumps] = block.jump_at[np.cumsum(block.jump_counts)[jumps] - 1]
+    ranges = [(0, 0), (size, size), *zip(starts, ends + 1), *zip((last + ends + 1) // 2, np.minimum(ends + 3, size))]
+    ranges += [tuple(sorted((int(a * size), int(b * size)))) for a, b in fractions]
+    for lo, hi in ranges:
+        got = states_between(anchors, int(lo), int(hi))
+        assert got.dtype == np.int64 and got.tolist() == states[lo:hi].tolist(), (lo, hi)
+    assert block.states.tolist() == states.tolist()
 
 
 def distribution_items(d, coverage_eps=1e-12):

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from markovup import cli, csv_io, mc_engine
 from markovup.process_core import INT64_MAX, PathBlock
+
+from helpers import check_state_ranges
 
 EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 10**8 - 1, 10**8, 2**63 - 1]
 
@@ -76,3 +79,49 @@ def test_long_row_is_split_across_writes():
     assert b"".join(writes) == expected.encode()
     assert len(writes) > 1
     assert all(sum(w.count(sep) for sep in (b",", b" ", b"\n")) <= csv_io._TOKENS_PER_WRITE for w in writes)
+
+
+def test_dump_rows_at_the_top_of_int64():
+    # a state plus its place passes int64 here; the states come out exact
+    top = INT64_MAX
+    states = np.array([top - 2, top - 3, top, top - 1, top - 2, 6, 4])
+    block = PathBlock(5, states, np.array([4, 1]), np.array([True, False]))
+    check_state_ranges(block, states, [(0.2, 0.9)])
+    assert b"".join(bytes(t) for t in csv_io.dump_rows(7, 0, block)) == (
+        f"7,0,,5,{top - 2} {top - 3} {top} {top - 1} {top - 2}\r\n7,1,1,5,6 4\r\n".encode()
+    )
+
+
+def test_dump_rows_peak_memory(benchmark_kernel):
+    # 2,000 paths from x0 = 1000 as one block, about 2.0M states (16 MB as
+    # int64): each write builds only its own states, and writing the block's
+    # rows peaks at 0.92 MB; building the block's states at once peaked at 16.8 MB
+    (block,) = mc_engine.simulate_blocks(benchmark_kernel, 1000, 2000, seed=1)
+    tracemalloc.start()
+    try:
+        size = sum(text.size for text in csv_io.dump_rows(1000, 0, block))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.steps.sum() + block.steps.size > 2_000_000 and size > 7_000_000
+    assert peak <= 2.5e6, peak
+
+
+def test_far_capped_dump_bytes_are_pinned(tmp_path, monkeypatch):
+    # one start far above the floor, 73 of 200 paths capped: each inside a
+    # long last fall, written across many writes
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n_traj": 200, "x_grid": [1000], "max_steps": 1000, "seed": 3,
+        "output": {"trajectories_csv": "trajectories.csv"},
+    }))
+    assert cli.main(["simulate", str(config)]) == cli.EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("paths.csv", "trajectories.csv")}
+    assert digests == {
+        "paths.csv": "7984bd6a7d0f9c7a996d5d21862ed6dba4f8fd664fb6f30d88964a8da20b58e5",
+        "trajectories.csv": "6814a03fab37a622fed7992a1521153c3ebc207a6bc39d807dd79984bf1b84dc",
+    }
+    rows = (tmp_path / "paths.csv").read_text().splitlines()[1:]
+    assert sum(row.endswith(",1") for row in rows) == 73

@@ -12,7 +12,7 @@ from markovup.process_core import INT64_MAX, PathBlock, StopReason, simulate_pat
 from markovup.streams import path_stream
 
 from conftest import ScalarBenchmarkKernel
-from helpers import block_trajectories, simulated_trajectories
+from helpers import block_trajectories, check_state_ranges, simulated_trajectories
 
 
 def _kernel(a, r, s, floor_n=5):
@@ -283,6 +283,28 @@ def test_jump_form_is_the_states_form(a, r, s, floor_n, x0, max_steps, n, seed):
     assert block_trajectories(block) == [
         simulate_path(kernel, x0, max_steps, path_stream(seed, pid, 1)) for pid in range(n)
     ]
+
+
+_FRACTIONS = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.01, 0.99), r=st.floats(0.01, 0.95), s=st.floats(0.05, 0.95), floor_n=st.integers(0, 8),
+    x0=st.one_of(st.integers(1, 60), st.integers(900, 1100)), max_steps=st.integers(1, 1200), n=st.integers(1, 6),
+    seed=st.integers(0, 2**32), fractions=_FRACTIONS,
+)
+# every lane from 60 is capped inside its certain fall; from 1000 about a
+# third are capped, and every last fall is long past its certain fall
+@example(a=0.01, r=0.01, s=0.5, floor_n=5, x0=60, max_steps=30, n=6, seed=3, fractions=[(0.1, 0.9)])
+@example(a=0.5, r=0.5, s=0.5, floor_n=5, x0=1000, max_steps=1000, n=6, seed=3, fractions=[(0.3, 0.31)])
+def test_state_ranges_of_engine_blocks(a, r, s, floor_n, x0, max_steps, n, seed, fractions):
+    # the states of any range of an engine-made block are the scalar engine's
+    x0 = max(x0, floor_n + 1)
+    kernel = _kernel(a, r, s, floor_n)
+    block = run_block(kernel, x0, np.arange(n), seed, max_steps, task_index=2)
+    paths = [simulate_path(kernel, x0, max_steps, path_stream(seed, pid, 2)) for pid in range(n)]
+    check_state_ranges(block, np.concatenate([t.states for t in paths]), fractions)
 
 
 def _lowered(block, path, rise, drop):

@@ -39,7 +39,7 @@ from markovup.mc_engine import (
 )
 from markovup.process_core import PathBlock
 
-from helpers import block_trajectories, cli_env, simulated_trajectories
+from helpers import block_trajectories, check_state_ranges, cli_env, simulated_trajectories
 from oracles import record_oracle
 
 
@@ -287,6 +287,14 @@ class TestBlockReducer:
         # these mix every kind of path and step in one block
         self.check(trajectories, [reduce_block(PathBlock.of(trajectories))])
         TestRecordFromTrajectory.check(trajectories)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_any_path(), min_size=1, max_size=6), st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1))))
+    def test_drawn_state_ranges(self, trajectories, fractions):
+        # blocks read off states, flat steps and down-steps larger than one
+        # among them, give back the states of any range of places
+        states = np.array([x for t in trajectories for x in t.states], dtype=np.int64)
+        check_state_ranges(PathBlock.of(trajectories), states, fractions)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(_any_path(), min_size=1, max_size=6), st.sets(st.integers(1, 5)))
