@@ -7,8 +7,10 @@ engine (:func:`~markovup.process_core.simulate_path` on
 :func:`~markovup.streams.path_stream`) bit for bit:
 
 * each lane's t-th uniform is word (t-1) % 4 of Philox counter block
-  (t-1) // 4 + 1 under the lane's own key, computed for all lanes by
-  :func:`~markovup.streams.philox_block`;
+  (t-1) // 4 + 1 under the lane's own key.  A refill draws the same
+  counter blocks for every live lane, so it is one call of
+  :func:`~markovup.streams.philox_words` on the live lanes' keys and the
+  first block and depth, its uniforms written into the refill's draws;
 * the step rule is :meth:`StepDistribution.quantile` of the law
   :meth:`BenchmarkKernel.law` returns for the lane's fall length: down by
   one iff ``u < kappa``, otherwise up by
@@ -30,7 +32,8 @@ engine (:func:`~markovup.process_core.simulate_path` on
 * the live lanes are compacted through one index as lanes leave.  Each
   lane's Philox key stays at its block-local place, and a refill's
   uniforms stay in the column the lane had at the refill, which the lane
-  reads;
+  reads: until a lane leaves, the columns are the live lanes, and a step
+  reads its row of draws whole;
 * a certain fall is finished in closed form: once a lane's fall length
   reaches :attr:`FallLaws.sure`, from where every kappa is exactly 1.0,
   every later uniform falls, so the lane's n more steps down to the floor
@@ -56,7 +59,7 @@ import numpy as np
 
 from .model_zoo import BenchmarkKernel, InvalidParameterError
 from .process_core import INT64_MAX, PathBlock
-from .streams import block_uniforms, lane_keys, philox_block
+from .streams import block_uniforms, lane_keys, philox_words
 
 __all__ = ["FallLaws", "check_int64", "max_jump", "run_block", "step_lanes"]
 
@@ -177,17 +180,18 @@ def step_lanes(
     """
     laws.cover(int(ell.max()))
     kappa = laws.kappa[ell]
-    down = u < kappa
+    up = np.flatnonzero(u >= kappa)
+    # a down-step extends the fall; an up or flat step starts a new window
     x_next = x - 1
-    up = np.flatnonzero(~down)
+    ell_next = ell + 1
     rises = np.empty(0, dtype=np.int64)
     if up.size:
         v = (u[up] - kappa[up]) / laws.tail_mass[ell[up]]
         np.clip(v, 0.0, _BELOW_ONE, out=v)
         rises = _jumps(v, laws.log_ratio).astype(np.int64)
-        x_next[up] = x[up] + rises
-    # a down-step extends the fall; an up or flat step starts a new window
-    return x_next, np.where(down, ell + 1, 0), up, rises
+        x_next[up] += rises + 1
+        ell_next[up] = 0
+    return x_next, ell_next, up, rises
 
 
 def run_block(
@@ -221,14 +225,12 @@ def run_block(
             # the fewer lanes are live, the more steps ahead they are drawn:
             # PHILOX_BATCH // lane.size counter blocks a lane, 1 to LOOKAHEAD
             depth = max(1, min(PHILOX_BATCH // lane.size, LOOKAHEAD))
-            counters = np.arange(t // 4 + 1, t // 4 + 1 + depth, dtype=np.uint64)
-            words = philox_block(seed, np.tile(keys[lane], depth), np.repeat(counters, lane.size))
             draws = np.empty((depth, 4, lane.size))
-            block_uniforms(words.reshape(4, depth, lane.size).transpose(1, 0, 2), out=draws)
+            block_uniforms(philox_words(seed, keys[lane], t // 4 + 1, depth).transpose(1, 0, 2), out=draws)
             draws = draws.reshape(4 * depth, lane.size)
-            col = np.arange(lane.size)  # each live lane's column of draws
+            col = None  # each live lane's column of draws, once a lane has left since the refill
             row = 0
-        u = draws[row, col]
+        u = draws[row] if col is None else draws[row, col]
         row += 1
         t += 1
         x, ell, up, rise = step_lanes(laws, x, ell, u)
@@ -252,7 +254,8 @@ def run_block(
             steps[lane[done]] += t
             last[lane[done]] = x[done]
             keep = np.flatnonzero(~done)
-            lane, x, ell, col = lane[keep], x[keep], ell[keep], col[keep]
+            lane, x, ell = lane[keep], x[keep], ell[keep]
+            col = keep if col is None else col[keep]
     # the rises in path order, by one stable sort of their lanes, which keeps
     # each lane's in time order.  In the smallest unsigned type that holds the
     # lanes, up to 16 bits, numpy's stable sort is a radix sort

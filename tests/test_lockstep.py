@@ -204,18 +204,18 @@ def test_default_grid_work(monkeypatch):
     # with a Philox lookahead of up to 4,096 counter blocks a lane, 9 blocks,
     # 510 iterations and 604,540 words
     counts = {"iterations": 0, "words": 0}
-    step, philox = lockstep.step_lanes, lockstep.philox_block
+    step, philox = lockstep.step_lanes, lockstep.philox_words
 
     def counted_step(*args):
         counts["iterations"] += 1
         return step(*args)
 
-    def counted_philox(seed, keys, block):
-        counts["words"] += 4 * keys.size
-        return philox(seed, keys, block)
+    def counted_philox(seed, keys, first, depth):
+        counts["words"] += 4 * depth * keys.size
+        return philox(seed, keys, first, depth)
 
     monkeypatch.setattr(lockstep, "step_lanes", counted_step)
-    monkeypatch.setattr(lockstep, "philox_block", counted_philox)
+    monkeypatch.setattr(lockstep, "philox_words", counted_philox)
     kernel = _kernel(0.5, 0.5, 0.5)
     blocks = [
         block for task_index, x0 in enumerate((6, 10, 20))
@@ -230,7 +230,8 @@ def test_block_record_peak_memory(benchmark_kernel):
     # 10,000 paths from x0 = 20 run as one block of about 209,000 states
     # (1.7 MB as int64).  The loop records only the steps that rise, 12 bytes
     # each on about a fifth of the steps, and simulating the block peaks near
-    # 3.2 MB; recording every time step's lanes and states, 12 bytes a state,
+    # 2.9 MB, in philox_words at the fourth refill, with every lane still
+    # live; recording every time step's lanes and states, 12 bytes a state,
     # peaked near 4 MB
     tracemalloc.start()
     try:
@@ -243,11 +244,11 @@ def test_block_record_peak_memory(benchmark_kernel):
 
 
 def test_block_holds_no_states(benchmark_kernel):
-    # 10,000 paths from x0 = 20 as one block: about 199,000 steps, 24,900 of
-    # them jumps.  In jump form the block holds 0.75 MB, and reducing it peaks
-    # at 2.08 MB, the block included; with its 1.7 MB of int64 states the
+    # 10,000 paths from x0 = 20 as one block: about 199,000 steps, 24,700 of
+    # them jumps.  In jump form the block holds 0.92 MB, and reducing it peaks
+    # at 2.25 MB, the block included; with its 1.7 MB of int64 states the
     # block held 1.95 MB, and reducing it peaked at 3.20 MB.  Simulating it
-    # peaks at 3.23 MB either way, in philox_block at the block's first refill
+    # peaks at 2.91 MB, in philox_words at the block's fourth refill
     tracemalloc.start()
     try:
         (block,) = mc_engine.simulate_blocks(benchmark_kernel, 20, 10_000, seed=1)

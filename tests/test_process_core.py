@@ -63,7 +63,7 @@ class TestFallWindow:
             window_update(FallWindow(0, (9, 7)), -1, 2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=40))
 def test_incremental_window_matches_direct_scan(states):
     window = initial_window(states[0])
