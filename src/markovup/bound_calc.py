@@ -257,13 +257,16 @@ def make_bound_set(
     """Assemble every constant for moment order m from the model parameters.
 
     Raises BoundRangeError when a constant, or the theorem bound it gives
-    even at x = 0, leaves float range.
+    even at x = 0, leaves float range, and SeriesLengthError when a series
+    is too long to certify or q_bar's upper bracket is not below 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     q = kappa.q
     qb_series = q_bar(kappa, eps)
     qb = qb_series.upper
+    if qb >= 1.0:  # 1 - prod kappa_i within rounding of 1: no attempt series to certify
+        raise SeriesLengthError(f"q_bar = {qb_series.value!r} + {qb_series.tail_bound!r} is not certified below 1")
     rise = power_series(m, q, eps)
     fall = fall_length_bound(m, kappa, eps)
     jm = jump_moment(up_jump_s, m, eps)

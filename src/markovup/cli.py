@@ -58,7 +58,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequen
 import numpy as np
 
 from . import bound_calc, csv_io, mc_engine
-from .csv_io import TrajectoryDump, first_failure
+from .csv_io import first_failure
 from .lockstep import check_int64
 from .model_zoo import (
     BenchmarkKernel, BenchmarkModelSpec, InvalidParameterError, KappaSpec, build_benchmark, certify,
@@ -328,7 +328,7 @@ def write_verdicts_csv(path: str, report: mc_engine.VerificationReport) -> None:
         writer.writerows(rows)
 
 
-def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
+def read_trajectories_csv(path: str) -> Iterator[tuple[np.ndarray, PathBlock]]:
     """Parse a trajectory dump a chunk of rows at a time; an unreadable file or a malformed line raises ConfigError.
 
     :func:`markovup.csv_io.read_trajectories_csv` reads the file.
@@ -425,26 +425,27 @@ def cmd_verify(config: ExperimentConfig) -> int:
 
 
 def _blocks_from_dump(
-    config: ExperimentConfig, runs: Iterable[TrajectoryDump]
+    config: ExperimentConfig, runs: Iterable[tuple[np.ndarray, PathBlock]]
 ) -> Iterator[tuple[int, PathBlock]]:
     """The dumped paths as (task index, block), in file order, each run checked against the config as it comes.
 
-    Rows must come in the one order simulate writes: each x0 of the grid in
-    turn, with path ids 0..n_traj-1 in order, so row i is path
-    i % n_traj from x_grid[i // n_traj].  Each row must also be at the
-    config's floor_n, and must have run the config's max_steps if capped
-    and at most that many steps if not; the first row that does not names
-    its x0 and path id.  A run is one start's block, as the grid's x0 values are distinct.
+    A run is ``(path_id, block)``; a row's x0, which the reader checked, is
+    its path's ``block.first``.  Rows must come in the one order simulate
+    writes: each x0 of the grid in turn, with path ids 0..n_traj-1 in
+    order, so row i is path i % n_traj from x_grid[i // n_traj].  Each row
+    must also be at the config's floor_n, and must have run the config's
+    max_steps if capped and at most that many steps if not; the first row
+    that does not names its x0 and path id.  A run is one start's block,
+    as the grid's x0 values are distinct.
     """
     n_traj, grid = config.n_traj, np.array(config.x_grid, dtype=np.int64)
     first = 0  # the index of the run's first row
-    for dump in runs:
-        block = dump.block
+    for path_id, block in runs:
         row = np.arange(first, first + block.steps.size)
         task = np.minimum(row // n_traj, grid.size - 1)
         failure = first_failure((
             (row >= grid.size * n_traj, f"is past the last path (x0={grid[-1]}, path_id={n_traj - 1})"),
-            ((dump.x0 != grid[task]) | (dump.path_id != row % n_traj),
+            ((block.first != grid[task]) | (path_id != row % n_traj),
              "stands where simulate writes (x0={x0}, path_id={path_id})"),
             (np.full(row.size, block.floor_n != config.spec.floor_n),
              f"has floor_n={block.floor_n}, config floor_n={config.spec.floor_n}"),
@@ -456,7 +457,7 @@ def _blocks_from_dump(
         if failure is not None:
             r, message = failure
             detail = message.format(x0=grid[task[r]], path_id=row[r] % n_traj, steps=block.steps[r])
-            raise ConfigError(f"trajectory dump row (x0={dump.x0}, path_id={dump.path_id[r]}) {detail}")
+            raise ConfigError(f"trajectory dump row (x0={block.first[r]}, path_id={path_id[r]}) {detail}")
         yield int(task[0]), block
         first += block.steps.size
     if first < grid.size * n_traj:

@@ -8,15 +8,14 @@ in CRLF.  After its header, a file is written a block at a time, by
 one lookup-table formatter (:func:`_ascii`), a bounded number of tokens at
 a time.
 :func:`read_trajectories_csv` reads a dump in that form back, a chunk at a
-time, as a :class:`TrajectoryDump` per run of rows from one x0 at one floor,
-each checked once as the :class:`PathBlock` it holds; it names the first
-line that fails.
+time, as ``(path_id, block)`` per run of rows from one x0 at one floor: the
+rows' int64 path ids, and their paths as one :class:`PathBlock`, checked
+once as it is made.  It names the first line that fails.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -25,8 +24,8 @@ from .mc_engine import RecordColumns
 from .process_core import PathBlock, states_between
 
 __all__ = [
-    "DUMP_HEADER", "MalformedDump", "PATHS_HEADER", "TrajectoryDump", "dump_rows", "first_failure",
-    "paths_rows", "read_trajectories_csv",
+    "DUMP_HEADER", "MalformedDump", "PATHS_HEADER", "dump_rows", "first_failure", "paths_rows",
+    "read_trajectories_csv",
 ]
 
 # Tokens formatted into one write.  The arrays a write builds, its states
@@ -146,19 +145,6 @@ class MalformedDump(ValueError):
     """
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TrajectoryDump:
-    """A run of a trajectory dump's rows from one x0 at one floor, in file order.
-
-    Row i is path ``path_id[i]`` (int64) from ``x0``; its floor, states,
-    steps and capped flag are path i of ``block``.
-    """
-
-    x0: int
-    path_id: np.ndarray
-    block: PathBlock
-
-
 def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[int, str]]:
     """The first row any mask marks, and the message of the first mask that marks it."""
     bad = np.logical_or.reduce([mask for mask, _ in checks])
@@ -168,7 +154,7 @@ def first_failure(checks: Sequence[tuple[np.ndarray, str]]) -> Optional[tuple[in
     return row, next(message for mask, message in checks if mask[row])
 
 
-def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
+def read_trajectories_csv(path: str) -> Iterator[tuple[np.ndarray, PathBlock]]:
     """Parse a trajectory dump as runs of rows, a chunk at a time; the first malformed line raises MalformedDump.
 
     A dump is read in the form simulate writes: the header line
@@ -177,7 +163,10 @@ def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
     is one integer in plain digits, but tau, which a capped row leaves
     empty, and states, which holds one or more between single spaces.  The
     states must make the path its x0, tau and floor_n describe, as
-    :class:`~markovup.process_core.Trajectory` checks a path.  The bytes are
+    :class:`~markovup.process_core.Trajectory` checks a path.  Each run of
+    rows from one x0 at one floor comes as ``(path_id, block)``: row i is
+    path ``path_id[i]``, and path i of ``block`` holds its x0, in
+    ``first[i]``, its floor, states, steps and capped flag.  The bytes are
     parsed _CHUNK_CHARS at a time, cut at a line end, and each chunk's
     runs are yielded before the next is read; a chunk that fails is
     parsed again, and yielded, a line at a time, and the first line that
@@ -210,7 +199,7 @@ def read_trajectories_csv(path: str) -> Iterator[TrajectoryDump]:
         raise MalformedDump(f"{path}:2: malformed dump row: no row after the header")
 
 
-def _plain_chunk(raw: bytes) -> list[TrajectoryDump]:
+def _plain_chunk(raw: bytes) -> list[tuple[np.ndarray, PathBlock]]:
     """Whole dump lines, each ending in LF, as one run per stretch of rows with one x0 and one floor_n.
 
     ValueError, with the reason, unless each line is a well-formed path in
@@ -259,7 +248,7 @@ def _plain_chunk(raw: bytes) -> list[TrajectoryDump]:
         row, message = failure
         raise ValueError(message.format(tau=tau[row]))
     runs = [0, *(np.flatnonzero((x0[1:] != x0[:-1]) | (floor_n[1:] != floor_n[:-1])) + 1).tolist(), x0.size]
-    return [TrajectoryDump(int(x0[lo]), path_id[lo:hi], PathBlock(
+    return [(path_id[lo:hi], PathBlock.of_states(
         int(floor_n[lo]), states[ends[lo] - counts[lo]:ends[hi - 1]], counts[lo:hi] - 1, ~live[lo:hi]
     )) for lo, hi in zip(runs, runs[1:])]
 

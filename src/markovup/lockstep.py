@@ -27,8 +27,8 @@ engine (:func:`~markovup.process_core.simulate_path` on
   where 18.5% of steps rise), and each lane's last state.  At the end
   the rises are put in path order by one stable sort of their lanes, each
   at its path's first place plus its time, and the block is handed over
-  in jump form (:meth:`~markovup.process_core.PathBlock.of_jumps`): no
-  state is built;
+  in jump form, its columns by keyword
+  (:class:`~markovup.process_core.PathBlock`): no state is built;
 * the live lanes are compacted through one index as lanes leave.  Each
   lane's Philox key stays at its block-local place, and a refill's
   uniforms stay in the column the lane had at the refill, which the lane
@@ -237,14 +237,12 @@ def run_block(
         if up.size:
             rises.append((t, lane[up], rise))
         done = x <= floor_n
-        if t == max_steps:
-            capped[lane[~done]] = True
-            done[:] = True
-        elif laws.asked >= laws.sure - 1:  # tested in Python first: most blocks never get there
-            sure = np.flatnonzero((ell >= laws.sure) & ~done)
+        if t == max_steps or laws.asked >= laws.sure - 1:  # tested in Python first: most blocks never get there
+            sure = np.flatnonzero(((ell >= laws.sure) | (t == max_steps)) & ~done)
             if sure.size:
                 # a certain fall from state x takes the n = min(x - floor_n,
-                # max_steps - t) steps left to the floor or the cap, all down
+                # max_steps - t) steps left to the floor or the cap, all down;
+                # at the cap n is 0, and every live lane is capped
                 fall = np.minimum(x[sure] - floor_n, max_steps - t)
                 capped[lane[sure]] = fall < x[sure] - floor_n
                 steps[lane[sure]] = fall
@@ -265,7 +263,7 @@ def run_block(
     size = steps + 1
     jump_at = (np.cumsum(size) - size)[lanes]  # the first place of each rise's path
     jump_at += np.repeat(times, [run.size for run in lane_runs])
-    return PathBlock.of_jumps(
-        floor_n, steps, capped, np.full(n, x0, dtype=np.int64), last, np.bincount(lanes, minlength=n),
-        jump_at[order], np.concatenate(rise_runs)[order],
+    return PathBlock(
+        floor_n=floor_n, steps=steps, capped=capped, first=np.full(n, x0, dtype=np.int64), last=last,
+        jump_counts=np.bincount(lanes, minlength=n), jump_at=jump_at[order], jumps=np.concatenate(rise_runs)[order],
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -236,7 +236,7 @@ class Trajectory:
             raise ValueError("a capped path must never enter the floor")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class PathBlock:
     """Paths in jump form, the form the record reducer reads.
 
@@ -252,10 +252,11 @@ class PathBlock:
     no two paths' steps reach neighbouring places.  Every column is int64
     but ``capped``.
 
-    ``PathBlock(floor_n, states, steps, capped)``, and so
-    ``dataclasses.replace`` given ``states``, reads the columns off a flat
-    layout of states with one ``np.diff`` pass; :meth:`of_jumps` takes them
-    as they are.  ``starts``, ``ends`` and ``states`` are built when read;
+    A block is made from its jump-form columns, every field but
+    ``reached``, as the engine hands them over, and so
+    ``dataclasses.replace`` makes one too; :meth:`of_states` reads the
+    columns off a flat layout of states with one ``np.diff`` pass.
+    ``starts``, ``ends`` and ``states`` are built when read;
     :func:`states_between` builds those of any range of places.  A path is
     capped iff ``capped[i]``; otherwise it first enters [0, floor_n] at its
     last state.  A block checks this when it is made, on its columns in
@@ -265,14 +266,19 @@ class PathBlock:
     floor_n: int
     steps: np.ndarray   # int64
     capped: np.ndarray  # bool
-    first: np.ndarray = field(init=False)
-    last: np.ndarray = field(init=False)
-    jump_counts: np.ndarray = field(init=False)
-    jump_at: np.ndarray = field(init=False)
-    jumps: np.ndarray = field(init=False)
+    first: np.ndarray
+    last: np.ndarray
+    jump_counts: np.ndarray
+    jump_at: np.ndarray
+    jumps: np.ndarray
     reached: np.ndarray = field(init=False)
 
-    def __init__(self, floor_n: int, states: np.ndarray, steps: np.ndarray, capped: np.ndarray) -> None:
+    def __post_init__(self) -> None:
+        self._check()
+
+    @classmethod
+    def of_states(cls, floor_n: int, states: np.ndarray, steps: np.ndarray, capped: np.ndarray) -> PathBlock:
+        """The block of a flat layout of states, paths of ``steps`` steps one after another."""
         ends = np.cumsum(steps + 1) - 1
         if states.size != ends[-1] + 1:
             raise ValueError(f"{states.size} states do not lay out paths of {int(steps.sum())} steps")
@@ -280,23 +286,9 @@ class PathBlock:
         jump = step != -1
         jump[ends[:-1]] = False  # from a path's last state to the next path's first is no step
         jump_at = np.flatnonzero(jump) + 1
-        counts = np.diff(np.searchsorted(jump_at, ends, "right"), prepend=0)
-        self._fill(floor_n, steps, capped, states[ends - steps], states[ends], counts, jump_at, step[jump_at - 1])
-
-    @classmethod
-    def of_jumps(
-        cls, floor_n: int, steps: np.ndarray, capped: np.ndarray, first: np.ndarray, last: np.ndarray,
-        jump_counts: np.ndarray, jump_at: np.ndarray, jumps: np.ndarray,
-    ) -> PathBlock:
-        """The block of these columns, checked as they are."""
-        block = object.__new__(cls)
-        block._fill(floor_n, steps, capped, first, last, jump_counts, jump_at, jumps)
-        return block
-
-    def _fill(self, *columns) -> None:
-        for f, value in zip(fields(self), columns):  # every field but reached, which _check derives
-            object.__setattr__(self, f.name, value)
-        self._check()
+        return cls(floor_n=floor_n, steps=steps, capped=capped, first=states[ends - steps], last=states[ends],
+                   jump_counts=np.diff(np.searchsorted(jump_at, ends, "right"), prepend=0), jump_at=jump_at,
+                   jumps=step[jump_at - 1])
 
     @property
     def ends(self) -> np.ndarray:
@@ -387,12 +379,8 @@ class PathBlock:
         except OverflowError:
             i = next(i for i, t in enumerate(trajectories) if max(t.states) > INT64_MAX)
             raise ValueError(f"path {i} of the block has a state past int64: {max(trajectories[i].states)}") from None
-        return cls(
-            trajectories[0].floor_n,
-            flat,
-            np.array([len(t.states) - 1 for t in trajectories], dtype=np.int64),
-            np.array([t.tau is None for t in trajectories], dtype=bool),
-        )
+        steps = np.array([len(t.states) - 1 for t in trajectories], dtype=np.int64)
+        return cls.of_states(trajectories[0].floor_n, flat, steps, np.array([t.tau is None for t in trajectories]))
 
 
 def states_between(anchors: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:

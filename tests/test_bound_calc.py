@@ -168,6 +168,15 @@ class TestQBar:
         with pytest.raises(SeriesLengthError, match=f"more than {MAX_TERMS} factors"):
             q_bar(KappaSpec(a=1e-9, r=0.999999999))
 
+    @pytest.mark.parametrize("a, r", [(0.5, 0.985), (0.5, 0.99), (0.9, 0.98), (0.5, 0.999)])
+    def test_upper_bracket_at_one_rejected(self, a, r):
+        # q_bar's value plus its tail bound rounds to 1, so its attempt series
+        # has no ratio below 1 to certify: the bounds name the series, not q
+        kappa = KappaSpec(a=a, r=r)
+        assert q_bar(kappa).upper >= 1.0
+        with pytest.raises(SeriesLengthError, match="is not certified below 1"):
+            make_bound_set(1, kappa, 0.5)
+
 
 class TestTheoremBound:
     def test_m1_reference_value(self):

@@ -122,6 +122,27 @@ class TestConfigValidation:
         assert proc.returncode == cli.EXIT_USAGE
         assert re.fullmatch(r"error: config field 'model': too near critical[^\n]*\n", proc.stderr), proc.stderr
 
+    @pytest.mark.parametrize("command", ["certify", "bounds", "verify", "report"])
+    def test_q_bar_bracket_at_one_rejected(self, tmp_path, command):
+        # at a = 0.5, r = 0.99 q_bar's certified upper bracket rounds to 1:
+        # certify reports it, and the commands that need the bounds name the
+        # model in one line, report before it opens its missing dump
+        config = {"model": {"r": 0.99}, "n_traj": 4, "max_steps": 50, "x_grid": [6]}
+        if command == "report":
+            config["output"] = {"trajectories_csv": "missing.csv"}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovup.cli", command, "config.json"],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=30,
+        )
+        if command == "certify":
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+        else:
+            assert proc.returncode == cli.EXIT_USAGE
+            assert re.fullmatch(
+                r"error: config field 'model': too near critical for certified bounds: [^\n]*\n", proc.stderr
+            ), proc.stderr
+
     @pytest.mark.parametrize("command, code, budget_s", [("certify", cli.EXIT_OK, 1), ("verify", cli.EXIT_USAGE, 2)])
     def test_slow_kappa_certified_in_bounded_time(self, tmp_path, monkeypatch, capsys, command, code, budget_s):
         # at r = 1 - 1e-7 the A2 witness lies past 1.2e8 fall lengths, which
@@ -482,13 +503,13 @@ DUMP_COLUMNS = ("x0", "path_id", "floor_n", "steps", "capped", "states")
 
 def dump_columns(dump):
     """The runs cli.read_trajectories_csv yields, joined into the columns DUMP_COLUMNS names."""
-    runs = list(cli.read_trajectories_csv(str(dump)))
-    sizes = [run.path_id.size for run in runs]
+    path_ids, blocks = zip(*cli.read_trajectories_csv(str(dump)))
+    sizes = [block.steps.size for block in blocks]
     return SimpleNamespace(
-        x0=np.repeat(np.array([run.x0 for run in runs], dtype=np.int64), sizes),
-        path_id=np.concatenate([run.path_id for run in runs]),
-        floor_n=np.repeat(np.array([run.block.floor_n for run in runs], dtype=np.int64), sizes),
-        **{name: np.concatenate([getattr(run.block, name) for run in runs]) for name in ("steps", "capped", "states")},
+        x0=np.concatenate([block.first for block in blocks]),
+        path_id=np.concatenate(path_ids),
+        floor_n=np.repeat(np.array([block.floor_n for block in blocks], dtype=np.int64), sizes),
+        **{name: np.concatenate([getattr(block, name) for block in blocks]) for name in ("steps", "capped", "states")},
     )
 
 

@@ -38,9 +38,9 @@ def test_paths_rows_with_object_max_state():
     # a max_state at the top of int64 stays an int64 column, never an object one;
     # its rows, and a block's numbered on after them, with the flag 1 or 0
     top = INT64_MAX
-    wide = PathBlock(5, np.array([top - 2, top - 1, top, top - 2, 4]),
+    wide = PathBlock.of_states(5, np.array([top - 2, top - 1, top, top - 2, 4]),
                      np.array([2, 1]), np.array([True, False]))
-    narrow = PathBlock(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
+    narrow = PathBlock.of_states(5, np.array([6, 7, 8, 6, 4]), np.array([2, 1]), np.array([True, False]))
     parts = [mc_engine.reduce_block(wide), mc_engine.reduce_block(narrow)]
     assert parts[0].max_state.dtype == np.int64
     text = b"".join(bytes(t) for first, records in zip((0, 2), parts) for t in csv_io.paths_rows(first, records))
@@ -70,7 +70,7 @@ def test_long_row_is_split_across_writes():
     # a pure fall of 30,000 states, and a short capped path after it: no
     # write holds more than the budget's tokens, each ended by its separator
     states = np.concatenate([np.arange(30_004, 4, -1), [6, 7]])
-    block = PathBlock(5, states, np.array([29_999, 1]), np.array([False, True]))
+    block = PathBlock.of_states(5, states, np.array([29_999, 1]), np.array([False, True]))
     writes = [bytes(text) for text in csv_io.dump_rows(30_004, 0, block)]
     expected = (
         f"30004,0,29999,5,{' '.join(map(str, range(30_004, 4, -1)))}\r\n"
@@ -85,7 +85,7 @@ def test_dump_rows_at_the_top_of_int64():
     # a state plus its place passes int64 here; the states come out exact
     top = INT64_MAX
     states = np.array([top - 2, top - 3, top, top - 1, top - 2, 6, 4])
-    block = PathBlock(5, states, np.array([4, 1]), np.array([True, False]))
+    block = PathBlock.of_states(5, states, np.array([4, 1]), np.array([True, False]))
     check_state_ranges(block, states, [(0.2, 0.9)])
     assert b"".join(bytes(t) for t in csv_io.dump_rows(7, 0, block)) == (
         f"7,0,,5,{top - 2} {top - 3} {top} {top - 1} {top - 2}\r\n7,1,1,5,6 4\r\n".encode()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_jump_form_is_the_states_form(a, r, s, floor_n, x0, max_steps, n, seed):
     x0 = max(x0, floor_n + 1)
     kernel = _kernel(a, r, s, floor_n)
     block = run_block(kernel, x0, np.arange(n), seed, max_steps, task_index=1)
-    derived = PathBlock(block.floor_n, block.states, block.steps, block.capped)
+    derived = PathBlock.of_states(block.floor_n, block.states, block.steps, block.capped)
     for name in _JUMP_COLUMNS:
         ours, theirs = getattr(block, name), getattr(derived, name)
         assert ours.dtype == theirs.dtype == np.int64 and np.array_equal(ours, theirs), name
@@ -313,7 +314,7 @@ def _lowered(block, path, rise, drop):
     jumps, last = block.jumps.copy(), block.last.copy()
     jumps[rise] -= drop
     last[path] -= drop
-    return PathBlock.of_jumps(
+    return PathBlock(
         block.floor_n, block.steps, block.capped, block.first, last, block.jump_counts, block.jump_at, jumps
     )
 
@@ -364,9 +365,20 @@ def test_inconsistent_jump_form_raises(benchmark_kernel, fault, message):
     else:
         jump_at[[3, 4]] = jump_at[[4, 3]]
     with pytest.raises(ValueError, match=message):
-        PathBlock.of_jumps(
+        PathBlock(
             block.floor_n, block.steps, block.capped, block.first, last, block.jump_counts, jump_at, block.jumps
         )
+
+
+def test_replaced_jumps_are_checked(benchmark_kernel):
+    # dataclasses.replace makes a block as the engine does, so it is checked
+    # again: one increment raised by one ends its path above its last state
+    block = run_block(benchmark_kernel, 20, np.arange(50), seed=13, max_steps=200, task_index=0)
+    jumps = block.jumps.copy()
+    jumps[0] += 1
+    path = int(np.flatnonzero(block.jump_counts)[0])
+    with pytest.raises(ValueError, match=f"the steps of path {path} end at {block.last[path] + 1}, not at"):
+        replace(block, jumps=jumps)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.01, 1e-15])

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -337,17 +337,22 @@ class TestBlockReducer:
         assert peak <= 1.6e6, peak
 
     def test_layout_derived_when_made(self):
-        # a block made by dataclasses.replace derives starts and ends again, and
+        # a block made from another's states derives starts and ends again, and
         # block_trajectories, which cuts the states there, gives back its paths
         hand_built = TestRecordFromTrajectory.HAND_BUILT
         paths = [hand_built["opens with a rise"], hand_built["capped"]]
         two = PathBlock.of(paths)
         three = PathBlock.of([hand_built["tau = 0"], _hit(6, 5), hand_built["opens with a fall"]])
         assert (three.starts.tolist(), three.ends.tolist()) == ([0, 1, 3], [0, 2, 10])
-        moved = replace(three, states=two.states, steps=two.steps, capped=two.capped)
+        moved = PathBlock.of_states(three.floor_n, two.states, two.steps, two.capped)
         assert (moved.starts.tolist(), moved.ends.tolist()) == ([0, 7], [6, 12])
         assert moved.starts.dtype == moved.ends.dtype == np.int64
         assert block_trajectories(moved) == paths
+
+    def test_states_that_miss_the_steps_rejected(self):
+        # two states lay out a path of one step, not of two
+        with pytest.raises(ValueError, match="2 states do not lay out paths of 2 steps"):
+            PathBlock.of_states(5, np.array([6, 5]), np.array([2]), np.array([False]))
 
     def test_start_in_floor(self, benchmark_kernel):
         self.check([_hit(3)] * 40, simulate_records(benchmark_kernel, 3, 40, seed=1))
@@ -428,7 +433,7 @@ class TestBlockReducer:
         states[state] = -1 if fault == "negative state" else block.floor_n
         reduce_block(block)
         with pytest.raises(ValueError, match=message):
-            replace(block, states=states)
+            PathBlock.of_states(block.floor_n, states, block.steps, block.capped)
 
 
 class TestDeterministicDynamics:
